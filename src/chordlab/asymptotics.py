@@ -10,7 +10,10 @@ The expansions assert, for the count a_n of either class,
 
     a_n = e^q ( c_0 (2n-1)!! + c_1 (2n-3)!! + ... )        (divergent tail)
 
-with q = -1 for connected and q = -2 for 2-connected diagrams.
+with q = -1 for connected and q = -2 for 2-connected diagrams.  The scale
+(2n-1)!! is alpha^(n+beta) Gamma(n+beta) / sqrt(2*pi) for alpha = 2,
+beta = 1/2, so the 1/sqrt(2*pi) flag of the coefficient series cancels
+against it and the fits work with the plain double factorials of series D.
 """
 
 from __future__ import annotations
@@ -68,25 +71,6 @@ class ScaledSeries:
         return ScaledSeries(
             self.body + other.body, self.exp_offset, self.inv_sqrt_2pi
         )
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.body[k]
-
-
-@dataclass(frozen=True)
-class AsymptoticModel:
-    """Expansion data against the scale alpha^(n+beta) Gamma(n+beta); here
-    always alpha = 2, beta = 1/2, whose value is sqrt(2*pi) (2n-1)!!, so the
-    1/sqrt(2*pi) flag of the coefficient series cancels against the scale
-    and fits can work with plain double factorials."""
-
-    name: str
-    alpha: int
-    beta: Fraction
-    series: ScaledSeries
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.series.body[k]
 
 
 @lru_cache(maxsize=None)
@@ -194,14 +178,6 @@ def square_image_consistency(order: int) -> bool:
 # -- numeric fits -------------------------------------------------------------
 
 
-def double_factorial(k: int) -> int:
-    """(2k-1)!! with the empty-product convention at k = 0."""
-    out = 1
-    for i in range(1, k + 1):
-        out *= 2 * i - 1
-    return out
-
-
 @lru_cache(maxsize=None)
 def exact_connected_count(n: int) -> int:
     return connected_counts(n)[n]
@@ -218,13 +194,6 @@ MODELS = {
     "C": (alien_connected, exact_connected_count),
     "C2": (alien_two_connected, exact_two_connected_count),
 }
-
-
-def model(series: str, order: int) -> AsymptoticModel:
-    if series not in MODELS:
-        raise KeyError(f"unknown series {series!r}; known: C, C2")
-    build, _ = MODELS[series]
-    return AsymptoticModel(series, 2, Fraction(1, 2), build(order))
 
 
 @dataclass(frozen=True)
@@ -257,15 +226,16 @@ def asymptotic_fit(series: str, n: int, terms: int) -> FitReport:
     build, exact_fn = MODELS[series]
     expansion = build(terms)
     exact = exact_fn(n)
+    d = double_factorial_series(n)
     with localcontext() as ctx:
         ctx.prec = FIT_PRECISION
         scale = _to_decimal(expansion.exp_offset).exp()
         partial_exact = sum(
-            (expansion.body[k] * double_factorial(n - k) for k in range(terms)),
+            (expansion.body[k] * d[n - k] for k in range(terms)),
             Fraction(0),
         )
         partial = scale * _to_decimal(partial_exact)
-        remainder = (Decimal(exact) - partial) / Decimal(double_factorial(n - terms))
+        remainder = (Decimal(exact) - partial) / Decimal(d[n - terms].numerator)
         next_coeff = scale * _to_decimal(expansion.body[terms])
         ratio = remainder / next_coeff
         return FitReport(
@@ -291,7 +261,7 @@ def connectivity_probability(series: str, n: int) -> Decimal:
     _, exact_fn = MODELS[series]
     with localcontext() as ctx:
         ctx.prec = FIT_PRECISION
-        return Decimal(exact_fn(n)) / Decimal(double_factorial(n))
+        return Decimal(exact_fn(n)) / Decimal(double_factorial_series(n)[n].numerator)
 
 
 def leading_probability_estimate(series: str, n: int) -> Decimal:

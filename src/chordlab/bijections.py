@@ -31,7 +31,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .chord import ChordDiagram, enumerate_diagrams
+from .chord import (
+    ChordDiagram,
+    enumerate_diagrams,
+    first_block_end,
+    intersection_components,
+)
 
 Token = int  # a chord label; each label occurs at exactly two positions
 
@@ -112,22 +117,9 @@ def _nabla_labeled(ld: LabeledDiagram) -> tuple[LabeledDiagram, LabeledDiagram, 
         raise ValueError("root share decomposition needs a connected diagram on >= 2 chords")
     toks = ld.tokens()
     root_right = d.partners[0]
-    adj = d.intersection_adjacency()
     cs = d.chords()
-    position_chord = {}
-    for i, (a, b) in enumerate(cs):
-        position_chord[a] = i
-        position_chord[b] = i
-    # component (after root removal) of the chord at position 1
-    start = position_chord[1]
-    comp = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w != 0 and w not in comp:
-                comp.add(w)
-                stack.append(w)
+    # first component after root removal: the one of chord 1, at position 1
+    comp = intersection_components(d.intersection_adjacency(), range(1, d.n))[0]
     c2_positions = sorted(pos for i in comp for pos in cs[i])
     in_c2 = set(c2_positions)
     k = sum(1 for pos in c2_positions if pos < root_right)
@@ -257,11 +249,13 @@ class ZTreeVertex:
             child.validate()
 
 
-def _split_root_component(
+def split_root_component(
     ld: LabeledDiagram,
 ) -> tuple[LabeledDiagram, list[tuple[LabeledDiagram, LabeledDiagram]]]:
     """The root component of a nonempty diagram together with, per core
-    chord, the labeled diagrams hanging right of its two ends."""
+    chord, the labeled diagrams hanging right of its two ends (after the
+    left end, after the right end).  A plain diagram goes through
+    with_fresh_labels."""
     d = ld.diagram
     toks = ld.tokens()
     rc = sorted(d.root_component())
@@ -282,8 +276,9 @@ def _split_root_component(
     return core, danglings
 
 
-def _assemble(core: LabeledDiagram, danglings) -> LabeledDiagram:
-    """Inverse of _split_root_component."""
+def join_root_component(core: LabeledDiagram, danglings) -> LabeledDiagram:
+    """Inverse of split_root_component: hang each pair of diagrams right of
+    the two ends of the matching core chord."""
     toks: list[Token] = []
     cs = core.diagram.chords()
     core_toks = core.tokens()
@@ -303,14 +298,11 @@ def _concat(a: LabeledDiagram, b: LabeledDiagram) -> LabeledDiagram:
 
 
 def _split_concat(ld: LabeledDiagram) -> tuple[LabeledDiagram, LabeledDiagram]:
+    j = first_block_end(ld.diagram.partners)
+    if j is None:
+        raise ValueError("diagram is not a concatenation")
     toks = ld.tokens()
-    run_max = -1
-    p = ld.diagram.partners
-    for j in range(len(p) - 1):
-        run_max = max(run_max, p[j])
-        if run_max == j:
-            return from_tokens(toks[: j + 1]), from_tokens(toks[j + 1 :])
-    raise ValueError("diagram is not a concatenation")
+    return from_tokens(toks[: j + 1]), from_tokens(toks[j + 1 :])
 
 
 def theta(seed: TreeSeed) -> ZTreeVertex:
@@ -341,17 +333,17 @@ def theta(seed: TreeSeed) -> ZTreeVertex:
         if not dl.n and not dr.n:
             continue
         if not dl.n:
-            core, danglings = _split_root_component(dr)
+            core, danglings = split_root_component(dr)
             v.structure = core
             attach(v, core, danglings)
         elif dr.n:
-            core_l, dang_l = _split_root_component(dl)
-            core_r, dang_r = _split_root_component(dr)
+            core_l, dang_l = split_root_component(dl)
+            core_r, dang_r = split_root_component(dr)
             v.structure = _concat(core_l, core_r)
             attach(v, core_l, dang_l)
             attach(v, core_r, dang_r)
         else:
-            core, danglings = _split_root_component(dl)
+            core, danglings = split_root_component(dl)
             if core.n == 1:
                 label = core.labels[0]
                 v.stack.append(label)
@@ -382,7 +374,9 @@ def _unbuild(v: ZTreeVertex) -> tuple[int, LabeledDiagram, LabeledDiagram]:
             child_danglings[label] = (cdl, cdr)
 
         def assemble(core: LabeledDiagram) -> LabeledDiagram:
-            return _assemble(core, [child_danglings[lab] for lab in core.labels])
+            return join_root_component(
+                core, [child_danglings[lab] for lab in core.labels]
+            )
 
         comps = sigma.diagram.components()
         if len(comps) == 1:
@@ -394,7 +388,7 @@ def _unbuild(v: ZTreeVertex) -> tuple[int, LabeledDiagram, LabeledDiagram]:
             dl, dr = assemble(_phi_inv_labeled(sigma)), EMPTY
     for i in range(len(v.stack) - 1, 0, -1):
         single = LabeledDiagram(ChordDiagram((1, 0)), (v.stack[i],))
-        dl, dr = _assemble(single, [(dl, dr)]), EMPTY
+        dl, dr = join_root_component(single, [(dl, dr)]), EMPTY
     return v.stack[0], dl, dr
 
 

@@ -22,9 +22,15 @@ from typing import Iterator, Sequence
 DEFAULT_MAX_N = 10
 
 
-def _enumeration_limit() -> int:
+def size_guard(default: int) -> int:
+    """The size guard set by CHORDLAB_MAX_N, or `default` when it is unset."""
     env = os.environ.get("CHORDLAB_MAX_N")
-    return int(env) if env else DEFAULT_MAX_N
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"CHORDLAB_MAX_N must be an integer, got {env!r}") from None
 
 
 class ChordDiagram:
@@ -118,23 +124,7 @@ class ChordDiagram:
         """Connected components of the intersection graph (chord indices),
         ordered by smallest endpoint."""
         adj = self.intersection_adjacency()
-        seen = [False] * len(adj)
-        comps = []
-        for start in range(len(adj)):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = {start}
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return comps
+        return intersection_components(adj, range(len(adj)))
 
     # -- connectivity ---------------------------------------------------------
 
@@ -160,15 +150,7 @@ class ChordDiagram:
 
     def is_indecomposable(self) -> bool:
         """True unless the diagram is a concatenation of smaller ones."""
-        m = len(self.partners)
-        run_max = -1
-        for j in range(m - 1):
-            q = self.partners[j]
-            if q > run_max:
-                run_max = q
-            if run_max == j:
-                return False
-        return True
+        return first_block_end(self.partners) is None
 
     # -- root-component decomposition ------------------------------------------
 
@@ -176,10 +158,7 @@ class ChordDiagram:
         """Chord indices of the intersection-graph component of the root."""
         if not self.n:
             raise ValueError("the empty diagram has no root component")
-        for comp in self.components():
-            if 0 in comp:
-                return comp
-        raise AssertionError("unreachable")
+        return self.components()[0]
 
     def subdiagram(self, chord_indices) -> "ChordDiagram":
         """Diagram induced by a subset of chords, positions collapsed."""
@@ -196,31 +175,42 @@ class ChordDiagram:
             p[rank[b]] = rank[a]
         return ChordDiagram(p)
 
-    def dangling(self, chord_index: int) -> tuple["ChordDiagram", "ChordDiagram"]:
-        """The two diagrams hanging right of the two ends of a root-component
-        chord: (after the left end, after the right end)."""
-        rc = self.root_component()
-        if chord_index not in rc:
-            raise ValueError("chord is not in the root component")
-        cs = self.chords()
-        boundary = sorted(pos for i in rc for pos in cs[i])
-        boundary_set = set(boundary)
-        m = len(self.partners)
 
-        def gap_after(pos: int) -> ChordDiagram:
-            run = []
-            j = pos + 1
-            while j < m and j not in boundary_set:
-                run.append(j)
-                j += 1
-            rank = {q: r for r, q in enumerate(run)}
-            p = [-1] * len(run)
-            for q in run:
-                p[rank[q]] = rank[self.partners[q]]
-            return ChordDiagram(p)
+def intersection_components(
+    adj: Sequence[set[int]], allowed
+) -> list[frozenset[int]]:
+    """Components of the intersection graph `adj` restricted to the chord
+    indices in `allowed`, ordered by smallest chord index (chords are
+    indexed by first endpoint, so this is first-endpoint order)."""
+    free = [False] * len(adj)
+    for i in allowed:
+        free[i] = True
+    comps = []
+    for start in range(len(adj)):
+        if not free[start]:
+            continue
+        free[start] = False
+        comp = [start]
+        for v in comp:  # grows while it is walked: a breadth-first search
+            for w in adj[v]:
+                if free[w]:
+                    free[w] = False
+                    comp.append(w)
+        comps.append(frozenset(comp))
+    return comps
 
-        a, b = cs[chord_index]
-        return gap_after(a), gap_after(b)
+
+def first_block_end(partners: Sequence[int]) -> int | None:
+    """End of the shortest proper prefix of endpoints that pairs internally,
+    or None when there is none (the diagram is indecomposable)."""
+    run_max = -1
+    for j in range(len(partners) - 1):
+        q = partners[j]
+        if q > run_max:
+            run_max = q
+        if run_max == j:
+            return j
+    return None
 
 
 def _min_window_cut(partners: Sequence[int]) -> int:
@@ -331,7 +321,7 @@ def maximal_reasons(report: ReasonReport) -> tuple[Reason, ...]:
 def enumerate_diagrams(n: int) -> Iterator[ChordDiagram]:
     """All (2n-1)!! diagrams on n chords, in the deterministic order given by
     always matching the smallest free endpoint with its partner increasing."""
-    limit = _enumeration_limit()
+    limit = size_guard(DEFAULT_MAX_N)
     if n > limit:
         raise ValueError(f"n={n} exceeds the enumeration guard ({limit}); "
                          "set CHORDLAB_MAX_N to raise it")
@@ -371,7 +361,7 @@ class Census:
 def census(n: int) -> Census:
     """Count diagrams on n chords by connectivity class and indecomposability
     in one enumeration pass (no diagram objects are materialised)."""
-    limit = _enumeration_limit()
+    limit = size_guard(DEFAULT_MAX_N)
     if n > limit:
         raise ValueError(f"n={n} exceeds the enumeration guard ({limit})")
     if n == 0:
@@ -379,38 +369,12 @@ def census(n: int) -> Census:
     m = 2 * n
     p = [-1] * m
     counts = [0, 0, 0, 0, 0]  # total, conn, 2conn, conn1, indec
-    rng_m = range(m)
 
     def classify() -> None:
         counts[0] += 1
-        # indecomposable: no proper self-paired prefix
-        run_max = -1
-        decomposable = False
-        for j in range(m - 1):
-            q = p[j]
-            if q > run_max:
-                run_max = q
-            if run_max == j:
-                decomposable = True
-                break
-        if not decomposable:
+        if first_block_end(p) is None:
             counts[4] += 1
-        # minimum window cut
-        best = n
-        for i in rng_m:
-            out = 0
-            inside = False
-            for j in range(i, m):
-                q = p[j]
-                if i <= q < j:
-                    out -= 1
-                    inside = True
-                else:
-                    out += 1
-                if out < best and inside and m - (j - i + 1) - out >= 2:
-                    best = out
-                    if not best:
-                        return
+        best = _min_window_cut(p)
         if best >= 1:
             counts[1] += 1
             if best >= 2:
@@ -452,80 +416,23 @@ class IntersectionGraph:
 
 
 def labelled_intersection_graph(d: ChordDiagram) -> IntersectionGraph:
-    cs = d.chords()
     adj = d.intersection_adjacency()
-    labels = [0] * len(cs)
+    labels = [0] * d.n
     counter = [0]
 
-    def first_endpoint(indices) -> dict[int, int]:
-        return {i: cs[i][0] for i in indices}
-
     def assign(indices: frozenset[int]) -> None:
-        firsts = first_endpoint(indices)
-        root = min(indices, key=firsts.get)
+        root = min(indices)
         counter[0] += 1
         labels[root] = counter[0]
-        rest = indices - {root}
-        comps = []
-        seen = set()
-        for start in sorted(rest, key=firsts.get):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w in rest and w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(comp)
-        comps.sort(key=lambda c: min(firsts[i] for i in c))
-        for comp in comps:
-            assign(frozenset(comp))
+        for comp in intersection_components(adj, indices - {root}):
+            assign(comp)
 
-    if cs:
-        assign(frozenset(range(len(cs))))
+    if d.n:
+        assign(frozenset(range(d.n)))
     edge_set = frozenset(
         (min(labels[i], labels[j]), max(labels[i], labels[j]))
-        for i in range(len(cs))
+        for i in range(d.n)
         for j in adj[i]
         if i < j
     )
     return IntersectionGraph(d.n, tuple(labels), edge_set)
-
-
-# -- assembly (inverse of the root-component decomposition) ----------------------
-
-
-def assemble_root_component(
-    root: ChordDiagram,
-    danglings: Sequence[tuple[ChordDiagram, ChordDiagram]],
-) -> ChordDiagram:
-    """Rebuild a diagram from a connected core and, for each of its chords,
-    the pair of diagrams hanging right of its two ends."""
-    if len(danglings) != root.n:
-        raise ValueError("one dangling pair per chord is required")
-    cs = root.chords()
-    by_endpoint: dict[int, ChordDiagram] = {}
-    for idx, (a, b) in enumerate(cs):
-        by_endpoint[a] = danglings[idx][0]
-        by_endpoint[b] = danglings[idx][1]
-    layout: list[tuple[str, int, int]] = []  # (kind, owner, local index)
-    for pos in range(2 * root.n):
-        layout.append(("core", pos, 0))
-        sub = by_endpoint[pos]
-        for j in range(2 * sub.n):
-            layout.append(("gap", pos, j))
-    place = {(k, o, j): idx for idx, (k, o, j) in enumerate(layout)}
-    p = [-1] * len(layout)
-    for a, b in cs:
-        p[place[("core", a, 0)]] = place[("core", b, 0)]
-        p[place[("core", b, 0)]] = place[("core", a, 0)]
-    for pos in range(2 * root.n):
-        sub = by_endpoint[pos]
-        for j, q in enumerate(sub.partners):
-            p[place[("gap", pos, j)]] = place[("gap", pos, q)]
-    return ChordDiagram(p)

@@ -4,7 +4,9 @@ Subcommands: series, enumerate, bijection, bell, asym, diffeo, verify,
 oeis-compare.  Output formats: table (default), json, csv, and bfile for
 integer series.  All randomized verification flows from one seeded
 generator (--seed, default printed with the output); enumeration sizes are
-guarded by CHORDLAB_MAX_N.
+guarded by CHORDLAB_MAX_N.  Invalid input (a ValueError or
+ZeroDivisionError from a handler) prints "chordlab: error: ..." on stderr
+and exits with status 2, as argparse does for malformed arguments.
 """
 
 from __future__ import annotations
@@ -510,7 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    record = args.handler(args)
+    try:
+        record = args.handler(args)
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"chordlab: error: {exc}", file=sys.stderr)
+        return 2
     print(record.render())
     if args.command == "verify" and not record.payload["all_ok"]:
         return 1

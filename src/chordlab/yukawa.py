@@ -19,17 +19,17 @@ here; algorithms that treat it as one use the LEG_END marker instead).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import fps
 from .bijections import RootShareTriple, nabla, nabla_inv
-from .chord import ChordDiagram
+from .chord import ChordDiagram, size_guard
 from .fps import FormalPowerSeries
 from .gfseries import (
     IdentityReport,
+    _compare,
     connected_series,
     two_connected_series,
 )
@@ -125,11 +125,10 @@ class TadpoleGraph:
 
     # -- identity ------------------------------------------------------------
 
-    def canonical_signature(self) -> tuple:
-        """Traversal signature: breadth-first from the leg following the
-        successor, predecessor and boson functions, numbering vertices by
-        first visit.  Two connected tadpoles are isomorphic (leg-preserving,
-        orientation kept) exactly when their signatures agree."""
+    def _traversal(self) -> tuple[list[int], dict[int, int]]:
+        """Breadth-first visit from the leg following the successor,
+        predecessor and boson functions: the vertices in visiting order and
+        the number of each vertex (its position in that order)."""
         pred = {w: v for v, w in self.succ.items()}
         number = {self.leg: 0}
         order = [self.leg]
@@ -146,15 +145,21 @@ class TadpoleGraph:
                     order.append(w)
         if len(order) != len(self.succ):
             raise ValueError("signature of a disconnected tadpole is undefined")
-        sig = []
-        for v in order:
-            sig.append(
-                (
-                    number[self.succ[v]],
-                    number[self.boson[v]] if v != self.leg else -1,
-                )
+        return order, number
+
+    def canonical_signature(self) -> tuple:
+        """Traversal signature: per vertex in visiting order, the numbers of
+        its successor and boson partner.  Two connected tadpoles are
+        isomorphic (leg-preserving, orientation kept) exactly when their
+        signatures agree."""
+        order, number = self._traversal()
+        return tuple(
+            (
+                number[self.succ[v]],
+                number[self.boson[v]] if v != self.leg else -1,
             )
-        return tuple(sig)
+            for v in order
+        )
 
     def relabeled(self, offset: int) -> "TadpoleGraph":
         return TadpoleGraph(
@@ -164,21 +169,8 @@ class TadpoleGraph:
         )
 
     def canonical(self) -> "TadpoleGraph":
-        """The isomorphic copy whose vertex names are the signature order."""
-        pred = {w: v for v, w in self.succ.items()}
-        number = {self.leg: 0}
-        order = [self.leg]
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            neighbours = [self.succ[v], pred[v]]
-            if v != self.leg:
-                neighbours.append(self.boson[v])
-            for w in neighbours:
-                if w not in number:
-                    number[w] = len(order)
-                    order.append(w)
+        """The isomorphic copy whose vertex names are the traversal numbers."""
+        order, number = self._traversal()
         return TadpoleGraph(
             {number[v]: number[self.succ[v]] for v in order},
             {number[v]: number[self.boson[v]] for v in order if v != self.leg},
@@ -304,15 +296,10 @@ def _partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def _loops_limit() -> int:
-    env = os.environ.get("CHORDLAB_MAX_N")
-    return int(env) if env else DEFAULT_MAX_LOOPS
-
-
 def enumerate_tadpoles(loops: int, allow_five: bool = False) -> list[TadpoleGraph]:
     """All 1PI tadpoles with the given loop number, one per isomorphism
     class, in a deterministic (signature-sorted) order."""
-    limit = max(_loops_limit(), 5 if allow_five else 0)
+    limit = max(size_guard(DEFAULT_MAX_LOOPS), 5 if allow_five else 0)
     if loops > limit:
         raise ValueError(
             f"loop number {loops} exceeds the guard ({limit}); "
@@ -569,7 +556,6 @@ def diagram_to_tadpole(d: ChordDiagram) -> TadpoleGraph:
 
 
 lambda_bij = tadpole_to_diagram
-lambda_inv = diagram_to_tadpole
 
 
 # -- vertex graphs without fermion loops ----------------------------------------------
@@ -651,9 +637,6 @@ def vertex_graph_to_diagram(g: QQEDVertexGraph) -> ChordDiagram:
         p[a] = b
         p[b] = a
     return ChordDiagram(p)
-
-
-qqed_chord = vertex_graph_to_diagram
 
 
 def qqed_primitive(g: QQEDVertexGraph) -> bool:
@@ -749,53 +732,49 @@ def green_identities(order: int) -> list[IdentityReport]:
     if order > 32:
         raise ValueError("supported through order 32")
     reports = []
-
-    def compare(name, lhs, rhs):
-        n = min(lhs.order, rhs.order, order)
-        for i in range(n + 1):
-            if lhs[i] != rhs[i]:
-                reports.append(IdentityReport(name, n, False, i))
-                return
-        reports.append(IdentityReport(name, n, True))
-
     c = connected_series(order + 1)
     # vacuum: C - x = 2x^2 V' for V = C^2/(2x)
     v = vacuum_series(order + 1)
-    compare(
+    reports.append(_compare(
         "vacuum_from_marked_tadpoles",
+        order,
         (c - fps.x(order + 1)).truncate(order),
         2 * fps.multiply_by_power(v.derivative(), 2).truncate(order),
-    )
+    ))
     # two-leg: x(2xC' - C) equals C^2 [C2(t)/t^2]|
-    compare(
+    reports.append(_compare(
         "two_leg_kernel_route",
+        order,
         two_leg_series(order),
         (c.truncate(order) * c.truncate(order))
         * composed_two_connected_kernel(order),
-    )
+    ))
     # fermion pair: T = x/(1 - U01) reproduces C
     u01 = fermion_pair_series(order)
-    compare(
+    reports.append(_compare(
         "tadpoles_from_fermion_pair_insertions",
+        order,
         tadpole_series(order),
         fps.multiply_by_power(
             fps.reciprocal((fps.one(order) - u01).truncate(order - 1)), 1
         )
         if order
         else fps.zero(0),
-    )
+    ))
     # vertex residue: U11 * C^2 = x * U20
-    compare(
+    reports.append(_compare(
         "vertex_residue_exchange",
+        order,
         vertex_residue_series(order) * (c * c).truncate(order),
         fps.multiply_by_power(two_leg_series(order - 1), 1)
         if order
         else fps.zero(0),
-    )
+    ))
     # the no-boson-leg series is the two-leg series with the mark removed
-    compare(
+    reports.append(_compare(
         "fermion_pair_equals_two_leg_unmarked",
+        order,
         fermion_pair_series(order),
         fps.divide_by_power(two_leg_series(order + 1), 1).truncate(order),
-    )
+    ))
     return reports

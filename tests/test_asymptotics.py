@@ -9,6 +9,7 @@ import pytest
 
 from chordlab import fps
 from chordlab.asymptotics import (
+    TOLERANCES,
     ScaledSeries,
     alien_connected,
     alien_connected_alternative,
@@ -16,15 +17,17 @@ from chordlab.asymptotics import (
     asymptotic_fit,
     chain_rule_check,
     connectivity_probability,
-    double_factorial,
     exact_two_connected_count,
     fit_trend,
     leading_probability_estimate,
-    model,
     square_image_consistency,
     two_connected_exponent_argument,
 )
-from chordlab.gfseries import two_connected_sequence_series, two_connected_series
+from chordlab.gfseries import (
+    double_factorial_series,
+    two_connected_sequence_series,
+    two_connected_series,
+)
 
 
 def fracs(values):
@@ -86,12 +89,12 @@ def test_scaled_series_arithmetic():
 
 
 def test_model_scale_matches_double_factorial():
-    # alpha^(n+beta) Gamma(n+beta) == sqrt(2*pi) (2n-1)!! for alpha=2, beta=1/2
-    m = model("C", 3)
-    assert (m.alpha, m.beta) == (2, Fraction(1, 2))
+    # alpha^(n+beta) Gamma(n+beta) == sqrt(2*pi) (2n-1)!! for alpha=2, beta=1/2,
+    # the scale the fits take from series D
+    d = double_factorial_series(20)
     for n in (1, 5, 20):
         lhs = (n + 0.5) * log(2) + lgamma(n + 0.5)
-        rhs = 0.5 * log(2 * pi) + log(double_factorial(n))
+        rhs = 0.5 * log(2 * pi) + log(d[n])
         assert abs(lhs - rhs) < 1e-9
 
 
@@ -120,8 +123,6 @@ def test_fit_two_connected_tracks_first_coefficient():
 
 
 def test_fit_spot_check_n40_R4():
-    from chordlab.asymptotics import TOLERANCES
-
     report = asymptotic_fit("C", 40, 4)
     assert abs(report.tracking_ratio - 1) < Decimal(str(TOLERANCES["spot_n40_R4_rel"]))
 
@@ -139,6 +140,27 @@ def test_fit_preconditions():
         asymptotic_fit("C", 5, 4)
     with pytest.raises(KeyError):
         asymptotic_fit("D", 20, 1)
+
+
+def test_criterion_4_n20_deviations_exceed_the_first_correction():
+    # Executable form of the README's note on criterion 4's red n = 20 bound:
+    # which (series, R) exceed it, and that the first correction
+    # (c_{R+1}/c_R)/(2n-2R-1) underestimates every deviation by 1.3-2.4x.
+    n = 20
+    bound = Decimal(str(TOLERANCES["tracking_ratio_at_n20"]))
+    over = set()
+    for series, image in (("C", alien_connected), ("C2", alien_two_connected)):
+        body = image(6).body
+        for terms in range(1, 6):
+            deviation = abs(asymptotic_fit(series, n, terms).tracking_ratio - 1)
+            if deviation > bound:
+                over.add((series, terms))
+            estimate = abs(body[terms + 1] / body[terms]) / (2 * n - 2 * terms - 1)
+            assert estimate <= Fraction(deviation), (series, terms)
+            assert Fraction(5, 4) <= Fraction(deviation) / estimate <= Fraction(12, 5)
+    assert over == {
+        ("C", 3), ("C", 4), ("C", 5), ("C2", 2), ("C2", 3), ("C2", 4), ("C2", 5)
+    }
 
 
 def test_exact_two_connected_count_is_integer():

@@ -5,10 +5,14 @@ from itertools import combinations
 import pytest
 
 from chordlab import chord
+from chordlab.bijections import (
+    join_root_component,
+    split_root_component,
+    with_fresh_labels,
+)
 from chordlab.chord import (
     ChordDiagram,
     Census,
-    assemble_root_component,
     census,
     enumerate_diagrams,
     labelled_intersection_graph,
@@ -90,6 +94,11 @@ def test_enumeration_guard(monkeypatch):
     monkeypatch.setenv("CHORDLAB_MAX_N", "2")
     with pytest.raises(ValueError):
         list(enumerate_diagrams(3))
+    monkeypatch.setenv("CHORDLAB_MAX_N", "abc")
+    with pytest.raises(ValueError, match="CHORDLAB_MAX_N"):
+        census(3)
+    with pytest.raises(ValueError, match="CHORDLAB_MAX_N"):
+        list(enumerate_diagrams(3))
     monkeypatch.delenv("CHORDLAB_MAX_N")
     assert sum(1 for _ in enumerate_diagrams(3)) == 15
 
@@ -146,23 +155,24 @@ def test_window_connectivity_equals_deletion_connectivity(n):
 
 def test_root_component_and_dangling():
     assert SINGLE.root_component() == frozenset({0})
-    left, right = SINGLE.dangling(0)
+    core, [(left, right)] = split_root_component(with_fresh_labels(SINGLE))
+    assert core.diagram == SINGLE
     assert left.n == 0 and right.n == 0
     # root chord of a concatenation keeps its trailing partner diagram
-    left, right = CONCAT.dangling(0)
+    assert CONCAT.root_component() == frozenset({0})
+    core, [(left, right)] = split_root_component(with_fresh_labels(CONCAT))
+    assert core.diagram == SINGLE
     assert left.n == 0
-    assert right == SINGLE
-    with pytest.raises(ValueError):
-        CONCAT.dangling(1)  # second chord is outside the root component
+    assert right.diagram == SINGLE
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_root_component_roundtrip(n):
     for d in enumerate_diagrams(n):
-        rc = sorted(d.root_component())
-        core = d.subdiagram(rc)
-        danglings = [d.dangling(i) for i in rc]
-        assert assemble_root_component(core, danglings) == d
+        ld = with_fresh_labels(d)
+        core, danglings = split_root_component(ld)
+        assert core.diagram == d.subdiagram(d.root_component())
+        assert join_root_component(core, danglings) == ld
 
 
 def test_reasons_vacuous_and_flagging():

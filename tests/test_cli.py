@@ -146,6 +146,36 @@ def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
     assert "FAILURES PRESENT" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "C", "--order", "-1"),
+        ("bijection", "phi", "--input", "2:3"),
+        ("bijection", "phi", "--input", "x"),
+        ("diffeo", "--a", "0,1", "--n", "3"),
+        ("asym", "C", "--n", "3", "--terms", "5"),
+        ("enumerate", "--n", "11"),
+    ],
+    ids=["negative-order", "short-literal", "bad-literal", "not-tangent",
+         "too-few-points", "guard"],
+)
+def test_bad_input_prints_one_error_line(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("chordlab: error: ")
+
+
+def test_non_integer_guard_prints_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("CHORDLAB_MAX_N", "abc")
+    code = main(["enumerate", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "chordlab: error: CHORDLAB_MAX_N must be an integer, got 'abc'\n"
+
+
 def test_oeis_compare_roundtrip(tmp_path, capsys):
     for name in SEQUENCE_MAP:
         path = tmp_path / f"b_{name}.txt"

@@ -56,6 +56,9 @@ def test_tadpole_guard(monkeypatch):
         enumerate_tadpoles(5)
     monkeypatch.setenv("CHORDLAB_MAX_N", "5")
     assert len(enumerate_tadpoles(2)) == 1
+    monkeypatch.setenv("CHORDLAB_MAX_N", "four")
+    with pytest.raises(ValueError, match="CHORDLAB_MAX_N"):
+        enumerate_tadpoles(2)
     monkeypatch.delenv("CHORDLAB_MAX_N")
 
 
@@ -82,6 +85,8 @@ def test_tadpole_validation():
     assert not disconnected.is_connected()
     with pytest.raises(ValueError):
         disconnected.canonical_signature()
+    with pytest.raises(ValueError):
+        disconnected.canonical()
 
 
 def test_canonical_signature_identifies_relabelings():
