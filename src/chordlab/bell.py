@@ -269,7 +269,7 @@ def lift_coefficient(
     if n < 1:
         raise ValueError("defined for n >= 1")
     prod = f.derivative() * g**n
-    return prod[n - 1] / n
+    return Fraction(prod[n - 1]) / n
 
 
 def lift_resummation(

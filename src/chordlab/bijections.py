@@ -411,17 +411,22 @@ def serialize_ztree(v: ZTreeVertex) -> str:
 def parse_ztree(text: str) -> ZTreeVertex:
     pos = 0
 
+    def peek() -> str:
+        if pos >= len(text):
+            raise ValueError(f"tree literal ends early at position {pos}")
+        return text[pos]
+
     def parse_vertex() -> ZTreeVertex:
         nonlocal pos
-        if text[pos] != "(":
+        if peek() != "(":
             raise ValueError(f"expected '(' at {pos}")
         pos += 1
         stack_part = _take_until(";")
         stack = [int(t) for t in stack_part.split(".")]
         body = _take_until(";")
         children: list[ZTreeVertex] = []
-        while text[pos] != ")":
-            if text[pos] == " ":
+        while peek() != ")":
+            if peek() == " ":
                 pos += 1
                 continue
             children.append(parse_vertex())
@@ -438,7 +443,9 @@ def parse_ztree(text: str) -> ZTreeVertex:
 
     def _take_until(stop: str) -> str:
         nonlocal pos
-        end = text.index(stop, pos)
+        end = text.find(stop, pos)
+        if end < 0:
+            raise ValueError(f"expected {stop!r} after position {pos}")
         out = text[pos:end]
         pos = end + 1
         return out

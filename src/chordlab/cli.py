@@ -5,8 +5,9 @@ oeis-compare.  Output formats: table (default), json, csv, and bfile for
 integer series.  All randomized verification flows from one seeded
 generator (--seed, default printed with the output); enumeration sizes are
 guarded by CHORDLAB_MAX_N.  Invalid input (a ValueError or
-ZeroDivisionError from a handler) prints "chordlab: error: ..." on stderr
-and exits with status 2, as argparse does for malformed arguments.
+ZeroDivisionError from a handler, or an OSError for a file it cannot read)
+prints "chordlab: error: ..." on stderr and exits with status 2, as
+argparse does for malformed arguments.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _parse_rationals(text: str) -> list[Fraction]:
 
 def cmd_series(args) -> OutputRecord:
     if args.order > gfseries.MAX_ORDER:
-        raise SystemExit(f"order is capped at {gfseries.MAX_ORDER}")
+        raise ValueError(f"order is capped at {gfseries.MAX_ORDER}")
     series = gfseries.named_series(args.name, args.order)
     coeffs = [_fraction_text(series[i]) for i in range(args.order + 1)]
     record = OutputRecord(
@@ -88,7 +89,7 @@ def cmd_series(args) -> OutputRecord:
         for i in range(val, args.order + 1):
             value = series[i]
             if value.denominator != 1:
-                raise SystemExit("bfile output needs integer coefficients")
+                raise ValueError("bfile output needs integer coefficients")
             lines.append(f"{i} {value.numerator}")
         record.lines = lines
         record.fmt = "table"  # already rendered
@@ -114,7 +115,7 @@ def cmd_enumerate(args) -> OutputRecord:
         ]
     else:
         if args.filter != "all":
-            raise SystemExit("filters apply to diagrams only")
+            raise ValueError("filters apply to diagrams only")
         items = [t.to_literal() for t in yukawa.enumerate_tadpoles(args.n)]
     payload = {"count": len(items)}
     if not args.count_only:
@@ -514,7 +515,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         record = args.handler(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"chordlab: error: {exc}", file=sys.stderr)
         return 2
     print(record.render())

@@ -182,6 +182,14 @@ def test_lift_coefficient_formula(seed):
         assert lift_coefficient(f, g, n) == direct[n], n
 
 
+def test_lift_coefficient_is_exact_over_an_integer_product_coefficient():
+    # [t^2] g^3 = 3 * (-8/3) = -8 is an int; the division by n = 3 must stay exact
+    g = fps.from_coeffs([1, 0, Fraction(-8, 3)], order=3)
+    value = lift_coefficient(fps.x(3), g, 3)
+    assert type(value) is Fraction
+    assert value == Fraction(-8, 3)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_lift_resummation_formula(seed):
     rng = random.Random(400 + seed)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from chordlab import fps
 from chordlab.cli import main
 from chordlab.oeis import SEQUENCE_MAP, compare_bfile, parse_bfile, write_bfile
 
@@ -39,8 +40,23 @@ def test_series_json_roundtrip(capsys):
 
 
 def test_series_order_cap(capsys):
-    with pytest.raises(SystemExit):
-        run_cli(capsys, "series", "C", "--order", "65")
+    code = main(["series", "C", "--order", "65"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "chordlab: error: order is capped at 64\n"
+
+
+def test_series_bfile_rejects_rational_coefficients(capsys, monkeypatch):
+    import chordlab.cli as cli_module
+
+    monkeypatch.setattr(
+        cli_module.gfseries, "named_series", lambda name, order: fps.geometric(order).log()
+    )
+    code = main(["series", "C", "--order", "3", "--format", "bfile"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "chordlab: error: bfile output needs integer coefficients\n"
 
 
 def test_enumerate_diagrams(capsys):
@@ -155,9 +171,13 @@ def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
         ("diffeo", "--a", "0,1", "--n", "3"),
         ("asym", "C", "--n", "3", "--terms", "5"),
         ("enumerate", "--n", "11"),
+        ("enumerate", "--kind", "tadpoles", "--n", "2", "--filter", "connected"),
+        ("bijection", "theta", "--inverse", "--input", "(0;-;"),
+        ("bijection", "theta", "--inverse", "--input", "(0;-"),
     ],
     ids=["negative-order", "short-literal", "bad-literal", "not-tangent",
-         "too-few-points", "guard"],
+         "too-few-points", "guard", "tadpole-filter", "truncated-tree",
+         "unterminated-tree-field"],
 )
 def test_bad_input_prints_one_error_line(capsys, argv):
     code = main(list(argv))
@@ -166,6 +186,15 @@ def test_bad_input_prints_one_error_line(capsys, argv):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("chordlab: error: ")
+
+
+def test_unreadable_bfile_prints_one_error_line(tmp_path, capsys):
+    code = main(["oeis-compare", "C", str(tmp_path / "missing.txt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("chordlab: error: [Errno 2] No such file or directory")
 
 
 def test_non_integer_guard_prints_one_error_line(capsys, monkeypatch):

@@ -182,3 +182,126 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         f.coeffs = ()
     assert hash(f) == hash(fps.one(3))
+
+
+def assert_exact(series):
+    """Every coefficient is an int, or a Fraction that is not an integer."""
+    for c in series.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+def test_float_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        FormalPowerSeries([0.5])
+    with pytest.raises(TypeError):
+        fps.one(3) * 0.5
+
+
+def test_integral_fractions_become_ints():
+    f = FormalPowerSeries([Fraction(4, 2), True, Fraction(1, 3)])
+    assert f.coeffs == (2, 1, Fraction(1, 3))
+    assert_exact(f)
+    assert_exact(fps.geometric(6).log().exp())
+    assert_exact(fps.x(4) / 2 * 2)
+
+
+# -- differential oracle: the Fraction Horner compose and column reversion ------
+#
+# These are the kernel's previous algorithms, kept here on plain Fraction lists
+# (with their own schoolbook product) so that they share no code with it.
+
+
+def oracle_mul(a, b, n):
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        if a[i]:
+            for j in range(n + 1 - i):
+                if b[j]:
+                    out[i + j] += a[i] * b[j]
+    return out
+
+
+def oracle_compose(f, g):
+    """f(g) by Horner's rule, to order min(len(f), len(g)) - 1."""
+    n = min(len(f), len(g)) - 1
+    f = [Fraction(c) for c in f[: n + 1]]
+    g = [Fraction(c) for c in g[: n + 1]]
+    acc = [f[n]] + [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = oracle_mul(acc, g, n)
+        acc[0] += f[i]
+    return acc
+
+
+def oracle_reciprocal(b):
+    n = len(b) - 1
+    inv0 = 1 / Fraction(b[0])
+    q = [inv0] + [Fraction(0)] * n
+    for m in range(1, n + 1):
+        s = Fraction(0)
+        for k in range(1, m + 1):
+            if b[k]:
+                s += b[k] * q[m - k]
+        q[m] = -s * inv0
+    return q
+
+
+def oracle_reversion(f):
+    """g with f(g) = x, solved column by column as g = x h(g), h = x/f."""
+    n = len(f) - 1
+    hc = oracle_reciprocal([Fraction(c) for c in f[1:]])
+    g = [Fraction(0)] * (n + 1)
+    g[1] = hc[0]
+    gpow = [[Fraction(0)] * n for _ in range(n)]
+    if n >= 2:
+        gpow[1][1] = g[1]
+    for m in range(2, n + 1):
+        j = m - 1
+        gpow[1][j] = g[j]
+        for k in range(2, j + 1):
+            prev = gpow[k - 1]
+            gpow[k][j] = sum(
+                (g[i] * prev[j - i] for i in range(1, j - k + 2)), Fraction(0)
+            )
+        g[m] = sum((hc[k] * gpow[k][j] for k in range(1, min(j, n - 1) + 1)), Fraction(0))
+    return g
+
+
+def random_coeffs(rng, kind, order, valuation=0):
+    if kind == "int":
+        draw = lambda: rng.randint(-9, 9)  # noqa: E731
+    else:
+        draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))  # noqa: E731
+    return [0] * valuation + [draw() for _ in range(order + 1 - valuation)]
+
+
+# k = isqrt(order + 1) is 1 at orders 0-2, and the last block is partial at
+# orders such as 4, 9 (k = 3) and 40 (k = 6, 41 = 6 * 6 + 5).
+ORACLE_ORDERS = [0, 1, 2, 3, 4, 5, 8, 9, 15, 16, 23, 24, 40]
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+@pytest.mark.parametrize("kind", ["int", "rational"])
+@pytest.mark.parametrize("valuation", [1, 2])
+@pytest.mark.parametrize("outer_shift", [3, 0, -3], ids=["above", "equal", "below"])
+def test_compose_matches_horner_oracle(order, kind, valuation, outer_shift):
+    rng = random.Random(f"{order}-{kind}-{valuation}-{outer_shift}")
+    f = random_coeffs(rng, kind, max(0, order + outer_shift))
+    g = random_coeffs(rng, kind, order, valuation=min(valuation, order + 1))
+    got = FormalPowerSeries(f).compose(FormalPowerSeries(g))
+    assert list(got.coeffs) == oracle_compose(f, g)
+    assert got.order == min(len(f), len(g)) - 1
+    assert_exact(got)
+
+
+@pytest.mark.parametrize("order", [o for o in ORACLE_ORDERS if o >= 1])
+@pytest.mark.parametrize("kind", ["int", "unit-int", "rational"])
+def test_reversion_matches_column_oracle(order, kind):
+    rng = random.Random(f"{order}-{kind}")
+    f = random_coeffs(rng, "rational" if kind == "rational" else "int", order, 1)
+    f[1] = rng.choice([-1, 1]) if kind == "unit-int" else f[1] or 2
+    got = FormalPowerSeries(f).reversion()
+    assert list(got.coeffs) == oracle_reversion(f)
+    assert_exact(got)
+    if kind == "unit-int":
+        assert all(type(c) is int for c in got.coeffs)

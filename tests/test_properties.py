@@ -1,9 +1,11 @@
 """Property tests on random matchings at n = 9-12, beyond the sizes the
-exhaustive tests reach (n <= 6)."""
+exhaustive tests reach (n <= 6), and on random series with mixed int and
+Fraction coefficients at orders 0-24."""
 
 import random
+from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chordlab.bijections import (
@@ -20,7 +22,9 @@ from chordlab.bijections import (
     theta_inv,
     with_fresh_labels,
 )
+from chordlab import fps
 from chordlab.chord import ChordDiagram, first_block_end, intersection_components
+from chordlab.fps import FormalPowerSeries
 
 SIZES = st.integers(9, 12)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -117,3 +121,90 @@ def test_intersection_components_partition_without_crossings(d, seed):
     owner = {i: k for k, comp in enumerate(comps) for i in comp}
     for i in allowed:
         assert all(owner[j] == owner[i] for j in adj[i] if j in allowed)
+
+
+# -- formal power series laws -------------------------------------------------
+
+ORDERS = st.integers(0, 24)
+COEFFS = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=9)
+)
+SERIES_PROPERTY = settings(max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def series(draw, orders=ORDERS, valuation=0):
+    """A random series; with valuation v its x^v coefficient is nonzero."""
+    order = max(draw(orders), valuation)
+    coeffs = [0] * valuation + draw(
+        st.lists(COEFFS, min_size=order + 1 - valuation, max_size=order + 1 - valuation)
+    )
+    if order >= valuation and not coeffs[valuation]:
+        coeffs[valuation] = draw(st.sampled_from([-2, -1, 1, Fraction(1, 3)]))
+    return FormalPowerSeries(coeffs)
+
+
+def assert_exact(*results):
+    """No result holds a float, a bool or an integral Fraction."""
+    for f in results:
+        for c in f.coeffs:
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+@SERIES_PROPERTY
+@given(series(), series(), series())
+def test_series_ring_axioms(a, b, c):
+    n = min(a.order, b.order, c.order)
+    results = [
+        (a + b) + c, a + (b + c), a * b, b * a, (a * b) * c, a * (b * c),
+        a * (b + c), a * b + a * c, a - a, a * fps.one(a.order),
+    ]
+    assert results[0] == results[1]
+    assert results[2] == results[3]
+    assert results[4] == results[5]
+    assert results[6] == results[7]
+    assert results[8] == fps.zero(a.order)
+    assert results[9] == a
+    assert all(r.order == n for r in results[4:8])
+    assert_exact(*results)
+
+
+@SERIES_PROPERTY
+@given(series(orders=st.integers(0, 16)), series(valuation=1), series(valuation=2))
+def test_compose_is_associative(f, g, h):
+    inner, outer = g.compose(h), f.compose(g)
+    lhs, rhs = f.compose(inner), outer.compose(h)
+    assert lhs == rhs
+    assert_exact(inner, outer, lhs, rhs)
+
+
+@SERIES_PROPERTY
+@given(series(valuation=1))
+def test_reversion_is_an_involution(f):
+    g = f.reversion()
+    identity = f.compose(g)
+    assert identity == fps.x(f.order)
+    assert g.compose(f) == identity
+    assert g.reversion() == f
+    assert_exact(g, identity)
+
+
+@SERIES_PROPERTY
+@given(series(valuation=1))
+def test_exp_inverts_log(f):
+    one_plus_f = f + 1
+    log = one_plus_f.log()
+    assert log.exp() == one_plus_f
+    assert_exact(one_plus_f, log, log.exp())
+
+
+@SERIES_PROPERTY
+@given(series(), series(valuation=0), st.integers(0, 2))
+def test_divide_inverts_multiplication(a, b, shift):
+    assume(a.order >= shift)  # otherwise no quotient coefficient is known
+    b = fps.multiply_by_power(b, shift)
+    product = a * b
+    quotient = fps.divide(product, b)
+    assert quotient == a.truncate(quotient.order)
+    assert quotient.order == min(a.order, b.order) - shift
+    assert_exact(product, quotient)
