@@ -322,6 +322,8 @@ def enumerate_diagrams(n: int) -> Iterator[ChordDiagram]:
     """All (2n-1)!! diagrams on n chords, in the deterministic order given by
     always matching the smallest free endpoint with its partner increasing."""
     limit = size_guard(DEFAULT_MAX_N)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n > limit:
         raise ValueError(f"n={n} exceeds the enumeration guard ({limit}); "
                          "set CHORDLAB_MAX_N to raise it")
@@ -360,44 +362,108 @@ class Census:
 
 def census(n: int) -> Census:
     """Count diagrams on n chords by connectivity class and indecomposability
-    in one enumeration pass (no diagram objects are materialised)."""
+    in one enumeration pass (no diagram objects are materialised).
+
+    The enumeration is the one of `enumerate_diagrams`; its depth-first
+    search carries the classification down the tree.  Invariant: when the
+    endpoints before the scan position k are fixed, `cuts` holds the
+    crossing count of every window [a, k-1], a < k, one bit field per start
+    a of a single int; `run_max` is the largest partner scanned (a block
+    ends at the first closer j < 2n-1 with run_max == j); `best` is the
+    connectivity so far, capped at 2; and `block` says whether a block end
+    has been seen.  A node scans only the endpoints it fixes: its opener and
+    the closers that follow it.
+
+    Only windows that end at a closer whose partner lies inside can be
+    minimal separating windows (those `_min_window_cut` minimises over):
+    dropping a last endpoint that is an opener, or a closer paired outside
+    the window, lowers the cut by one and keeps a full chord inside.  So a
+    window is tested once, when the closer that ends it is scanned.  A
+    subtree whose leaves are all disconnected and decomposable adds
+    (2r-1)!! for its r chords left without being visited.
+    """
     limit = size_guard(DEFAULT_MAX_N)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n > limit:
         raise ValueError(f"n={n} exceeds the enumeration guard ({limit})")
     if n == 0:
         return Census(1, 0, 0, 0, 0)
     m = 2 * n
-    p = [-1] * m
+    # A count is at most n, so a field's top bit stays free: adding
+    # high - 1 - t to a field sets that bit exactly when the field exceeds t.
+    width = n.bit_length() + 1
+    high = 1 << width - 1
+    ones = [0] * (m + 1)  # ones[t]: 1 in each of the fields 0..t-1
+    for t in range(m):
+        ones[t + 1] = ones[t] | 1 << width * t
+    above0 = (high - 1) * ones[m]
+    above1 = (high - 2) * ones[m]
+    highs = [high * one for one in ones]
+    # closers[k][q], for a closer at k paired with q < k: the update of the
+    # counts (-1 for a <= q, +1 for q < a < k, field k starts at 1), and the
+    # top bits of the starts a <= q whose window [a, k] separates at cut 0
+    # (its complement is nonempty) and at cut 1 (3 or more endpoints outside).
+    closers = [
+        [
+            (
+                ones[k + 1] - 2 * ones[q + 1],
+                highs[q + 1] - highs[k == m - 1],
+                highs[q + 1] - highs[min(max(k + 4 - m, 0), q + 1)],
+            )
+            for q in range(k)
+        ]
+        for k in range(m)
+    ]
+    chains = [1] * n  # chains[r] = (2r-1)!!
+    for r in range(1, n):
+        chains[r] = chains[r - 1] * (2 * r - 1)
+    p = [-1] * m  # p[j] = partner of a fixed closer j; openers are not stored
     counts = [0, 0, 0, 0, 0]  # total, conn, 2conn, conn1, indec
 
-    def classify() -> None:
-        counts[0] += 1
-        if first_block_end(p) is None:
-            counts[4] += 1
-        best = _min_window_cut(p)
-        if best >= 1:
-            counts[1] += 1
-            if best >= 2:
-                counts[2] += 1
+    def rec(k: int, cuts: int, run_max: int, block: bool, best: int, r: int) -> None:
+        # Endpoints before k are scanned; k is the smallest free endpoint.
+        for j in range(k + 1, m):
+            if p[j] >= 0:
+                continue
+            p[j] = k
+            # The opener at k adds 1 to every window and starts field k at 1.
+            c = cuts + ones[k + 1] if best else cuts
+            top = j if j > run_max else run_max
+            has_block = block
+            conn = best
+            i = k + 1
+            while i < m:
+                q = p[i]
+                if q < 0:
+                    break
+                if top == i and i < m - 1:
+                    has_block = True
+                if conn:
+                    step, mask0, mask1 = closers[i][q]
+                    c += step
+                    x = c + above1
+                    if x & mask0 != mask0:  # a window in mask0 has cut <= 1
+                        if (c + above0) & mask0 != mask0:
+                            conn = 0
+                        elif conn == 2 and x & mask1 != mask1:
+                            conn = 1
+                i += 1
+            if i < m:
+                if conn == 0 and has_block:
+                    counts[0] += chains[r - 1]
+                else:
+                    rec(i, c, top, has_block, conn, r - 1)
             else:
-                counts[3] += 1
+                counts[0] += 1
+                if not has_block:
+                    counts[4] += 1
+                if conn:
+                    counts[1] += 1
+                    counts[2 if conn == 2 else 3] += 1
+            p[j] = -1
 
-    def rec(start: int) -> None:
-        i = start
-        while p[i] >= 0:
-            i += 1
-            if i == m:
-                classify()
-                return
-        for j in range(i + 1, m):
-            if p[j] < 0:
-                p[i] = j
-                p[j] = i
-                rec(i + 1)
-                p[i] = -1
-                p[j] = -1
-
-    rec(0)
+    rec(0, 0, -1, False, min(n, 2), n)
     return Census(*counts)
 
 

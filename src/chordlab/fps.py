@@ -354,12 +354,12 @@ def divide(a: FormalPowerSeries, b: FormalPowerSeries) -> FormalPowerSeries:
     if v > b.order:
         raise ZeroDivisionError("division by the zero series")
     if v:
-        if a.valuation() < v:
+        if any(a.coeffs[:v]):
             raise ZeroDivisionError(
                 f"division needs val(a) >= val(b) = {v} for exact cancellation"
             )
-        a = FormalPowerSeries(a.coeffs[v:])
-        b = FormalPowerSeries(b.coeffs[v:])
+        a = divide_by_power(a, v)
+        b = divide_by_power(b, v)
     n = min(a.order, b.order)
     return a.truncate(n) * reciprocal(b.truncate(n))
 

@@ -101,6 +101,10 @@ def test_enumeration_guard(monkeypatch):
         list(enumerate_diagrams(3))
     monkeypatch.delenv("CHORDLAB_MAX_N")
     assert sum(1 for _ in enumerate_diagrams(3)) == 15
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        list(enumerate_diagrams(-1))
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        census(-1)
 
 
 def test_connectivity_small_cases():
@@ -122,6 +126,7 @@ def test_indecomposable_small_cases():
 
 
 def test_census_matches_known_counts():
+    assert census(0) == Census(1, 0, 0, 0, 0)
     for n in range(1, 7):
         c = census(n)
         assert c == Census(
@@ -133,7 +138,7 @@ def test_census_matches_known_counts():
         ), f"census disagrees at n={n}: {c}"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_census_agrees_with_per_diagram_predicates(n):
     total = conn = two = one = ind = 0
     for d in enumerate_diagrams(n):

@@ -171,13 +171,14 @@ def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
         ("diffeo", "--a", "0,1", "--n", "3"),
         ("asym", "C", "--n", "3", "--terms", "5"),
         ("enumerate", "--n", "11"),
+        ("enumerate", "--n", "-1"),
         ("enumerate", "--kind", "tadpoles", "--n", "2", "--filter", "connected"),
         ("bijection", "theta", "--inverse", "--input", "(0;-;"),
         ("bijection", "theta", "--inverse", "--input", "(0;-"),
     ],
     ids=["negative-order", "short-literal", "bad-literal", "not-tangent",
-         "too-few-points", "guard", "tadpole-filter", "truncated-tree",
-         "unterminated-tree-field"],
+         "too-few-points", "guard", "negative-size", "tadpole-filter",
+         "truncated-tree", "unterminated-tree-field"],
 )
 def test_bad_input_prints_one_error_line(capsys, argv):
     code = main(list(argv))

@@ -64,6 +64,16 @@ def test_division_valuation_cancellation():
         fps.one(3) / fps.x(3)
 
 
+def test_division_with_no_known_quotient_coefficient():
+    # val(b) exceeds the order of a, so the shift leaves no coefficient
+    with pytest.raises(ValueError, match="beyond the truncation order"):
+        fps.divide(fps.zero(0), fps.x(1))
+    with pytest.raises(ValueError, match="beyond the truncation order"):
+        fps.zero(1) / (fps.x(2) * fps.x(2))
+    with pytest.raises(ValueError, match="beyond the truncation order"):
+        fps.zero(0) / (fps.x(2) * fps.x(2))
+
+
 def test_compose_identity():
     rng = random.Random(11)
     f = random_series(rng, 8)

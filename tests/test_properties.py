@@ -5,7 +5,8 @@ Fraction coefficients at orders 0-24."""
 import random
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordlab.bijections import (
@@ -25,6 +26,7 @@ from chordlab.bijections import (
 from chordlab import fps
 from chordlab.chord import ChordDiagram, first_block_end, intersection_components
 from chordlab.fps import FormalPowerSeries
+from chordlab.yukawa import TadpoleGraph, diagram_to_tadpole, tadpole_to_diagram
 
 SIZES = st.integers(9, 12)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -86,6 +88,29 @@ def test_nabla_roundtrip(d):
     triple = nabla(d)
     assert triple.c1.n + triple.c2.n == d.n
     assert nabla_inv(triple) == d
+
+
+@PROPERTY
+@given(matchings(connected=True))
+def test_lambda_roundtrip(d):
+    t = diagram_to_tadpole(d)
+    assert t.boson_count == d.n
+    assert tadpole_to_diagram(t) == d
+
+
+@PROPERTY
+@given(matchings())
+def test_diagram_literal_roundtrip(d):
+    assert ChordDiagram.from_literal(d.to_literal()) == d
+
+
+@PROPERTY
+@given(matchings(connected=True))
+def test_tadpole_literal_roundtrip(d):
+    t = diagram_to_tadpole(d)
+    parsed = TadpoleGraph.from_literal(t.to_literal())
+    assert parsed.canonical().to_literal() == t.canonical().to_literal()
+    assert (parsed.succ, parsed.boson, parsed.leg) == (t.succ, t.boson, t.leg)
 
 
 @PROPERTY
@@ -201,9 +226,12 @@ def test_exp_inverts_log(f):
 @SERIES_PROPERTY
 @given(series(), series(valuation=0), st.integers(0, 2))
 def test_divide_inverts_multiplication(a, b, shift):
-    assume(a.order >= shift)  # otherwise no quotient coefficient is known
     b = fps.multiply_by_power(b, shift)
     product = a * b
+    if a.order < shift:  # no quotient coefficient is known
+        with pytest.raises(ValueError, match="beyond the truncation order"):
+            fps.divide(product, b)
+        return
     quotient = fps.divide(product, b)
     assert quotient == a.truncate(quotient.order)
     assert quotient.order == min(a.order, b.order) - shift
