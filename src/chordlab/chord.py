@@ -33,6 +33,16 @@ def size_guard(default: int) -> int:
         raise ValueError(f"CHORDLAB_MAX_N must be an integer, got {env!r}") from None
 
 
+def check_size(n: int) -> None:
+    """Reject a negative diagram size, or one above the enumeration guard."""
+    limit = size_guard(DEFAULT_MAX_N)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > limit:
+        raise ValueError(f"n={n} exceeds the enumeration guard ({limit}); "
+                         "set CHORDLAB_MAX_N to raise it")
+
+
 class ChordDiagram:
     """A perfect matching of {1,...,2n} with the root at endpoint 1."""
 
@@ -321,12 +331,7 @@ def maximal_reasons(report: ReasonReport) -> tuple[Reason, ...]:
 def enumerate_diagrams(n: int) -> Iterator[ChordDiagram]:
     """All (2n-1)!! diagrams on n chords, in the deterministic order given by
     always matching the smallest free endpoint with its partner increasing."""
-    limit = size_guard(DEFAULT_MAX_N)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the enumeration guard ({limit}); "
-                         "set CHORDLAB_MAX_N to raise it")
+    check_size(n)
     if n == 0:
         yield ChordDiagram(())
         return
@@ -349,6 +354,32 @@ def enumerate_diagrams(n: int) -> Iterator[ChordDiagram]:
                 p[j] = -1
 
     yield from rec(0)
+
+
+def indecomposable_completions(size: int) -> list[list[int]]:
+    """g[a][b] for a + b <= size: the perfect matchings of a + b points in a
+    row that leave no closed prefix of a + s points for any s < b.
+
+    A matching whose first closed prefix (among the lengths a + s) has
+    a + s points is one counted by g[a][s] followed by any matching of the
+    other b - s points, so g[a][b] is all (a+b-1)!! matchings minus
+    g[a][s] * (b-s-1)!! for each s < b.  In `census` the a + b points are
+    the free endpoints of a partial diagram, b of them after its last
+    pending closer and a before it: every prefix that ends before that
+    closer holds its opener but not the closer, so the completion is
+    indecomposable exactly when none of these prefixes closes.
+    """
+    matchings = [1, 0]  # matchings[k] = (k-1)!! for even k, 0 for odd k
+    for k in range(2, size + 1):
+        matchings.append((k - 1) * matchings[k - 2])
+    g = []
+    for a in range(size + 1):
+        row: list[int] = []
+        for b in range(size + 1 - a):
+            row.append(matchings[a + b]
+                       - sum(row[s] * matchings[b - s] for s in range(b)))
+        g.append(row)
+    return g
 
 
 @dataclass(frozen=True)
@@ -378,15 +409,17 @@ def census(n: int) -> Census:
     minimal separating windows (those `_min_window_cut` minimises over):
     dropping a last endpoint that is an opener, or a closer paired outside
     the window, lowers the cut by one and keeps a full chord inside.  So a
-    window is tested once, when the closer that ends it is scanned.  A
-    subtree whose leaves are all disconnected and decomposable adds
-    (2r-1)!! for its r chords left without being visited.
+    window is tested once, when the closer that ends it is scanned.
+
+    A subtree whose leaves are all disconnected is counted without being
+    visited: it adds (2r-1)!! diagrams for its r chords left, and, when no
+    block end has been seen, g[a][b] indecomposable ones from the table of
+    `indecomposable_completions`, where b = 2n-1-run_max free endpoints
+    follow the last pending closer and a = 2r-b precede it.  So the only
+    leaves visited are the connected diagrams and the disconnected ones
+    whose separating windows all end in the final run of closers.
     """
-    limit = size_guard(DEFAULT_MAX_N)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the enumeration guard ({limit})")
+    check_size(n)
     if n == 0:
         return Census(1, 0, 0, 0, 0)
     m = 2 * n
@@ -418,6 +451,7 @@ def census(n: int) -> Census:
     chains = [1] * n  # chains[r] = (2r-1)!!
     for r in range(1, n):
         chains[r] = chains[r - 1] * (2 * r - 1)
+    completions = indecomposable_completions(m - 2)
     p = [-1] * m  # p[j] = partner of a fixed closer j; openers are not stored
     counts = [0, 0, 0, 0, 0]  # total, conn, 2conn, conn1, indec
 
@@ -450,8 +484,11 @@ def census(n: int) -> Census:
                             conn = 1
                 i += 1
             if i < m:
-                if conn == 0 and has_block:
+                if conn == 0:
                     counts[0] += chains[r - 1]
+                    if not has_block:
+                        b = m - 1 - top
+                        counts[4] += completions[2 * r - 2 - b][b]
                 else:
                     rec(i, c, top, has_block, conn, r - 1)
             else:

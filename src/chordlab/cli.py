@@ -107,17 +107,35 @@ FILTERS = {
 }
 
 
+# The Census field that counts the diagrams each filter keeps.
+CENSUS_FIELDS = {
+    "all": "total",
+    "connected": "connected",
+    "2connected": "two_connected",
+    "connectivity1": "connectivity_one",
+    "indecomposable": "indecomposable_nonempty",
+}
+
+
 def cmd_enumerate(args) -> OutputRecord:
-    if args.kind == "diagrams":
+    """List the diagrams (or tadpoles) of size n.  A count-only request for
+    diagrams is read from the one-pass census; the listing through FILTERS
+    stays its oracle."""
+    items = []
+    if args.kind == "tadpoles":
+        if args.filter != "all":
+            raise ValueError("filters apply to diagrams only")
+        items = [t.to_literal() for t in yukawa.enumerate_tadpoles(args.n)]
+        count = len(items)
+    elif args.count_only:
+        count = getattr(chord.census(args.n), CENSUS_FIELDS[args.filter])
+    else:
         keep = FILTERS[args.filter]
         items = [
             d.to_literal() for d in chord.enumerate_diagrams(args.n) if keep(d)
         ]
-    else:
-        if args.filter != "all":
-            raise ValueError("filters apply to diagrams only")
-        items = [t.to_literal() for t in yukawa.enumerate_tadpoles(args.n)]
-    payload = {"count": len(items)}
+        count = len(items)
+    payload = {"count": count}
     if not args.count_only:
         payload["items"] = items
     record = OutputRecord(
@@ -126,7 +144,7 @@ def cmd_enumerate(args) -> OutputRecord:
         payload,
         args.format,
     )
-    record.lines = [f"count {len(items)}"] + ([] if args.count_only else items)
+    record.lines = [f"count {count}"] + ([] if args.count_only else items)
     return record
 
 
@@ -415,6 +433,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> OutputRecord:
+    if args.order < 1:
+        raise ValueError(f"--order must be at least 1, got {args.order}")
     rng = random.Random(args.seed)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks: list[tuple[str, bool, str]] = []

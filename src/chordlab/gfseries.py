@@ -70,7 +70,6 @@ def connected_series(order: int) -> FormalPowerSeries:
     return FormalPowerSeries(connected_counts(order))
 
 
-@lru_cache(maxsize=None)
 def two_connected_series(order: int) -> FormalPowerSeries:
     """C2: 2-connected diagrams via compositional inversion of C^2/x.
 
@@ -78,7 +77,14 @@ def two_connected_series(order: int) -> FormalPowerSeries:
     C = u - C2(u) inverts to C2 = (u - C) o reversion(u).
     """
     _check_order(order)
-    c = connected_series(order + 1)
+    return _two_connected(order)
+
+
+@lru_cache(maxsize=None)
+def _two_connected(order: int) -> FormalPowerSeries:
+    """C2 without the order check: B and S build it one order past the cap,
+    and it builds C one order further."""
+    c = FormalPowerSeries(connected_counts(order + 1))
     u = fps.divide_by_power(c * c, 1)
     return (u - c.truncate(order)).compose(u.reversion())
 
@@ -137,7 +143,7 @@ def root_insertion_series(order: int) -> FormalPowerSeries:
     _check_order(order)
     if order == 0:
         return fps.zero(0)
-    c2 = two_connected_series(order + 1)
+    c2 = _two_connected(order + 1)
     num = c2.x_derivative() - c2
     num = 4 * (num * num)
     den = fps.x(order + 1) - (2 * c2.x_derivative() - c2)
@@ -148,7 +154,7 @@ def root_insertion_series(order: int) -> FormalPowerSeries:
 def two_connected_sequence_series(order: int) -> FormalPowerSeries:
     """S = 1/(1 - C2/x): sequences of 2-connected diagrams, one less chord."""
     _check_order(order)
-    c2 = two_connected_series(order + 1)
+    c2 = _two_connected(order + 1)
     return fps.reciprocal(fps.one(order) - fps.divide_by_power(c2, 1))
 
 

@@ -482,12 +482,13 @@ def psi_order(t: TadpoleGraph) -> dict[int, int]:
     if t.is_single_vertex():
         return {t.leg: 1}
     t1, (t2, d) = psi_inv(t)
-    q = psi_order(t2)[d]
+    ranks2 = psi_order(t2)
+    q = ranks2[d]
     v_t = t.leg
     a = t.succ[v_t]  # the reinstated leg end of t2
     order: dict[int, int] = {v_t: 1}
     if t1.is_single_vertex():
-        for s, rank in psi_order(t2).items():
+        for s, rank in ranks2.items():
             if s == d:
                 order[d] = q + 1
             elif rank < q:
@@ -508,7 +509,7 @@ def psi_order(t: TadpoleGraph) -> dict[int, int]:
             if s == t1.leg:
                 continue
             order[source_map[s]] = rank + q
-        for s, rank in psi_order(t2).items():
+        for s, rank in ranks2.items():
             if s == d:
                 order[d] = q + 1
             elif rank < q:

@@ -15,6 +15,7 @@ from chordlab.chord import (
     Census,
     census,
     enumerate_diagrams,
+    indecomposable_completions,
     labelled_intersection_graph,
     maximal_reasons,
     minimal_reasons,
@@ -150,6 +151,25 @@ def test_census_agrees_with_per_diagram_predicates(n):
         ind += d.is_indecomposable()
         assert d.is_connected() == (k >= 1)
     assert census(n) == Census(total, conn, two, one, ind)
+
+
+def test_indecomposable_completions_match_brute_force():
+    # Partial diagram: an opener at 0 whose closer has a free endpoints
+    # before it and b after it.  Every matching of the free endpoints is
+    # one completion; count the indecomposable ones.
+    g = indecomposable_completions(8)
+    for a in range(9):
+        for b in range(9 - a):
+            free = [*range(1, a + 1), *range(a + 2, a + b + 2)]
+            count = 0
+            if len(free) % 2 == 0:
+                for inner in enumerate_diagrams(len(free) // 2):
+                    p = [0] * (a + b + 2)
+                    p[0], p[a + 1] = a + 1, 0
+                    for i, q in enumerate(inner.partners):
+                        p[free[i]] = free[q]
+                    count += ChordDiagram(p).is_indecomposable()
+            assert g[a][b] == count, (a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from chordlab import fps
-from chordlab.cli import main
+from chordlab.cli import FILTERS, main
 from chordlab.oeis import SEQUENCE_MAP, compare_bfile, parse_bfile, write_bfile
 
 
@@ -65,6 +65,20 @@ def test_enumerate_diagrams(capsys):
     )
     assert code == 0
     assert out.strip() == "count 27"
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("name", sorted(FILTERS))
+def test_count_only_matches_listing(capsys, name, n):
+    # Count-only reads the census; the listing applies the filter to every
+    # diagram.
+    args = ["enumerate", "--n", str(n), "--filter", name, "--format", "json"]
+    code, out = run_cli(capsys, *args)
+    listed = json.loads(out)["payload"]
+    code_only, out_only = run_cli(capsys, *args, "--count-only")
+    assert code == code_only == 0
+    assert json.loads(out_only)["payload"] == {"count": len(listed["items"])}
+    assert listed["count"] == len(listed["items"])
 
 
 def test_enumerate_tadpoles(capsys):
@@ -187,6 +201,24 @@ def test_bad_input_prints_one_error_line(capsys, argv):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("chordlab: error: ")
+
+
+@pytest.mark.parametrize("suite", ["chord", "all"])
+def test_verify_order_error_names_the_option(capsys, suite):
+    code = main(["verify", suite, "--order", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "chordlab: error: --order must be at least 1, got 0\n"
+
+
+def test_count_only_guard_error_matches_listing(capsys):
+    main(["enumerate", "--n", "11"])
+    listing = capsys.readouterr().err
+    code = main(["enumerate", "--n", "11", "--count-only"])
+    assert code == 2
+    assert capsys.readouterr().err == listing
+    assert "set CHORDLAB_MAX_N to raise it" in listing
 
 
 def test_unreadable_bfile_prints_one_error_line(tmp_path, capsys):

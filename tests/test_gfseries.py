@@ -80,6 +80,13 @@ def test_named_series_registry():
         named_series("nope", 4)
 
 
+@pytest.mark.parametrize("name", sorted(gfseries.SERIES))
+def test_named_series_reach_the_cap(name):
+    assert named_series(name, gfseries.SERIES_CAP).order == gfseries.SERIES_CAP
+    with pytest.raises(ValueError, match=f"order {gfseries.SERIES_CAP + 1} exceeds"):
+        named_series(name, gfseries.SERIES_CAP + 1)
+
+
 def test_series_construction_is_reproducible():
     a = two_connected_series(10)
     b = two_connected_series(10)

@@ -2,9 +2,11 @@
 bijection onto connected diagrams, vertex graphs, and the series identities."""
 
 from fractions import Fraction
+import random
+
 import pytest
 
-from chordlab import fps
+from chordlab import fps, yukawa
 from chordlab.chord import ChordDiagram, enumerate_diagrams
 from chordlab.gfseries import connected_series
 from chordlab.yukawa import (
@@ -189,6 +191,45 @@ def test_bijection_roundtrip(loops):
         assert diagram_to_tadpole(tadpole_to_diagram(t)) == t
     for d in connected_diagrams(loops):
         assert tadpole_to_diagram(diagram_to_tadpole(d)) == d
+
+
+def random_connected_diagram(n, seed):
+    """A uniform connected diagram on n chords: uniform matchings drawn until
+    one is connected (about a third are)."""
+    rng = random.Random(seed)
+    while True:
+        ends = list(range(2 * n))
+        rng.shuffle(ends)
+        partners = [0] * (2 * n)
+        for a, b in zip(ends[::2], ends[1::2]):
+            partners[a] = b
+            partners[b] = a
+        d = ChordDiagram(partners)
+        if d.is_connected():
+            return d
+
+
+@pytest.mark.parametrize("loops", [10, 22, 40])
+def test_psi_order_splits_each_node_once(loops, monkeypatch):
+    # The decomposition of a tadpole with n loops is a binary tree with n
+    # one-vertex leaves, so it has n - 1 inner nodes, each split once.
+    t = diagram_to_tadpole(random_connected_diagram(loops, seed=loops))
+    calls = []
+
+    def counted(obj):
+        calls.append(obj)
+        return psi_inv(obj)
+
+    monkeypatch.setattr(yukawa, "psi_inv", counted)
+    psi_order(t)
+    assert len(calls) == loops - 1
+
+
+def test_bijection_roundtrip_at_forty_chords():
+    d = random_connected_diagram(40, seed=2020)
+    t = diagram_to_tadpole(d)
+    assert len(t.vertices) == 2 * 40 - 1
+    assert tadpole_to_diagram(t) == d
 
 
 def test_bijection_at_five_loops_behind_flag():
