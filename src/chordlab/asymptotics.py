@@ -220,7 +220,7 @@ def asymptotic_fit(series: str, n: int, terms: int) -> FitReport:
     if series not in MODELS:
         raise KeyError(f"unknown series {series!r}; known: C, C2")
     if terms < 1 or n < terms + 2:
-        raise ValueError("need n >= terms + 2")
+        raise ValueError("need terms >= 1 and n >= terms + 2")
     if n > 200:
         raise ValueError("exact counts supported through n = 200")
     build, exact_fn = MODELS[series]

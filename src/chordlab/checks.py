@@ -1,0 +1,181 @@
+"""The checks that `chordlab verify` and the acceptance tests share.
+
+A check returns ``(name, ok, detail)`` and takes its size plus the data
+drawn for it or the generator to draw from, so each caller keeps its own
+draws.  A suite returns its checks' results in order; `verify all` passes
+one generator through SUITES in order.  Layer functions are called through
+their modules, so tracing wrappers installed on the modules see the calls.
+"""
+
+from fractions import Fraction
+
+from . import bell, chord, diffeo, fps, gfseries, yukawa
+
+Check = tuple[str, bool, str]
+
+
+def identity(name: str, order: int) -> Check:
+    report = gfseries.verify_identity(name, order)
+    return f"identity:{name}", report.holds, f"order {report.order}"
+
+
+def census_matches_series(n: int) -> Check:
+    """The one-pass census at size n against all five counting series."""
+    counts = chord.census(n)
+    ok = (
+        counts.total == gfseries.double_factorial_series(n)[n]
+        and counts.connected == gfseries.connected_series(n)[n]
+        and counts.two_connected == gfseries.two_connected_series(n)[n]
+        and counts.connectivity_one == gfseries.connectivity_one_series(n)[n]
+        and counts.indecomposable_nonempty
+        == gfseries.nonempty_indecomposable_series(n)[n]
+    )
+    return f"enumeration:n={n}", ok, str(counts)
+
+
+def bell_oracle(nmax: int, xs) -> Check:
+    """The recurrence against the sum over set partitions, n <= nmax."""
+    ok = all(
+        bell.bell_partial(n, k, xs) == bell.bell_partial_by_partitions(n, k, xs)
+        for n in range(nmax + 1)
+        for k in range(n + 1)
+    )
+    return "bell:recurrence_vs_partitions", ok, f"n<={nmax}"
+
+
+def bell_identity(which: str, nmax: int, xs) -> Check:
+    """One of bell.BELL_IDENTITIES at every admissible (n, k), n <= nmax:
+    id1 needs n > k, and id2 also runs over its second block count k2."""
+    ok = all(
+        bell.verify_bell_identity(which, n, k, xs, k2=k2)
+        for n in range(1, nmax + 1)
+        for k in range(1, n + 1)
+        if which != "id1" or n > k
+        for k2 in (range(1, n - k + 1) if which == "id2" else [None])
+    )
+    return f"bell:{which}", ok, f"n<={nmax}"
+
+
+def diffeo_mapping(rng, count: int):
+    """F(t) = t + ..., with `count` random rational coefficients after 1."""
+    return diffeo.Diffeomorphism.from_values(
+        [1] + [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(count)]
+    )
+
+
+def diffeo_closed_form(mapping, nmax: int) -> Check:
+    values = diffeo.b_inverse_list(mapping, nmax)
+    ok = all(
+        diffeo.b_closed_form(mapping, n) == values[n - 1] for n in range(1, nmax + 1)
+    )
+    return "diffeo:closed_form_vs_inverse", ok, f"n<={nmax}"
+
+
+def diffeo_recurrences(mapping, nmax: int) -> Check:
+    return "diffeo:recurrences", diffeo.verify_recurrences(mapping, nmax), ""
+
+
+def diffeo_ode(mapping, nmax: int) -> Check:
+    return "diffeo:ode", diffeo.verify_ode(mapping, nmax), ""
+
+
+def diffeo_amplitudes(mapping, nmax: int, rng, samples: int = 1) -> Check:
+    """The momentum-level recursion on `samples` random nondegenerate
+    kinematic points per n <= min(5, nmax), drawn from rng in n order."""
+    top = min(5, nmax)
+    values = diffeo.b_inverse_list(mapping, top)
+    ok = all(
+        diffeo.amplitude_recursion(
+            mapping, n, diffeo.KinematicSample.random_nondegenerate(n, rng)
+        )
+        == values[n - 1]
+        for n in range(1, top + 1)
+        for _ in range(samples)
+    )
+    return "diffeo:amplitude_recursion", ok, "n<=5"
+
+
+def diffeo_negative_control(mapping) -> Check:
+    """A perturbed b_3 must break the recurrences, and F in place of its
+    inverse must leave a nonzero first ODE residual."""
+    perturbed = diffeo.b_inverse_list(mapping, 6)
+    perturbed[2] += 1
+    ok = (
+        not diffeo.verify_recurrences(mapping, 6, b=perturbed)
+        and diffeo.ode_residuals(mapping, 6, use_inverse=False)[0] != fps.zero(6)
+    )
+    return "diffeo:negative_control", ok, ""
+
+
+def tadpole_count(loops: int) -> Check:
+    count = len(yukawa.enumerate_tadpoles(loops))
+    ok = count == gfseries.connected_series(loops)[loops]
+    return f"yukawa:tadpole_count:loops={loops}", ok, str(count)
+
+
+def lambda_image(loops: int) -> Check:
+    """The tadpole bijection maps onto the connected diagrams."""
+    images = {yukawa.tadpole_to_diagram(t) for t in yukawa.enumerate_tadpoles(loops)}
+    connected = {d for d in chord.enumerate_diagrams(loops) if d.is_connected()}
+    return (
+        f"yukawa:lambda_bijective:loops={loops}",
+        images == connected,
+        f"{len(images)} diagrams",
+    )
+
+
+def primitive_vertex_graphs(n: int) -> Check:
+    count = sum(
+        1 for g in yukawa.enumerate_vertex_graphs(n) if yukawa.qqed_primitive(g)
+    )
+    ok = count == gfseries.two_connected_series(n)[n]
+    return f"yukawa:primitive_vertex_graphs:n={n}", ok, str(count)
+
+
+def chord_suite(order: int, rng) -> list[Check]:
+    top = min(order, 7)  # the n = 8 pass lives in the acceptance suite
+    return [identity(name, order) for name in sorted(gfseries.IDENTITIES)] + [
+        census_matches_series(n) for n in range(1, top + 1)
+    ]
+
+
+def bell_suite(order: int, rng) -> list[Check]:
+    nmax = min(order, 8)
+    xs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(nmax)]
+    while not xs[0]:
+        xs[0] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return [bell_oracle(nmax, xs)] + [
+        bell_identity(which, nmax, xs) for which in bell.BELL_IDENTITIES
+    ]
+
+
+def diffeo_suite(order: int, rng) -> list[Check]:
+    nmax = min(order, 12)
+    mapping = diffeo_mapping(rng, 4)
+    return [
+        diffeo_closed_form(mapping, nmax),
+        diffeo_recurrences(mapping, nmax),
+        diffeo_ode(mapping, nmax),
+        diffeo_amplitudes(mapping, nmax, rng),
+        diffeo_negative_control(mapping),
+    ]
+
+
+def yukawa_suite(order: int, rng) -> list[Check]:
+    green = [
+        (f"yukawa:{report.name}", report.holds, f"order {report.order}")
+        for report in yukawa.green_identities(min(order, 32))
+    ]
+    return (
+        green
+        + [tadpole_count(loops) for loops in range(1, 5)]
+        + [lambda_image(4), primitive_vertex_graphs(4)]
+    )
+
+
+SUITES = {
+    "chord": chord_suite,
+    "bell": bell_suite,
+    "diffeo": diffeo_suite,
+    "yukawa": yukawa_suite,
+}

@@ -2,7 +2,8 @@
 
 Subcommands: series, enumerate, bijection, bell, asym, diffeo, verify,
 oeis-compare.  Output formats: table (default), json, csv, and bfile for
-integer series.  All randomized verification flows from one seeded
+integer series.  `verify` runs the check registry in chordlab.checks, which
+the acceptance tests share, with all randomness drawn from one seeded
 generator (--seed, default printed with the output); enumeration sizes are
 guarded by CHORDLAB_MAX_N.  Invalid input (a ValueError or
 ZeroDivisionError from a handler, or an OSError for a file it cannot read)
@@ -19,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import asymptotics, bell, bijections, chord, diffeo, fps, gfseries, oeis, yukawa
+from . import asymptotics, bell, bijections, checks, chord, diffeo, gfseries, oeis, yukawa
 
 DEFAULT_SEED = 20201103
 
@@ -85,6 +86,11 @@ def cmd_series(args) -> OutputRecord:
     )
     if args.format == "bfile":
         val = series.valuation()
+        if val > args.order:
+            raise ValueError(
+                f"{args.name} has no nonzero coefficient through x^{args.order};"
+                " raise --order for a b-file"
+            )
         lines = [f"# {args.name} coefficients, x^{val}..x^{args.order}"]
         for i in range(val, args.order + 1):
             value = series[i]
@@ -238,6 +244,8 @@ def cmd_asym(args) -> OutputRecord:
 
 
 def cmd_diffeo(args) -> OutputRecord:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     coeffs = _parse_rationals(args.a)
     mapping = diffeo.Diffeomorphism.from_values(coeffs)
     seed = args.seed
@@ -248,10 +256,7 @@ def cmd_diffeo(args) -> OutputRecord:
     payload = {
         "seed": seed,
         "b": [_fraction_text(v) for v in b_series],
-        "closed_form_agrees": all(
-            diffeo.b_closed_form(mapping, k) == b_series[k - 1]
-            for k in range(1, args.n + 1)
-        ),
+        "closed_form_agrees": checks.diffeo_closed_form(mapping, args.n)[1],
     }
     if args.n <= diffeo.MAX_AMPLITUDE_POINTS:
         kin = diffeo.KinematicSample.random_nondegenerate(args.n, rng)
@@ -298,162 +303,26 @@ def cmd_oeis_compare(args) -> OutputRecord:
     return record
 
 
-# -- verification suites -----------------------------------------------------------
-
-
-def _suite_chord(order: int, rng) -> list[tuple[str, bool, str]]:
-    checks = []
-    for name in sorted(gfseries.IDENTITIES):
-        report = gfseries.verify_identity(name, order)
-        checks.append((f"identity:{name}", report.holds, f"order {report.order}"))
-    top = min(order, 7)  # the n = 8 pass lives in the acceptance suite
-    for n in range(1, top + 1):
-        counts = chord.census(n)
-        ok = (
-            counts.total == gfseries.double_factorial_series(n)[n]
-            and counts.connected == gfseries.connected_series(n)[n]
-            and counts.two_connected == gfseries.two_connected_series(n)[n]
-            and counts.connectivity_one == gfseries.connectivity_one_series(n)[n]
-            and counts.indecomposable_nonempty
-            == gfseries.nonempty_indecomposable_series(n)[n]
-        )
-        checks.append((f"enumeration:n={n}", ok, str(counts)))
-    return checks
-
-
-def _suite_bell(order: int, rng) -> list[tuple[str, bool, str]]:
-    checks = []
-    nmax = min(order, 8)
-    xs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(nmax)]
-    while not xs[0]:
-        xs[0] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-    oracle_ok = all(
-        bell.bell_partial(n, k, xs) == bell.bell_partial_by_partitions(n, k, xs)
-        for n in range(nmax + 1)
-        for k in range(n + 1)
-    )
-    checks.append(("bell:recurrence_vs_partitions", oracle_ok, f"n<={nmax}"))
-    for which in bell.BELL_IDENTITIES:
-        ok = True
-        for n in range(1, nmax + 1):
-            for k in range(1, n + 1):
-                if which == "id1" and n <= k:
-                    continue
-                if which == "id2":
-                    ok = ok and all(
-                        bell.verify_bell_identity(which, n, k, xs, k2=k2)
-                        for k2 in range(1, n - k + 1)
-                    )
-                else:
-                    ok = ok and bell.verify_bell_identity(which, n, k, xs)
-        checks.append((f"bell:{which}", ok, f"n<={nmax}"))
-    return checks
-
-
-def _suite_diffeo(order: int, rng) -> list[tuple[str, bool, str]]:
-    checks = []
-    nmax = min(order, 12)
-    mapping = diffeo.Diffeomorphism.from_values(
-        [1] + [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(4)]
-    )
-    values = diffeo.b_inverse_list(mapping, nmax)
-    checks.append(
-        (
-            "diffeo:closed_form_vs_inverse",
-            all(
-                diffeo.b_closed_form(mapping, n) == values[n - 1]
-                for n in range(1, nmax + 1)
-            ),
-            f"n<={nmax}",
-        )
-    )
-    checks.append(("diffeo:recurrences", diffeo.verify_recurrences(mapping, nmax), ""))
-    checks.append(("diffeo:ode", diffeo.verify_ode(mapping, nmax), ""))
-    amp_ok = True
-    for n in range(1, min(5, nmax) + 1):
-        kin = diffeo.KinematicSample.random_nondegenerate(n, rng)
-        amp_ok = amp_ok and (
-            diffeo.amplitude_recursion(mapping, n, kin) == values[n - 1]
-        )
-    checks.append(("diffeo:amplitude_recursion", amp_ok, "n<=5"))
-    perturbed = list(values[: min(6, nmax)])
-    perturbed[2] += 1
-    checks.append(
-        (
-            "diffeo:negative_control",
-            not diffeo.verify_recurrences(mapping, min(6, nmax), b=perturbed)
-            and diffeo.ode_residuals(mapping, 6, use_inverse=False)[0]
-            != fps.zero(6),
-            "",
-        )
-    )
-    return checks
-
-
-def _suite_yukawa(order: int, rng) -> list[tuple[str, bool, str]]:
-    checks = []
-    for report in yukawa.green_identities(min(order, 32)):
-        checks.append((f"yukawa:{report.name}", report.holds, f"order {report.order}"))
-    for loops in range(1, 5):
-        tadpoles = yukawa.enumerate_tadpoles(loops)
-        expected = gfseries.connected_series(loops)[loops]
-        checks.append(
-            (
-                f"yukawa:tadpole_count:loops={loops}",
-                len(tadpoles) == expected,
-                f"{len(tadpoles)}",
-            )
-        )
-    images = set()
-    for t in yukawa.enumerate_tadpoles(4):
-        images.add(yukawa.tadpole_to_diagram(t))
-    connected4 = {
-        d for d in chord.enumerate_diagrams(4) if d.is_connected()
-    }
-    checks.append(("yukawa:lambda_bijective:loops=4", images == connected4, "27 diagrams"))
-    primitive = sum(
-        1 for g in yukawa.enumerate_vertex_graphs(4) if yukawa.qqed_primitive(g)
-    )
-    checks.append(
-        (
-            "yukawa:primitive_vertex_graphs:n=4",
-            primitive == gfseries.two_connected_series(4)[4],
-            str(primitive),
-        )
-    )
-    return checks
-
-
-SUITES = {
-    "chord": _suite_chord,
-    "bell": _suite_bell,
-    "diffeo": _suite_diffeo,
-    "yukawa": _suite_yukawa,
-}
-
-
 def cmd_verify(args) -> OutputRecord:
     if args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
     rng = random.Random(args.seed)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    checks: list[tuple[str, bool, str]] = []
-    for name in names:
-        checks.extend(SUITES[name](args.order, rng))
+    names = list(checks.SUITES) if args.suite == "all" else [args.suite]
+    results = [r for name in names for r in checks.SUITES[name](args.order, rng)]
     payload = {
         "seed": args.seed,
         "order": args.order,
         "checks": [
-            {"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks
+            {"name": name, "ok": ok, "detail": detail} for name, ok, detail in results
         ],
-        "all_ok": all(ok for _, ok, _ in checks),
+        "all_ok": all(ok for _, ok, _ in results),
     }
     record = OutputRecord(
         "verify", {"suite": args.suite, "order": args.order, "seed": args.seed},
         payload, args.format,
     )
     record.lines = [f"seed {args.seed}"]
-    for name, ok, detail in checks:
+    for name, ok, detail in results:
         status = "pass" if ok else "FAIL"
         record.lines.append(f"{status} {name}" + (f" ({detail})" if detail else ""))
     record.lines.append("all pass" if payload["all_ok"] else "FAILURES PRESENT")

@@ -9,7 +9,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-from chordlab import fps
+from chordlab import checks, fps
 from chordlab.asymptotics import (
     TOLERANCES,
     alien_connected,
@@ -22,12 +22,6 @@ from chordlab.asymptotics import (
     square_image_consistency,
     two_connected_exponent_argument,
 )
-from chordlab.bell import (
-    BELL_IDENTITIES,
-    bell_partial,
-    bell_partial_by_partitions,
-    verify_bell_identity,
-)
 from chordlab.bijections import (
     all_seeds,
     nabla,
@@ -38,22 +32,11 @@ from chordlab.bijections import (
     theta,
     theta_inv,
 )
-from chordlab.chord import census, enumerate_diagrams
-from chordlab.diffeo import (
-    Diffeomorphism,
-    KinematicSample,
-    amplitude_recursion,
-    b_closed_form,
-    b_inverse_list,
-    ode_residuals,
-    verify_ode,
-    verify_recurrences,
-)
+from chordlab.chord import enumerate_diagrams
+from chordlab.diffeo import Diffeomorphism
 from chordlab.gfseries import (
     connected_series,
     connectivity_one_series,
-    double_factorial_series,
-    nonempty_indecomposable_series,
     root_insertion_series,
     two_connected_sequence_series,
     two_connected_series,
@@ -61,12 +44,9 @@ from chordlab.gfseries import (
 from chordlab.yukawa import (
     composed_two_connected_kernel,
     enumerate_tadpoles,
-    enumerate_vertex_graphs,
     proper_green_function_table,
     psi,
     psi_inv,
-    qqed_primitive,
-    tadpole_to_diagram,
 )
 
 
@@ -79,6 +59,11 @@ def prefix_equals(series, values):
         series.coeffs[: len(values)],
         values,
     )
+
+
+def assert_checks(*results):
+    for name, ok, detail in results:
+        assert ok, (name, detail)
 
 
 def test_criterion_1_table_reproduction():
@@ -156,18 +141,7 @@ def test_criterion_1_table_reproduction():
 
 def test_criterion_2_bruteforce_vs_series():
     start = time.time()
-    dfact = double_factorial_series(8)
-    c = connected_series(8)
-    c2 = two_connected_series(8)
-    c1 = connectivity_one_series(8)
-    i0 = nonempty_indecomposable_series(8)
-    for n in range(1, 9):
-        counts = census(n)
-        assert counts.total == dfact[n]
-        assert counts.connected == c[n]
-        assert counts.two_connected == c2[n]
-        assert counts.connectivity_one == c1[n]
-        assert counts.indecomposable_nonempty == i0[n]
+    assert_checks(*(checks.census_matches_series(n) for n in range(1, 9)))
     elapsed = time.time() - start
     assert elapsed <= 60.0, f"enumeration took {elapsed:.1f}s"
     print(
@@ -256,14 +230,9 @@ def test_criterion_5_bijection_roundtrips():
             assert theta_inv(tree) == seed
             seen.add(serialize_ztree(tree))
         assert len(seen) == sum(1 for _ in all_seeds(total))
-    image_sizes = []
-    for loops in range(1, 5):
-        tadpoles = enumerate_tadpoles(loops)
-        images = {tadpole_to_diagram(t) for t in tadpoles}
-        connected = {d for d in enumerate_diagrams(loops) if d.is_connected()}
-        assert images == connected
-        image_sizes.append(len(images))
-    assert image_sizes == [1, 1, 4, 27]
+    image_sizes = [1, 1, 4, 27]
+    for loops, size in enumerate(image_sizes, 1):
+        assert checks.lambda_image(loops)[1:] == (True, f"{size} diagrams"), loops
     from chordlab.yukawa import LEG_END
 
     for total in range(2, 5):
@@ -287,8 +256,7 @@ def test_criterion_5_bijection_roundtrips():
 def test_criterion_6_quenched_vertex_graphs():
     expected = {1: 0, 2: 1, 3: 1, 4: 7, 5: 63, 6: 729}
     for n in range(1, 7):
-        count = sum(1 for g in enumerate_vertex_graphs(n) if qqed_primitive(g))
-        assert count == expected[n], n
+        assert checks.primitive_vertex_graphs(n)[1:] == (True, str(expected[n])), n
     assert chain_rule_check(16)
     print(
         "\nPASS criterion 6: primitive vertex-graph counts equal the "
@@ -299,22 +267,7 @@ def test_criterion_6_quenched_vertex_graphs():
 def test_criterion_7_bell_suite():
     rng = random.Random(20200830)
     for trial in range(5):
-        xs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(8)]
-        while not xs[0]:
-            xs[0] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-        for n in range(9):
-            for k in range(n + 1):
-                assert bell_partial(n, k, xs) == bell_partial_by_partitions(n, k, xs)
-        for which in BELL_IDENTITIES:
-            for n in range(1, 9):
-                for k in range(1, n + 1):
-                    if which == "id1" and n <= k:
-                        continue
-                    if which == "id2":
-                        for k2 in range(1, n - k + 1):
-                            assert verify_bell_identity(which, n, k, xs, k2=k2)
-                    else:
-                        assert verify_bell_identity(which, n, k, xs)
+        assert_checks(*checks.bell_suite(8, rng))
     print(
         "\nPASS criterion 7: recurrence matches the partition oracle and all "
         "five identities hold for n <= 8 over 5 random coefficient sets"
@@ -325,32 +278,14 @@ def test_criterion_8_diffeomorphism_cancellation():
     start = time.time()
     rng = random.Random(987)
     for trial in range(20):
-        mapping = Diffeomorphism.from_values(
-            [1]
-            + [
-                Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-                for _ in range(rng.randint(1, 6))
-            ]
+        mapping = checks.diffeo_mapping(rng, rng.randint(1, 6))
+        assert_checks(
+            checks.diffeo_closed_form(mapping, 12),
+            checks.diffeo_recurrences(mapping, 12),
+            checks.diffeo_ode(mapping, 12),
+            checks.diffeo_amplitudes(mapping, 12, rng, samples=3),
         )
-        values = b_inverse_list(mapping, 12)
-        for n in range(1, 13):
-            assert b_closed_form(mapping, n) == values[n - 1]
-        assert verify_recurrences(mapping, 12)
-        assert verify_ode(mapping, 12)
-        for n in range(1, 6):
-            samples = {
-                amplitude_recursion(
-                    mapping, n, KinematicSample.random_nondegenerate(n, rng)
-                )
-                for _ in range(3)
-            }
-            assert samples == {values[n - 1]}
-    control = Diffeomorphism.from_values([1, 1])
-    perturbed = b_inverse_list(control, 6)
-    perturbed[2] += 1
-    assert not verify_recurrences(control, 6, b=perturbed)
-    first_residual, _ = ode_residuals(control, 6, use_inverse=False)
-    assert first_residual != fps.zero(6)
+    assert_checks(checks.diffeo_negative_control(Diffeomorphism.from_values([1, 1])))
     elapsed = time.time() - start
     assert elapsed < 30.0, f"diffeo suite took {elapsed:.1f}s"
     print(

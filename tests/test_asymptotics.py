@@ -136,8 +136,10 @@ def test_fit_trend_converges(series, terms):
 
 
 def test_fit_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need terms >= 1 and n >= terms \+ 2$"):
         asymptotic_fit("C", 5, 4)
+    with pytest.raises(ValueError, match="terms >= 1"):
+        asymptotic_fit("C", 5, 0)
     with pytest.raises(KeyError):
         asymptotic_fit("D", 20, 1)
 

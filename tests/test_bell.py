@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from chordlab import fps
+from chordlab import checks, fps
 from chordlab.bell import (
+    BELL_IDENTITIES,
     bell_partial,
-    bell_partial_by_partitions,
     faa_di_bruno,
     lift_coefficient,
     lift_resummation,
@@ -60,9 +60,7 @@ def test_insufficient_values_rejected():
 def test_recurrence_matches_partition_oracle(seed):
     rng = random.Random(seed)
     xs = random_values(rng, 8)
-    for n in range(9):
-        for k in range(n + 1):
-            assert bell_partial(n, k, xs) == bell_partial_by_partitions(n, k, xs), (n, k)
+    assert checks.bell_oracle(8, xs)[1]
 
 
 def test_faa_di_bruno_identity_series():
@@ -124,15 +122,8 @@ def test_identity_suite_exhaustive_small(seed):
     xs = random_values(rng, 8)
     while not xs[0]:
         xs = random_values(rng, 8)
-    for n in range(1, 9):
-        for k in range(1, n + 1):
-            assert verify_bell_identity("lemma1a", n, k, xs), (n, k)
-            assert verify_bell_identity("lemma1b", n, k, xs), (n, k)
-            if n > k:
-                assert verify_bell_identity("id1", n, k, xs), (n, k)
-            for k2 in range(1, n - k + 1):
-                assert verify_bell_identity("id2", n, k, xs, k2=k2), (n, k, k2)
-            assert verify_bell_identity("id3", n, k, xs), (n, k)
+    for which in BELL_IDENTITIES:
+        assert checks.bell_identity(which, 8, xs)[1], which
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -2,10 +2,11 @@
 the b-file comparison tooling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from chordlab import fps
+from chordlab import checks, fps
 from chordlab.cli import FILTERS, main
 from chordlab.oeis import SEQUENCE_MAP, compare_bfile, parse_bfile, write_bfile
 
@@ -164,11 +165,30 @@ def test_verify_all_is_deterministic(capsys):
     assert out == again
 
 
-def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
-    import chordlab.cli as cli_module
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("suite", ["chord", "bell", "diffeo", "yukawa", "all"])
+def test_verify_passes_at_small_orders(capsys, suite, order):
+    code, out = run_cli(capsys, "verify", suite, "--order", str(order))
+    assert code == 0
+    assert out.splitlines()[-1] == "all pass"
 
+
+@pytest.mark.parametrize(
+    "suite,order",
+    [("yukawa", 12), ("yukawa", 32), ("bell", 8), ("diffeo", 12), ("chord", 6)],
+)
+def test_verify_check_names_match_benchmark_references(capsys, suite, order):
+    # The benchmark's verify jobs fail on any name not recorded here.
+    references = Path(__file__).parents[1] / "perfbench" / "references.json"
+    recorded = json.loads(references.read_text())["checks"][f"verify {suite}"]
+    code, out = run_cli(capsys, "verify", suite, "--order", str(order))
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()[1:-1]] == recorded
+
+
+def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
     monkeypatch.setitem(
-        cli_module.SUITES, "bell", lambda order, rng: [("forced", False, "")]
+        checks.SUITES, "bell", lambda order, rng: [("forced", False, "")]
     )
     code, out = run_cli(capsys, "verify", "bell", "--order", "4")
     assert code == 1
@@ -189,10 +209,13 @@ def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
         ("enumerate", "--kind", "tadpoles", "--n", "2", "--filter", "connected"),
         ("bijection", "theta", "--inverse", "--input", "(0;-;"),
         ("bijection", "theta", "--inverse", "--input", "(0;-"),
+        ("series", "C", "--order", "0", "--format", "bfile"),
+        ("series", "C2", "--order", "1", "--format", "bfile"),
     ],
     ids=["negative-order", "short-literal", "bad-literal", "not-tangent",
          "too-few-points", "guard", "negative-size", "tadpole-filter",
-         "truncated-tree", "unterminated-tree-field"],
+         "truncated-tree", "unterminated-tree-field", "empty-bfile",
+         "empty-bfile-two-connected"],
 )
 def test_bad_input_prints_one_error_line(capsys, argv):
     code = main(list(argv))
@@ -210,6 +233,23 @@ def test_verify_order_error_names_the_option(capsys, suite):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "chordlab: error: --order must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("diffeo", "--a", "1,2", "--n", "0"), "--n must be at least 1, got 0"),
+        (("diffeo", "--a", "1,2", "--n", "-2"), "--n must be at least 1, got -2"),
+        (("series", "C", "--order", "0", "--format", "bfile"),
+         "C has no nonzero coefficient through x^0; raise --order for a b-file"),
+    ],
+)
+def test_error_names_the_option(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"chordlab: error: {message}\n"
 
 
 def test_count_only_guard_error_matches_listing(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from chordlab import checks
 from chordlab.diffeo import (
     Diffeomorphism,
     KinematicSample,
@@ -18,12 +19,6 @@ from chordlab.diffeo import (
     verify_ode,
     verify_recurrences,
 )
-
-
-def random_diffeo(rng, m):
-    return Diffeomorphism.from_values(
-        [1] + [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(m)]
-    )
 
 
 def test_tangency_required():
@@ -45,10 +40,8 @@ def test_first_values_symbolic():
 @pytest.mark.parametrize("seed", range(6))
 def test_closed_form_equals_inverse(seed):
     rng = random.Random(seed)
-    diffeo = random_diffeo(rng, rng.randint(1, 6))
-    values = b_inverse_list(diffeo, 12)
-    for n in range(1, 13):
-        assert b_closed_form(diffeo, n) == values[n - 1], n
+    diffeo = checks.diffeo_mapping(rng, rng.randint(1, 6))
+    assert checks.diffeo_closed_form(diffeo, 12)[1]
 
 
 def test_identity_diffeo_is_fixed():
@@ -61,7 +54,7 @@ def test_identity_diffeo_is_fixed():
 @pytest.mark.parametrize("seed", range(4))
 def test_recurrences_hold(seed):
     rng = random.Random(100 + seed)
-    diffeo = random_diffeo(rng, rng.randint(1, 6))
+    diffeo = checks.diffeo_mapping(rng, rng.randint(1, 6))
     assert verify_recurrences(diffeo, 10)
 
 
@@ -80,7 +73,7 @@ def test_perturbed_b_fails_recurrence():
 @pytest.mark.parametrize("seed", range(4))
 def test_ode_holds(seed):
     rng = random.Random(200 + seed)
-    diffeo = random_diffeo(rng, rng.randint(1, 6))
+    diffeo = checks.diffeo_mapping(rng, rng.randint(1, 6))
     assert verify_ode(diffeo, 12)
 
 
@@ -116,16 +109,8 @@ def test_amplitude_three_points_momentum_independent():
 @pytest.mark.parametrize("seed", range(3))
 def test_amplitude_equals_inverse_coefficients(seed):
     rng = random.Random(300 + seed)
-    diffeo = random_diffeo(rng, rng.randint(1, 4))
-    expected = b_inverse_list(diffeo, 5)
-    for n in range(1, 6):
-        samples = {
-            amplitude_recursion(
-                diffeo, n, KinematicSample.random_nondegenerate(n, rng)
-            )
-            for _ in range(3)
-        }
-        assert samples == {expected[n - 1]}, n
+    diffeo = checks.diffeo_mapping(rng, rng.randint(1, 4))
+    assert checks.diffeo_amplitudes(diffeo, 5, rng, samples=3)[1]
 
 
 def test_amplitude_guard_and_denominator():
