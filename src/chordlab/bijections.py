@@ -8,9 +8,10 @@
   diagram) triple into a rooted tree of label stacks whose vertices carry an
   at-most-two-component diagram over their children (and back).
 
-Chord identity is tracked through every rearrangement with explicit labels;
-a LabeledDiagram is a diagram plus one label per chord.  The plain
-ChordDiagram entry points wrap the labeled machinery with fresh labels.
+Every map rearranges endpoints: it lays its input diagrams side by side,
+lists their endpoints in the new order and builds each output's partner
+array in one pass.  Chord labels follow their endpoints, which tracks chord
+identity through theta; a LabeledDiagram is a diagram plus one label each.
 
 Worked example, in the "n: p1 ... p2n" partner-list encoding: the connected
 diagram "3: 4 6 5 1 3 2" (chords {1,4},{2,6},{3,5}) has the root share
@@ -27,15 +28,16 @@ indecomposable two-component diagram {1,6},{2,4},{3,5}:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .chord import (
     ChordDiagram,
+    crossing_blocks,
     enumerate_diagrams,
     first_block_end,
-    intersection_components,
 )
 
 Token = int  # a chord label; each label occurs at exactly two positions
@@ -57,10 +59,11 @@ class LabeledDiagram:
         return self.diagram.n
 
     def tokens(self) -> list[Token]:
-        toks = [0] * (2 * self.diagram.n)
-        for i, (a, b) in enumerate(self.diagram.chords()):
-            toks[a] = self.labels[i]
-            toks[b] = self.labels[i]
+        """The label at each endpoint."""
+        toks: list[Token] = []
+        labels = iter(self.labels)
+        for i, q in enumerate(self.diagram.partners):
+            toks.append(next(labels) if q > i else toks[q])
         return toks
 
 
@@ -69,24 +72,47 @@ EMPTY = LabeledDiagram(ChordDiagram(()), ())
 
 def from_tokens(tokens: Sequence[Token]) -> LabeledDiagram:
     first: dict[Token, int] = {}
-    pairs: list[tuple[int, int, Token]] = []
+    p = [0] * len(tokens)
     for pos, lab in enumerate(tokens):
         if lab in first:
-            pairs.append((first.pop(lab), pos, lab))
+            a = first.pop(lab)
+            p[a], p[pos] = pos, a
         else:
             first[lab] = pos
     if first:
         raise ValueError(f"unpaired labels: {sorted(first)}")
-    pairs.sort()
-    p = [0] * len(tokens)
-    for a, b, _ in pairs:
-        p[a] = b
-        p[b] = a
-    return LabeledDiagram(ChordDiagram(p), tuple(lab for _, _, lab in pairs))
+    labels = tuple(lab for pos, lab in enumerate(tokens) if p[pos] > pos)
+    return LabeledDiagram(ChordDiagram(p), labels)
 
 
 def with_fresh_labels(d: ChordDiagram, start: int = 0) -> LabeledDiagram:
     return LabeledDiagram(d, tuple(range(start, start + d.n)))
+
+
+def _reordered(partners: Sequence[int], orders) -> list[list[int]]:
+    """Per order, the partner array whose endpoint i is endpoint order[i];
+    an order holds both ends of its chords, and orders share no endpoint."""
+    rank = [0] * len(partners)
+    for order in orders:
+        for i, pos in enumerate(order):
+            rank[pos] = i
+    return [[rank[partners[pos]] for pos in order] for order in orders]
+
+
+def _rearrange(parts: Sequence[LabeledDiagram], orders) -> list[LabeledDiagram]:
+    """`_reordered` on the labeled diagrams `parts` laid side by side; each
+    chord keeps its label."""
+    partners: list[int] = []
+    labels: list[Token] = []
+    for ld in parts:
+        partners += [q + len(labels) for q in ld.diagram.partners]
+        labels += ld.tokens()
+    return [
+        LabeledDiagram(
+            ChordDiagram(p), tuple([labels[pos] for i, pos in enumerate(order) if p[i] > i])
+        ) if p else EMPTY
+        for order, p in zip(orders, _reordered(partners, orders))
+    ]
 
 
 # -- root share decomposition -----------------------------------------------
@@ -111,81 +137,64 @@ class RootShareTriple:
             )
 
 
-def _nabla_labeled(ld: LabeledDiagram) -> tuple[LabeledDiagram, LabeledDiagram, int]:
-    d = ld.diagram
+def _root_share(d: ChordDiagram) -> tuple[list[int], list[int], int]:
+    """The endpoints of c1 and of c2, in order, and the interval k of the
+    root share decomposition of d."""
     if not d.is_connected() or d.n < 2:
         raise ValueError("root share decomposition needs a connected diagram on >= 2 chords")
-    toks = ld.tokens()
-    root_right = d.partners[0]
-    cs = d.chords()
+    p = d.partners
     # first component after root removal: the one of chord 1, at position 1
-    comp = intersection_components(d.intersection_adjacency(), range(1, d.n))[0]
-    c2_positions = sorted(pos for i in comp for pos in cs[i])
-    in_c2 = set(c2_positions)
-    k = sum(1 for pos in c2_positions if pos < root_right)
-    c2 = from_tokens([toks[pos] for pos in c2_positions])
-    c1 = from_tokens([toks[pos] for pos in range(2 * d.n) if pos not in in_c2])
-    return c1, c2, k
-
-
-def _nabla_inv_labeled(
-    c1: LabeledDiagram, c2: LabeledDiagram, k: int
-) -> LabeledDiagram:
-    t1 = c1.tokens()
-    t2 = c2.tokens()
-    if not 1 <= k <= len(t2) - 1:
-        raise ValueError(f"interval index {k} out of range 1..{len(t2) - 1}")
-    return from_tokens([t1[0]] + t2[:k] + t1[1:] + t2[k:])
+    inside = [False] * len(p)
+    for a in next(b for b in crossing_blocks(p, skip=0) if b[0] == 1):
+        inside[a] = inside[p[a]] = True
+    c2 = [pos for pos in range(len(p)) if inside[pos]]
+    c1 = [pos for pos in range(len(p)) if not inside[pos]]
+    return c1, c2, bisect_left(c2, p[0])
 
 
 def nabla(d: ChordDiagram) -> RootShareTriple:
-    c1, c2, k = _nabla_labeled(with_fresh_labels(d))
-    return RootShareTriple(c1.diagram, c2.diagram, k)
+    c1, c2, k = _root_share(d)
+    p1, p2 = _reordered(d.partners, [c1, c2])
+    return RootShareTriple(ChordDiagram(p1), ChordDiagram(p2), k)
 
 
 def nabla_inv(t: RootShareTriple) -> ChordDiagram:
-    return _nabla_inv_labeled(
-        with_fresh_labels(t.c1),
-        with_fresh_labels(t.c2, start=t.c1.n),
-        t.k,
-    ).diagram
+    m1, m2 = 2 * t.c1.n, 2 * t.c2.n
+    if not 1 <= t.k <= m2 - 1:
+        raise ValueError(f"interval index {t.k} out of range 1..{m2 - 1}")
+    order = [0, *range(m1, m1 + t.k), *range(1, m1), *range(m1 + t.k, m1 + m2)]
+    partners = t.c1.partners + tuple(q + m1 for q in t.c2.partners)
+    return ChordDiagram(_reordered(partners, [order])[0])
 
 
 # -- phi ----------------------------------------------------------------------
 
 
-def _phi_labeled(ld: LabeledDiagram) -> LabeledDiagram:
-    c1, c2, k = _nabla_labeled(ld)
-    t1 = c1.tokens()
-    t2 = c2.tokens()
-    return from_tokens(t2[:k] + t1 + t2[k:])
+def _phi_order(d: ChordDiagram) -> list[int]:
+    c1, c2, k = _root_share(d)
+    return c2[:k] + c1 + c2[k:]
 
 
-def _phi_inv_labeled(ld: LabeledDiagram) -> LabeledDiagram:
-    d = ld.diagram
-    comps = d.components()
-    if len(comps) != 2 or not d.is_indecomposable():
-        raise ValueError(
-            "inverse needs an indecomposable diagram with exactly two components"
-        )
-    cs = d.chords()
-    inner = comps[0] if 0 not in comps[0] else comps[1]
-    inner_positions = sorted(pos for i in inner for pos in cs[i])
+def _phi_inv_order(d: ChordDiagram) -> list[int]:
+    blocks = list(crossing_blocks(d.partners))
+    if len(blocks) != 2 or not d.is_indecomposable():
+        raise ValueError("inverse needs an indecomposable diagram with exactly two components")
+    inner = blocks[0] if blocks[0][0] else blocks[1]
+    inner_positions = sorted(inner + [d.partners[a] for a in inner])
     lo, hi = inner_positions[0], inner_positions[-1]
     if inner_positions != list(range(lo, hi + 1)):
         raise AssertionError("inner component is not a contiguous block")
-    toks = ld.tokens()
-    return from_tokens([toks[lo]] + toks[:lo] + toks[lo + 1 :])
+    return [lo, *range(lo), *range(lo + 1, 2 * d.n)]
 
 
 def phi(d: ChordDiagram) -> ChordDiagram:
     """Connected on >= 2 chords -> indecomposable with two components."""
-    return _phi_labeled(with_fresh_labels(d)).diagram
+    return ChordDiagram(_reordered(d.partners, [_phi_order(d)])[0])
 
 
 def phi_inv(d: ChordDiagram) -> ChordDiagram:
     """Inverse of phi: pull the inner component's root to the front."""
-    return _phi_inv_labeled(with_fresh_labels(d)).diagram
+    return ChordDiagram(_reordered(d.partners, [_phi_inv_order(d)])[0])
 
 
 # -- the stack-tree bijection ---------------------------------------------------
@@ -241,7 +250,7 @@ class ZTreeVertex:
         else:
             if self.structure.n != len(self.children):
                 raise ValueError("structure size differs from child count")
-            if len(self.structure.diagram.components()) > 2:
+            if sum(1 for _ in crossing_blocks(self.structure.diagram.partners)) > 2:
                 raise ValueError("structure has more than two components")
             if set(self.structure.labels) != set(self.children):
                 raise ValueError("structure labels do not match children")
@@ -256,53 +265,33 @@ def split_root_component(
     chord, the labeled diagrams hanging right of its two ends (after the
     left end, after the right end).  A plain diagram goes through
     with_fresh_labels."""
-    d = ld.diagram
-    toks = ld.tokens()
-    rc = sorted(d.root_component())
-    cs = d.chords()
-    boundary = sorted(pos for i in rc for pos in cs[i])
-    in_boundary = set(boundary)
-    core = from_tokens([toks[pos] for pos in boundary])
-
-    def gap_after(pos: int) -> LabeledDiagram:
-        run = []
-        j = pos + 1
-        while j < 2 * d.n and j not in in_boundary:
-            run.append(toks[j])
-            j += 1
-        return from_tokens(run)
-
-    danglings = [(gap_after(cs[i][0]), gap_after(cs[i][1])) for i in rc]
-    return core, danglings
+    p = ld.diagram.partners
+    if not p:
+        raise ValueError("the empty diagram has no root component")
+    root = next(b for b in crossing_blocks(p) if not b[0])
+    if 2 * len(root) == len(p):  # connected: nothing hangs off the core
+        return ld, [(EMPTY, EMPTY)] * len(root)
+    ends = [pos for a in root for pos in (a, p[a])]
+    boundary = sorted(ends)
+    gap_after = {pos: range(pos + 1, end) for pos, end in zip(boundary, boundary[1:] + [len(p)])}
+    core, *gaps = _rearrange([ld], [boundary, *(gap_after[pos] for pos in ends)])
+    return core, list(zip(gaps[::2], gaps[1::2]))
 
 
 def join_root_component(core: LabeledDiagram, danglings) -> LabeledDiagram:
     """Inverse of split_root_component: hang each pair of diagrams right of
     the two ends of the matching core chord."""
-    toks: list[Token] = []
-    cs = core.diagram.chords()
-    core_toks = core.tokens()
-    which: dict[int, tuple[int, int]] = {}
-    for i, (a, b) in enumerate(cs):
-        which[a] = (i, 0)
-        which[b] = (i, 1)
-    for pos in range(2 * core.n):
-        toks.append(core_toks[pos])
-        i, side = which[pos]
-        toks.extend(danglings[i][side].tokens())
-    return from_tokens(toks)
-
-
-def _concat(a: LabeledDiagram, b: LabeledDiagram) -> LabeledDiagram:
-    return from_tokens(a.tokens() + b.tokens())
-
-
-def _split_concat(ld: LabeledDiagram) -> tuple[LabeledDiagram, LabeledDiagram]:
-    j = first_block_end(ld.diagram.partners)
-    if j is None:
-        raise ValueError("diagram is not a concatenation")
-    toks = ld.tokens()
-    return from_tokens(toks[: j + 1]), from_tokens(toks[j + 1 :])
+    if not any(dl.labels for pair in danglings for dl in pair):
+        return core
+    hung = [EMPTY] * (2 * core.n)  # the diagram hanging after each endpoint
+    for (a, b), pair in zip(core.diagram.chords(), danglings):
+        hung[a], hung[b] = pair
+    order, start = [], len(hung)
+    for pos, dl in enumerate(hung):
+        end = start + 2 * len(dl.labels)
+        order += [pos, *range(start, end)]
+        start = end
+    return _rearrange([core, *hung], [order])[0]
 
 
 def theta(seed: TreeSeed) -> ZTreeVertex:
@@ -339,7 +328,7 @@ def theta(seed: TreeSeed) -> ZTreeVertex:
         elif dr.n:
             core_l, dang_l = split_root_component(dl)
             core_r, dang_r = split_root_component(dr)
-            v.structure = _concat(core_l, core_r)
+            v.structure = _rearrange([core_l, core_r], [range(2 * (core_l.n + core_r.n))])[0]
             attach(v, core_l, dang_l)
             attach(v, core_r, dang_r)
         else:
@@ -349,7 +338,7 @@ def theta(seed: TreeSeed) -> ZTreeVertex:
                 v.stack.append(label)
                 queue.append((label, danglings[0][0], danglings[0][1], v))
             else:
-                v.structure = _phi_labeled(core)
+                v.structure = _rearrange([core], [_phi_order(core.diagram)])[0]
                 attach(v, core, danglings)
     return root
 
@@ -378,14 +367,14 @@ def _unbuild(v: ZTreeVertex) -> tuple[int, LabeledDiagram, LabeledDiagram]:
                 core, [child_danglings[lab] for lab in core.labels]
             )
 
-        comps = sigma.diagram.components()
-        if len(comps) == 1:
+        j = first_block_end(sigma.diagram.partners)
+        if sigma.diagram.is_connected():
             dl, dr = EMPTY, assemble(sigma)
-        elif not sigma.diagram.is_indecomposable():
-            left_core, right_core = _split_concat(sigma)
-            dl, dr = assemble(left_core), assemble(right_core)
+        elif j is not None:  # a concatenation: split after its first block
+            halves = _rearrange([sigma], [range(j + 1), range(j + 1, 2 * sigma.n)])
+            dl, dr = map(assemble, halves)
         else:
-            dl, dr = assemble(_phi_inv_labeled(sigma)), EMPTY
+            dl, dr = assemble(_rearrange([sigma], [_phi_inv_order(sigma.diagram)])[0]), EMPTY
     for i in range(len(v.stack) - 1, 0, -1):
         single = LabeledDiagram(ChordDiagram((1, 0)), (v.stack[i],))
         dl, dr = join_root_component(single, [(dl, dr)]), EMPTY

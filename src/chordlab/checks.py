@@ -92,7 +92,7 @@ def diffeo_amplitudes(mapping, nmax: int, rng, samples: int = 1) -> Check:
         for n in range(1, top + 1)
         for _ in range(samples)
     )
-    return "diffeo:amplitude_recursion", ok, "n<=5"
+    return "diffeo:amplitude_recursion", ok, f"n<={top}"
 
 
 def diffeo_negative_control(mapping) -> Check:

@@ -6,6 +6,12 @@ A diagram is stored as the partner array of a fixed-point-free involution,
 The chord containing endpoint 1 is the root.  Intervals are the spaces to
 the right of each endpoint (2n of them, the last one included).
 
+Intersection-graph components come from one O(n) scan of the endpoints
+with a stack of blocks, each holding its lowest opener and its number of
+open chords (`crossing_blocks`).  An opener pushes a block; a closer crosses
+every chord open in the blocks above its own, so they merge into its block
+before its count drops by one, and a block whose count reaches 0 is done.
+
 >>> d = ChordDiagram.from_literal("2: 3 4 1 2")   # the crossing pair
 >>> d.is_connected(), d.connectivity(), d.is_indecomposable()
 (True, 2, True)
@@ -16,6 +22,7 @@ the right of each endpoint (2n of them, the last one included).
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -133,13 +140,15 @@ class ChordDiagram:
     def components(self) -> list[frozenset[int]]:
         """Connected components of the intersection graph (chord indices),
         ordered by smallest endpoint."""
-        adj = self.intersection_adjacency()
-        return intersection_components(adj, range(len(adj)))
+        index = dict(zip([a for a, q in enumerate(self.partners) if q > a], range(self.n)))
+        return [frozenset(map(index.get, b)) for b in sorted(crossing_blocks(self.partners))]
 
     # -- connectivity ---------------------------------------------------------
 
     def is_connected(self) -> bool:
-        return self.n >= 1 and len(self.components()) == 1
+        """True when the first component to finish holds every chord."""
+        p = self.partners
+        return bool(p) and 2 * len(next(crossing_blocks(p))) == len(p)
 
     def connectivity(self) -> int:
         """Largest k such that the diagram is k-connected.
@@ -184,6 +193,35 @@ class ChordDiagram:
             p[rank[a]] = rank[b]
             p[rank[b]] = rank[a]
         return ChordDiagram(p)
+
+
+def crossing_blocks(partners: Sequence[int], skip: int = -1) -> Iterator[list[int]]:
+    """The stack scan of the module docstring over every chord but the one
+    opening at `skip`: yields each component, as the increasing endpoints
+    where its chords open, when it finishes (sorted: chord-index order)."""
+    lows: list[int] = []  # the blocks on the stack, by lowest opener
+    opens = [0] * len(partners)  # open chords of the block named low
+    pending: list[int] = []  # openers of unfinished blocks, increasing
+    for j, q in enumerate(partners):
+        if q > j:
+            if j != skip:
+                lows.append(j)
+                opens[j] = 1
+                pending.append(j)
+        elif q != skip:
+            low = lows[-1]
+            count = opens[low] - 1
+            while low > q:
+                lows.pop()
+                low = lows[-1]
+                count += opens[low]
+            if count:
+                opens[low] = count
+            else:
+                lows.pop()
+                i = bisect_left(pending, low)
+                yield pending[i:]
+                del pending[i:]
 
 
 def intersection_components(

@@ -154,6 +154,13 @@ def cmd_enumerate(args) -> OutputRecord:
     return record
 
 
+def _fields(text: str, form: str) -> list[str]:
+    fields = [part.strip() for part in text.split("|")]
+    if len(fields) != form.count("|") + 1:
+        raise ValueError(f"--input must have the form '{form}', got {text!r}")
+    return fields
+
+
 def cmd_bijection(args) -> OutputRecord:
     name = args.map
     if name == "phi":
@@ -162,7 +169,7 @@ def cmd_bijection(args) -> OutputRecord:
         result = out.to_literal()
     elif name == "nabla":
         if args.inverse:
-            c1_text, c2_text, k_text = (p.strip() for p in args.input.split("|"))
+            c1_text, c2_text, k_text = _fields(args.input, "c1 | c2 | k")
             triple = bijections.RootShareTriple(
                 chord.ChordDiagram.from_literal(c1_text),
                 chord.ChordDiagram.from_literal(c2_text),
@@ -179,7 +186,7 @@ def cmd_bijection(args) -> OutputRecord:
                 f"{seed.left.diagram.to_literal()} | {seed.right.diagram.to_literal()}"
             )
         else:
-            left_text, right_text = (p.strip() for p in args.input.split("|"))
+            left_text, right_text = _fields(args.input, "left | right")
             seed = bijections.TreeSeed.from_diagrams(
                 chord.ChordDiagram.from_literal(left_text)
                 if left_text != "-"

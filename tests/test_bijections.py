@@ -1,21 +1,37 @@
-"""Roundtrip and counting tests for the three diagram bijections."""
+"""Roundtrip and counting tests for the three diagram bijections, and the
+maps checked against token-list oracles: the maps as they were written
+before they became endpoint rearrangements."""
+
+from collections import deque
 
 import pytest
 
 from chordlab.bijections import (
+    EMPTY,
+    LabeledDiagram,
     RootShareTriple,
     TreeSeed,
+    ZTreeVertex,
     all_seeds,
+    from_tokens,
+    join_root_component,
     nabla,
     nabla_inv,
     parse_ztree,
     phi,
     phi_inv,
     serialize_ztree,
+    split_root_component,
     theta,
     theta_inv,
+    with_fresh_labels,
 )
-from chordlab.chord import ChordDiagram, enumerate_diagrams
+from chordlab.chord import (
+    ChordDiagram,
+    enumerate_diagrams,
+    first_block_end,
+    intersection_components,
+)
 from chordlab.gfseries import connected_counts, stack_tree_series
 
 CROSSING = ChordDiagram.from_literal("2: 3 4 1 2")
@@ -203,3 +219,184 @@ def test_ztree_validate_rejects_malformed():
     mismatched = ZTreeVertex([0], with_fresh_labels(SINGLE, start=5), {})
     with pytest.raises(ValueError):
         mismatched.validate()
+
+
+# -- token-list oracles ----------------------------------------------------------
+# Each step lists the label at every endpoint, slices and joins such lists, and
+# pairs them again by sorting; components come from the O(n^2) adjacency.
+
+
+def oracle_components(d):
+    return intersection_components(d.intersection_adjacency(), range(d.n))
+
+
+def oracle_tokens(ld):
+    toks = [0] * (2 * ld.n)
+    for i, (a, b) in enumerate(ld.diagram.chords()):
+        toks[a] = toks[b] = ld.labels[i]
+    return toks
+
+
+def oracle_from_tokens(tokens):
+    first, pairs = {}, []
+    for pos, lab in enumerate(tokens):
+        if lab in first:
+            pairs.append((first.pop(lab), pos, lab))
+        else:
+            first[lab] = pos
+    assert not first
+    pairs.sort()
+    p = [0] * len(tokens)
+    for a, b, _ in pairs:
+        p[a], p[b] = b, a
+    return LabeledDiagram(ChordDiagram(p), tuple(lab for _, _, lab in pairs))
+
+
+def oracle_nabla(ld):
+    d = ld.diagram
+    assert d.n >= 2 and len(oracle_components(d)) == 1
+    toks = oracle_tokens(ld)
+    cs = d.chords()
+    comp = intersection_components(d.intersection_adjacency(), range(1, d.n))[0]
+    c2_positions = sorted(pos for i in comp for pos in cs[i])
+    k = sum(1 for pos in c2_positions if pos < d.partners[0])
+    c1 = [toks[pos] for pos in range(2 * d.n) if pos not in c2_positions]
+    return oracle_from_tokens(c1), oracle_from_tokens([toks[pos] for pos in c2_positions]), k
+
+
+def oracle_phi(ld):
+    c1, c2, k = oracle_nabla(ld)
+    t2 = oracle_tokens(c2)
+    return oracle_from_tokens(t2[:k] + oracle_tokens(c1) + t2[k:])
+
+
+def oracle_phi_inv(ld):
+    comps = oracle_components(ld.diagram)
+    assert len(comps) == 2 and first_block_end(ld.diagram.partners) is None
+    cs = ld.diagram.chords()
+    inner = comps[0] if 0 not in comps[0] else comps[1]
+    lo = min(pos for i in inner for pos in cs[i])
+    toks = oracle_tokens(ld)
+    return oracle_from_tokens([toks[lo]] + toks[:lo] + toks[lo + 1:])
+
+
+def oracle_split(ld):
+    d = ld.diagram
+    toks = oracle_tokens(ld)
+    cs = d.chords()
+    rc = sorted(oracle_components(d)[0])
+    boundary = sorted(pos for i in rc for pos in cs[i])
+
+    def gap_after(pos):
+        j = pos + 1
+        while j < 2 * d.n and j not in boundary:
+            j += 1
+        return oracle_from_tokens(toks[pos + 1:j])
+
+    core = oracle_from_tokens([toks[pos] for pos in boundary])
+    return core, [(gap_after(cs[i][0]), gap_after(cs[i][1])) for i in rc]
+
+
+def oracle_join(core, danglings):
+    which = {}
+    for i, (a, b) in enumerate(core.diagram.chords()):
+        which[a], which[b] = (i, 0), (i, 1)
+    toks = []
+    for pos, lab in enumerate(oracle_tokens(core)):
+        i, side = which[pos]
+        toks += [lab] + oracle_tokens(danglings[i][side])
+    return oracle_from_tokens(toks)
+
+
+def oracle_theta(seed):
+    root = ZTreeVertex([seed.root_label])
+    queue = deque([(seed.left, seed.right, root)])
+
+    def attach(vertex, core, danglings):
+        for label, (dl, dr) in zip(core.labels, danglings):
+            vertex.children[label] = ZTreeVertex([label])
+            queue.append((dl, dr, vertex.children[label]))
+
+    while queue:
+        dl, dr, v = queue.popleft()
+        if not dl.n and not dr.n:
+            continue
+        if not dl.n:
+            core, danglings = oracle_split(dr)
+            v.structure = core
+            attach(v, core, danglings)
+        elif dr.n:
+            core_l, dang_l = oracle_split(dl)
+            core_r, dang_r = oracle_split(dr)
+            v.structure = oracle_from_tokens(oracle_tokens(core_l) + oracle_tokens(core_r))
+            attach(v, core_l, dang_l)
+            attach(v, core_r, dang_r)
+        else:
+            core, danglings = oracle_split(dl)
+            if core.n == 1:
+                v.stack.append(core.labels[0])
+                queue.append((*danglings[0], v))
+            else:
+                v.structure = oracle_phi(core)
+                attach(v, core, danglings)
+    return root
+
+
+def oracle_theta_inv(v):
+    dl, dr = EMPTY, EMPTY
+    if v.structure is not None:
+        sigma = v.structure
+        hanging = {lab: oracle_theta_inv(child) for lab, child in v.children.items()}
+
+        def assemble(core):
+            return oracle_join(
+                core, [(hanging[lab].left, hanging[lab].right) for lab in core.labels]
+            )
+
+        j = first_block_end(sigma.diagram.partners)
+        if len(oracle_components(sigma.diagram)) == 1:
+            dr = assemble(sigma)
+        elif j is not None:
+            toks = oracle_tokens(sigma)
+            dl = assemble(oracle_from_tokens(toks[:j + 1]))
+            dr = assemble(oracle_from_tokens(toks[j + 1:]))
+        else:
+            dl = assemble(oracle_phi_inv(sigma))
+    for label in reversed(v.stack[1:]):
+        single = LabeledDiagram(ChordDiagram((1, 0)), (label,))
+        dl, dr = oracle_join(single, [(dl, dr)]), EMPTY
+    return TreeSeed(v.stack[0], dl, dr)
+
+
+def reversed_labels(d):
+    return LabeledDiagram(d, tuple(range(d.n - 1, -1, -1)))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_tokens_and_split_join_match_the_oracles(n):
+    for d in enumerate_diagrams(n):
+        ld = reversed_labels(d)
+        assert ld.tokens() == oracle_tokens(ld)
+        assert from_tokens(oracle_tokens(ld)) == ld
+        if n:
+            core, danglings = split_root_component(ld)
+            assert (core, danglings) == oracle_split(ld)
+            assert join_root_component(core, danglings) == oracle_join(core, danglings)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_phi_and_nabla_match_the_oracles(n):
+    for d in connected_diagrams(n):
+        c1, c2, k = oracle_nabla(with_fresh_labels(d))
+        assert nabla(d) == RootShareTriple(c1.diagram, c2.diagram, k)
+        image = phi(d)
+        assert image == oracle_phi(with_fresh_labels(d)).diagram
+        assert phi_inv(image) == oracle_phi_inv(with_fresh_labels(image)).diagram
+
+
+@pytest.mark.parametrize("total", range(1, 7))
+def test_theta_matches_the_oracle(total):
+    for seed in all_seeds(total):
+        tree = theta(seed)
+        assert serialize_ztree(tree) == serialize_ztree(oracle_theta(seed))
+        assert theta_inv(tree) == oracle_theta_inv(tree)

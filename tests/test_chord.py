@@ -16,6 +16,7 @@ from chordlab.chord import (
     census,
     enumerate_diagrams,
     indecomposable_completions,
+    intersection_components,
     labelled_intersection_graph,
     maximal_reasons,
     minimal_reasons,
@@ -293,3 +294,24 @@ def test_intersection_graph_adjacency_is_crossing():
     assert adj[0] == {1, 2}
     assert adj[1] == {0}
     assert adj[2] == {0}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_crossing_scan_matches_adjacency_oracle(n):
+    for d in enumerate_diagrams(n):
+        adj = d.intersection_adjacency()
+        openers = [a for a, _ in d.chords()]
+
+        def oracle(left_out):  # the blocks the scan should yield, sorted
+            allowed = [i for i in range(n) if i != left_out]
+            return [[openers[i] for i in sorted(comp)]
+                    for comp in intersection_components(adj, allowed)]
+
+        everything = oracle(None)
+        assert sorted(chord.crossing_blocks(d.partners)) == everything
+        assert d.components() == intersection_components(adj, range(n))
+        assert d.is_connected() == (len(everything) == 1)
+        if n:
+            assert d.root_component() == intersection_components(adj, range(n))[0]
+        for i, a in enumerate(openers):  # each chord left out, the root (i = 0) first
+            assert sorted(chord.crossing_blocks(d.partners, skip=a)) == oracle(i)

@@ -2,10 +2,14 @@
 the b-file comparison tooling."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import chordlab
 from chordlab import checks, fps
 from chordlab.cli import FILTERS, main
 from chordlab.oeis import SEQUENCE_MAP, compare_bfile, parse_bfile, write_bfile
@@ -186,6 +190,27 @@ def test_verify_check_names_match_benchmark_references(capsys, suite, order):
     assert [line.split()[1] for line in out.splitlines()[1:-1]] == recorded
 
 
+@pytest.mark.parametrize("order,bound", [(3, 3), (12, 5)])
+def test_amplitude_check_reports_the_bound_it_checked(capsys, order, bound):
+    code, out = run_cli(capsys, "verify", "diffeo", "--order", str(order))
+    assert code == 0
+    assert f"pass diffeo:amplitude_recursion (n<={bound})" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(("series", "C", "--order", "4"), 0), (("bijection", "theta", "--input", "0:"), 2)],
+)
+def test_python_dash_m_runs_the_cli(capsys, argv, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(chordlab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "chordlab", *argv], capture_output=True, text=True, env=env
+    )
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+
+
 def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
     monkeypatch.setitem(
         checks.SUITES, "bell", lambda order, rng: [("forced", False, "")]
@@ -242,6 +267,14 @@ def test_verify_order_error_names_the_option(capsys, suite):
         (("diffeo", "--a", "1,2", "--n", "-2"), "--n must be at least 1, got -2"),
         (("series", "C", "--order", "0", "--format", "bfile"),
          "C has no nonzero coefficient through x^0; raise --order for a b-file"),
+        (("bijection", "nabla", "--inverse", "--input", "1: 2 1"),
+         "--input must have the form 'c1 | c2 | k', got '1: 2 1'"),
+        (("bijection", "nabla", "--inverse", "--input", "1: 2 1 | 1: 2 1 | 1 | 1"),
+         "--input must have the form 'c1 | c2 | k', got '1: 2 1 | 1: 2 1 | 1 | 1'"),
+        (("bijection", "theta", "--input", "0:"),
+         "--input must have the form 'left | right', got '0:'"),
+        (("bijection", "theta", "--input", "0: | 0: | 0:"),
+         "--input must have the form 'left | right', got '0: | 0: | 0:'"),
     ],
 )
 def test_error_names_the_option(capsys, argv, message):

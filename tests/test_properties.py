@@ -1,6 +1,7 @@
 """Property tests on random matchings at n = 9-12, beyond the sizes the
-exhaustive tests reach (n <= 6), and on random series with mixed int and
-Fraction coefficients at orders 0-24."""
+exhaustive tests reach (n <= 6), a size ladder of seeded uniform matchings
+at n = 30-200, and random series with mixed int and Fraction coefficients at
+orders 0-24."""
 
 import random
 from fractions import Fraction
@@ -24,7 +25,12 @@ from chordlab.bijections import (
     with_fresh_labels,
 )
 from chordlab import fps
-from chordlab.chord import ChordDiagram, first_block_end, intersection_components
+from chordlab.chord import (
+    ChordDiagram,
+    crossing_blocks,
+    first_block_end,
+    intersection_components,
+)
 from chordlab.fps import FormalPowerSeries
 from chordlab.yukawa import TadpoleGraph, diagram_to_tadpole, tadpole_to_diagram
 
@@ -123,15 +129,19 @@ def test_theta_roundtrip(left, right):
     assert theta_inv(parse_ztree(serialize_ztree(tree))) == seed
 
 
-@PROPERTY
-@given(concatenations())
-def test_first_block_end_is_the_first_self_paired_proper_prefix(d):
+def assert_first_block_end_is_the_first_self_paired_proper_prefix(d):
     p = d.partners
     self_paired = [
         j for j in range(len(p) - 1) if all(p[i] <= j for i in range(j + 1))
     ]
     assert first_block_end(p) == (self_paired[0] if self_paired else None)
     assert d.is_indecomposable() == (not self_paired)
+
+
+@PROPERTY
+@given(concatenations())
+def test_first_block_end_is_the_first_self_paired_proper_prefix(d):
+    assert_first_block_end_is_the_first_self_paired_proper_prefix(d)
 
 
 @PROPERTY
@@ -146,6 +156,67 @@ def test_intersection_components_partition_without_crossings(d, seed):
     owner = {i: k for k, comp in enumerate(comps) for i in comp}
     for i in allowed:
         assert all(owner[j] == owner[i] for j in adj[i] if j in allowed)
+
+
+# -- size ladder: one seeded uniform matching per map and size ------------------
+
+LADDER = [30, 60, 120, 200]
+
+
+def ladder_matching(n, connected=False, salt=""):
+    rng = random.Random(f"ladder/{n}{salt}")
+    while True:  # about 36% of uniform matchings are connected at these sizes
+        d = random_matching(rng, n)
+        if not connected or d.is_connected():
+            return d
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_ladder_crossing_scan(n):
+    d = ladder_matching(n)
+    adj = d.intersection_adjacency()
+    comps = intersection_components(adj, range(n))
+    assert d.components() == comps
+    assert d.is_connected() == (len(comps) == 1)
+    openers = [a for a, _ in d.chords()]
+    assert sorted(crossing_blocks(d.partners, skip=0)) == [
+        [openers[i] for i in sorted(comp)]
+        for comp in intersection_components(adj, range(1, n))
+    ]
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_ladder_phi_roundtrip(n):
+    d = ladder_matching(n, connected=True)
+    image = phi(d)
+    assert image.is_indecomposable() and len(image.components()) == 2
+    assert phi_inv(image) == d
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_ladder_nabla_roundtrip(n):
+    d = ladder_matching(n, connected=True)
+    triple = nabla(d)
+    assert triple.c1.n + triple.c2.n == n
+    assert nabla_inv(triple) == d
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_ladder_theta_roundtrip(n):
+    left = ladder_matching(n // 3, salt="/left")
+    seed = TreeSeed.from_diagrams(left, ladder_matching(n - 1 - left.n, salt="/right"))
+    tree = theta(seed)
+    assert tree.size() == n
+    assert theta_inv(tree) == seed
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_ladder_first_block_end(n):
+    left, right = ladder_matching(n // 3, salt="/left"), ladder_matching(n - n // 3)
+    shift = len(left.partners)
+    concatenation = ChordDiagram(left.partners + tuple(q + shift for q in right.partners))
+    for d in (right, concatenation):
+        assert_first_block_end_is_the_first_self_paired_proper_prefix(d)
 
 
 # -- formal power series laws -------------------------------------------------
