@@ -102,10 +102,17 @@ class ChordDiagram:
     def from_literal(cls, text: str) -> "ChordDiagram":
         """Parse "n: p1 p2 ... p2n" (1-indexed partner list)."""
         head, _, body = text.partition(":")
-        n = int(head.strip())
-        vals = [int(t) for t in body.split()]
+        try:
+            n = int(head)
+            vals = [int(t) for t in body.split()]
+        except ValueError:
+            raise ValueError(
+                f"chord diagram literal must have the form 'n: p1 ... p2n', got {text!r}"
+            ) from None
         if len(vals) != 2 * n:
-            raise ValueError(f"expected {2 * n} partners, got {len(vals)}")
+            raise ValueError(
+                f"chord diagram literal {text!r} has {len(vals)} partners, expected {2 * n}"
+            )
         return cls([v - 1 for v in vals])
 
     def to_literal(self) -> str:

@@ -66,8 +66,23 @@ def _fraction_text(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else str(value)
 
 
-def _parse_rationals(text: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+def _parse_rationals(text: str, option: str) -> list[Fraction]:
+    values = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(Fraction(part))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"{option} entries must be rationals such as 1/2, got {part!r}"
+            ) from None
+    return values
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -173,7 +188,7 @@ def cmd_bijection(args) -> OutputRecord:
             triple = bijections.RootShareTriple(
                 chord.ChordDiagram.from_literal(c1_text),
                 chord.ChordDiagram.from_literal(c2_text),
-                int(k_text),
+                _parse_int(k_text, "the k of --input 'c1 | c2 | k'"),
             )
             result = bijections.nabla_inv(triple).to_literal()
         else:
@@ -216,7 +231,7 @@ def cmd_bijection(args) -> OutputRecord:
 
 
 def cmd_bell(args) -> OutputRecord:
-    xs = _parse_rationals(args.xs)
+    xs = _parse_rationals(args.xs, "--xs")
     value = bell.bell_partial(args.n, args.k, xs)
     record = OutputRecord(
         "bell",
@@ -253,11 +268,15 @@ def cmd_asym(args) -> OutputRecord:
 def cmd_diffeo(args) -> OutputRecord:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    coeffs = _parse_rationals(args.a)
+    coeffs = _parse_rationals(args.a, "--a")
     mapping = diffeo.Diffeomorphism.from_values(coeffs)
     seed = args.seed
     if args.kinematics.startswith("seed="):
-        seed = int(args.kinematics.split("=", 1)[1])
+        seed = _parse_int(args.kinematics[len("seed="):], "the K of --kinematics seed=K")
+    elif args.kinematics != "random":
+        raise ValueError(
+            f"--kinematics must be 'random' or 'seed=K', got {args.kinematics!r}"
+        )
     rng = random.Random(seed)
     b_series = diffeo.b_inverse_list(mapping, args.n)
     payload = {

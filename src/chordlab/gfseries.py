@@ -17,12 +17,24 @@ conventional symbols for these sequences:
            makes them 2-connected
     S      sequences of 2-connected diagrams, counted by one less chord
     Z      rooted stack-trees (see bijections), x/(1-I0)^2
+
+C and C2 come from O(n^2) integer recurrences: C from root removal, C2 from
+the differential equation that the compositional relation C = u - C2(u),
+u = C^2/x, implies (derived at _two_connected).  Neither builds a reversion
+or a composition, so the identity `two_connected_relation` checks the C2
+recurrence against the relation itself:
+
+>>> two_connected_series(7).coeffs
+(0, 0, 1, 1, 7, 63, 729, 10113)
+>>> verify_identity("two_connected_relation", 24).holds
+True
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import fps
 from .fps import FormalPowerSeries
@@ -38,10 +50,23 @@ def _check_order(order: int, cap: int = SERIES_CAP) -> None:
         raise ValueError(f"order {order} exceeds the supported cap {cap}")
 
 
+def _square_coefficient(a: list[int], k: int, lo: int) -> int:
+    """[x^k] of the square of the series with coefficients a, whose
+    coefficients below x^lo are zero: sum_{i=lo}^{k-lo} a_i a_{k-i}, as one
+    dot product over the lower half of the terms.  a must reach x^(k-lo)."""
+    h = (k + 1) // 2
+    total = 2 * sum(map(mul, a[lo:h], a[k - lo : k - h : -1]))
+    if k % 2 == 0:
+        total += a[h] * a[h]
+    return total
+
+
 @lru_cache(maxsize=None)
 def connected_counts(nmax: int) -> tuple[int, ...]:
     """C_n for 0 <= n <= nmax from the root-removal recurrence
-    C_n = sum_{i+j=n} (2i-1) C_i C_j (n >= 2), C_1 = 1.
+    C_n = sum_{i+j=n} (2i-1) C_i C_j (n >= 2), C_1 = 1, in its symmetrized
+    form C_n = (n-1) sum_{i+j=n} C_i C_j (the weights of i and n-i add up
+    to 2(n-1)).
 
     Exact integer arithmetic; no enumeration, so large n stays cheap.
     """
@@ -49,7 +74,7 @@ def connected_counts(nmax: int) -> tuple[int, ...]:
     if nmax >= 1:
         c[1] = 1
     for n in range(2, nmax + 1):
-        c[n] = sum((2 * i - 1) * c[i] * c[n - i] for i in range(1, n))
+        c[n] = (n - 1) * _square_coefficient(c, n, 1)
     return tuple(c)
 
 
@@ -71,10 +96,11 @@ def connected_series(order: int) -> FormalPowerSeries:
 
 
 def two_connected_series(order: int) -> FormalPowerSeries:
-    """C2: 2-connected diagrams via compositional inversion of C^2/x.
+    """C2: 2-connected diagrams, defined by C = u - C2(u) with u = C^2/x.
 
-    With u = C^2/x (valuation 1), the functional relation
-    C = u - C2(u) inverts to C2 = (u - C) o reversion(u).
+    Built from an integer recurrence that follows from that relation (see
+    _two_connected), in O(order^2) operations; `two_connected_relation`
+    checks the result against the relation itself.
     """
     _check_order(order)
     return _two_connected(order)
@@ -82,11 +108,26 @@ def two_connected_series(order: int) -> FormalPowerSeries:
 
 @lru_cache(maxsize=None)
 def _two_connected(order: int) -> FormalPowerSeries:
-    """C2 without the order check: B and S build it one order past the cap,
-    and it builds C one order further."""
-    c = FormalPowerSeries(connected_counts(order + 1))
-    u = fps.divide_by_power(c * c, 1)
-    return (u - c.truncate(order)).compose(u.reversion())
+    """C2 without the order check (B and S build it one order past the cap).
+
+    Let g be the compositional inverse of u = C^2/x.  Evaluating
+    C = u - C2(u) at g gives C(g) = x - s with s = C2, and u(g) = x gives
+    C(g)^2 = x g.  Differentiating, with 2xCC' = C(1+C) - x, leaves
+    2x s s' = s^2 + x s - x s^2 + 2x^2 s - x^3.  Its coefficient of x^(n+1)
+    is, with [s^2]_k = sum_{i=2}^{k-2} s_i s_{k-i} and s_0 = s_1 = 0,
+
+        s_n = n [s^2]_{n+1} + [s^2]_n - 2 s_{n-1} + [n = 2],
+
+    where the right side reads s only below x^n.  Neither C nor a reversion
+    or composition is built.
+    """
+    s = [0] * (order + 1)
+    square = 0  # [s^2]_n
+    for n in range(2, order + 1):
+        square_next = _square_coefficient(s, n + 1, 2)
+        s[n] = n * square_next + square - 2 * s[n - 1] + (n == 2)
+        square = square_next
+    return FormalPowerSeries(s)
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,13 @@ def test_series_bfile(capsys):
     assert lines[1:] == ["2 1", "3 1", "4 7", "5 63", "6 729"]
 
 
+@pytest.mark.parametrize("name", ["C2", "C1"])
+def test_series_at_order_zero(capsys, name):
+    code, out = run_cli(capsys, "series", name, "--order", "0")
+    assert code == 0
+    assert out == "0\n"
+
+
 def test_series_json_roundtrip(capsys):
     code, out = run_cli(capsys, "series", "D", "--order", "3", "--format", "json")
     assert code == 0
@@ -275,6 +282,26 @@ def test_verify_order_error_names_the_option(capsys, suite):
          "--input must have the form 'left | right', got '0:'"),
         (("bijection", "theta", "--input", "0: | 0: | 0:"),
          "--input must have the form 'left | right', got '0: | 0: | 0:'"),
+        (("bijection", "theta", "--input", "1: 2 1 | x"),
+         "chord diagram literal must have the form 'n: p1 ... p2n', got 'x'"),
+        (("bijection", "phi", "--input", "1: 2 1 x"),
+         "chord diagram literal must have the form 'n: p1 ... p2n', got '1: 2 1 x'"),
+        (("bijection", "phi", "--input", "2: 3"),
+         "chord diagram literal '2: 3' has 1 partners, expected 4"),
+        (("bijection", "lambda", "--inverse", "--input", "garbage"),
+         "chord diagram literal must have the form 'n: p1 ... p2n', got 'garbage'"),
+        (("bijection", "nabla", "--inverse", "--input", "1: 2 1 | 1: 2 1 | x"),
+         "the k of --input 'c1 | c2 | k' must be an integer, got 'x'"),
+        (("bell", "--n", "2", "--k", "1", "--xs", "1,a"),
+         "--xs entries must be rationals such as 1/2, got 'a'"),
+        (("bell", "--n", "2", "--k", "1", "--xs", "1/0,1"),
+         "--xs entries must be rationals such as 1/2, got '1/0'"),
+        (("diffeo", "--a", "1,x", "--n", "2"),
+         "--a entries must be rationals such as 1/2, got 'x'"),
+        (("diffeo", "--a", "1,2", "--n", "2", "--kinematics", "seed=x"),
+         "the K of --kinematics seed=K must be an integer, got 'x'"),
+        (("diffeo", "--a", "1,2", "--n", "2", "--kinematics", "banana"),
+         "--kinematics must be 'random' or 'seed=K', got 'banana'"),
     ],
 )
 def test_error_names_the_option(capsys, argv, message):

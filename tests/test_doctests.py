@@ -2,10 +2,10 @@ import doctest
 
 import pytest
 
-from chordlab import bijections, chord, fps
+from chordlab import bijections, chord, fps, gfseries
 
 
-@pytest.mark.parametrize("module", [fps, chord, bijections])
+@pytest.mark.parametrize("module", [fps, chord, bijections, gfseries])
 def test_module_doctests(module):
     failures, attempted = doctest.testmod(module, verbose=False)
     assert attempted > 0

@@ -202,3 +202,49 @@ def test_connected_counts_extend_far():
         dfact *= 2 * k - 1
     ratio = Fraction(counts[40], dfact)
     assert Fraction(30, 100) < ratio < Fraction(37, 100)
+
+
+# -- the compositional and root-removal constructions, kept as oracles ---------
+
+
+def _two_connected_by_reversion(order):
+    """C2 = (u - C) o reversion(u) with u = C^2/x, read straight off
+    C = u - C2(u); C is built one order further so that u reaches x^order."""
+    c = fps.FormalPowerSeries(connected_counts(order + 1))
+    u = fps.divide_by_power(c * c, 1)
+    return (u - c.truncate(order)).compose(u.reversion())
+
+
+def _connected_counts_by_root_removal(nmax):
+    """C_n = sum_{i+j=n} (2i-1) C_i C_j over every ordered pair."""
+    c = [0] * (nmax + 1)
+    if nmax >= 1:
+        c[1] = 1
+    for n in range(2, nmax + 1):
+        c[n] = sum((2 * i - 1) * c[i] * c[n - i] for i in range(1, n))
+    return tuple(c)
+
+
+def test_two_connected_recurrence_matches_reversion_oracle():
+    assert two_connected_series(0).coeffs == (0,)
+    for order in range(1, 25):
+        assert two_connected_series(order) == _two_connected_by_reversion(order)
+    oracle = _two_connected_by_reversion(128)
+    for order in range(1, 129):
+        assert two_connected_series(order) == oracle.truncate(order), order
+    assert all(type(v) is int for v in two_connected_series(128).coeffs)
+
+
+def test_connected_counts_match_root_removal_oracle():
+    assert connected_counts(256) == _connected_counts_by_root_removal(256)
+    assert connected_counts(0) == (0,) and connected_counts(1) == (0, 1)
+
+
+def test_two_connected_solves_its_differential_equation():
+    """2x s s' = s^2 + x s - x s^2 + 2x^2 s - x^3 for s = C2, at order 200."""
+    order = 200
+    s = two_connected_series(order)
+    x = fps.x(order)
+    lhs = 2 * fps.multiply_by_power(s.truncate(order - 1) * s.derivative(), 1)
+    rhs = s * s + x * s - x * s * s + 2 * (x * x * s) - x * x * x
+    assert lhs == rhs
