@@ -4,6 +4,10 @@ the explicit bijection onto connected chord diagrams, the chord
 representation of the no-fermion-loop vertex graphs, and the series-level
 identities for the associated generating functions.
 
+The bijection is one recursion per direction over the pairing
+decomposition, each returning its image together with the edge ranks, so
+an n-loop tadpole is split n - 1 times and a map takes O(n^2) steps.
+
 A tadpole is stored as
   succ   -- successor along the (counter-clockwise) fermion loops; a
             permutation of the vertex set, fixed points being one-vertex
@@ -202,29 +206,37 @@ class TadpoleGraph:
 
     @classmethod
     def from_literal(cls, text: str) -> "TadpoleGraph":
-        parts = [p.strip() for p in text.split(";")]
-        if len(parts) != 3:
-            raise ValueError("expected 'loops: ... ; bosons: ... ; leg: ...'")
-        loops_part = parts[0].split(":", 1)[1].strip()
-        bosons_part = parts[1].split(":", 1)[1].strip()
-        leg_part = parts[2].split(":", 1)[1].strip()
+        """Parse "loops: (v1 v2 ...)(...) ; bosons: a-b, c-d ; leg: v"."""
         succ: dict[int, int] = {}
-        chunk = loops_part
-        while chunk:
-            if not chunk.startswith("("):
-                raise ValueError("loops must be parenthesized")
-            end = chunk.index(")")
-            loop = [int(t) for t in chunk[1:end].split()]
-            for a, b in zip(loop, loop[1:] + loop[:1]):
-                succ[a] = b
-            chunk = chunk[end + 1 :].strip()
         boson: dict[int, int] = {}
-        if bosons_part:
-            for pair in bosons_part.split(","):
-                a, b = (int(t) for t in pair.strip().split("-"))
-                boson[a] = b
-                boson[b] = a
-        return cls(succ, boson, int(leg_part))
+        listed = 0
+        try:
+            fields = [part.split(":", 1) for part in text.split(";")]
+            [(k1, loops), (k2, bosons), (k3, leg)] = fields
+            if [k1.strip(), k2.strip(), k3.strip()] != ["loops", "bosons", "leg"]:
+                raise ValueError
+            head, *groups = loops.split("(")
+            if head.strip():
+                raise ValueError
+            for group in groups:
+                body, close, tail = group.partition(")")
+                if not close or tail.strip():
+                    raise ValueError
+                loop = [int(v) for v in body.split()]
+                succ.update(zip(loop, loop[1:] + loop[:1]))
+                listed += len(loop)
+            for pair in bosons.split(",") if bosons.strip() else ():
+                a, b = (int(v) for v in pair.split("-"))
+                boson[a], boson[b] = b, a
+            leg_vertex = int(leg)
+        except ValueError:
+            raise ValueError(
+                "tadpole literal must have the form "
+                f"'loops: (v ...)... ; bosons: v-w, ... ; leg: v', got {text!r}"
+            ) from None
+        if len(succ) != listed:
+            raise ValueError(f"tadpole literal {text!r} lists a loop vertex twice")
+        return cls(succ, boson, leg_vertex)
 
 
 def _bridges(edges: Sequence[tuple[int, int]], vertices: set[int]) -> list[int]:
@@ -320,8 +332,6 @@ def enumerate_tadpoles(loops: int, allow_five: bool = False) -> list[TadpoleGrap
                 start += length
             for matching in _matchings(list(range(1, m))):
                 t = TadpoleGraph(succ, matching, 0)
-                if not t.is_connected():
-                    continue
                 if not t.is_one_particle_irreducible():
                     continue
                 sig = t.canonical_signature()
@@ -346,7 +356,8 @@ def psi(
     tadpole: the leg end of the second becomes an internal vertex inserted
     after the first's leg vertex, and either the first is a single vertex
     (which subdivides the marked edge together with its leg) or the vertex
-    after the first's leg vertex migrates into the marked edge.
+    after the first's leg vertex migrates into the marked edge.  The second
+    keeps its vertex names; the first's are shifted past them.
     """
     if d is None:
         t2, d = marked
@@ -472,58 +483,65 @@ def psi_inv(obj):
     return (t1, (t2, d))
 
 
-# -- the edge order ----------------------------------------------------------------
+# -- the edge order and the explicit bijection onto connected diagrams ---------------
 
 
 def psi_order(t: TadpoleGraph) -> dict[int, int]:
     """Rank of every fermion edge, keyed by its source vertex, in the order
     induced by the recursive decomposition (the leg vertex's outgoing edge
-    always comes first).  A bijection onto 1..(2*loops - 1)."""
-    if t.is_single_vertex():
-        return {t.leg: 1}
-    t1, (t2, d) = psi_inv(t)
-    ranks2 = psi_order(t2)
-    q = ranks2[d]
+    always comes first).  A bijection onto 1..(2*loops - 1).  It is the
+    ranks half of the tadpole -> diagram recursion, which splits each node
+    of the decomposition once: n - 1 calls of psi_inv, O(n^2) in all."""
+    return _to_diagram(t)[1]
+
+
+def _joined_ranks(
+    t: TadpoleGraph, d: int, ranks1: dict[int, int], ranks2: dict[int, int]
+) -> dict[int, int]:
+    """The edge ranks of t = psi(t1, (t2, d)) from those of its parts, with
+    ranks1 keyed by t1's vertex names in t.  The leg vertex's edge comes
+    first, then t2's edges ranked below d's, d's edge, t1's other edges,
+    the edge closing the join, and t2's remaining edges."""
+    q, m = ranks2[d], len(ranks1)
     v_t = t.leg
     a = t.succ[v_t]  # the reinstated leg end of t2
-    order: dict[int, int] = {v_t: 1}
-    if t1.is_single_vertex():
-        for s, rank in ranks2.items():
-            if s == d:
-                order[d] = q + 1
-            elif rank < q:
-                order[s] = rank + 1
-            else:
-                order[s] = rank + 2
-        order[a] = q + 2
-    else:
-        w = t.succ[d]  # the vertex that migrated out of t1
-        ranks1 = psi_order(t1)
-        m = max(ranks1.values())
-        source_map = {t1.leg: v_t}
-        for s in ranks1:
-            if s == t1.leg:
-                continue
-            source_map[s] = a if s == w else s
-        for s, rank in ranks1.items():
-            if s == t1.leg:
-                continue
-            order[source_map[s]] = rank + q
-        for s, rank in ranks2.items():
-            if s == d:
-                order[d] = q + 1
-            elif rank < q:
-                order[s] = rank + 1
-            else:
-                order[s] = rank + m + 1
-        order[w] = m + q + 1
+    # the join closes at the vertex that psi put after d: t1's second
+    # vertex, whose edge a takes over, or a itself if t1 is one vertex
+    last = t.succ[d] if m > 1 else a
+    order = {v_t: 1}
+    for s, rank in ranks1.items():
+        if rank > 1:
+            order[a if s == last else s] = rank + q
+    for s, rank in ranks2.items():
+        order[s] = q + 1 if s == d else rank + 1 if rank < q else rank + m + 1
+    order[last] = m + q + 1
     return order
 
 
-# -- the explicit bijection onto connected diagrams ----------------------------------
-
-
 SINGLE_CHORD = ChordDiagram((1, 0))
+
+
+def _to_diagram(t: TadpoleGraph) -> tuple[ChordDiagram, dict[int, int]]:
+    if t.is_single_vertex():
+        return SINGLE_CHORD, {t.leg: 1}
+    t1, (t2, d) = psi_inv(t)
+    c1, ranks1 = _to_diagram(t1)
+    c2, ranks2 = _to_diagram(t2)
+    image = nabla_inv(RootShareTriple(c1, c2, ranks2[d]))
+    return image, _joined_ranks(t, d, ranks1, ranks2)
+
+
+def _to_tadpole(c: ChordDiagram) -> tuple[TadpoleGraph, dict[int, int]]:
+    if c.n == 1:
+        return X_TADPOLE, {X_TADPOLE.leg: 1}
+    triple = nabla(c)
+    t1, ranks1 = _to_tadpole(triple.c1)
+    t2, ranks2 = _to_tadpole(triple.c2)
+    d = {rank: v for v, rank in ranks2.items()}[triple.k]
+    t = psi(t1, (t2, d))
+    shift = t.leg - t1.leg  # psi shifts t1's names past t2's
+    ranks1 = {v + shift: rank for v, rank in ranks1.items()}
+    return t, _joined_ranks(t, d, ranks1, ranks2)
 
 
 def tadpole_to_diagram(t: TadpoleGraph) -> ChordDiagram:
@@ -531,29 +549,16 @@ def tadpole_to_diagram(t: TadpoleGraph) -> ChordDiagram:
     one-vertex tadpole maps to the single chord, and otherwise the two parts
     of the decomposition are mapped and recombined through the root-share
     composition at the interval given by the marked vertex's edge rank."""
-    if t.is_single_vertex():
-        return SINGLE_CHORD
-    t1, (t2, d) = psi_inv(t)
-    k = psi_order(t2)[d]
-    return nabla_inv(
-        RootShareTriple(tadpole_to_diagram(t1), tadpole_to_diagram(t2), k)
-    )
+    if not t.is_one_particle_irreducible():
+        raise ValueError("only connected 1PI tadpoles correspond to connected diagrams")
+    return _to_diagram(t)[0]
 
 
 def diagram_to_tadpole(d: ChordDiagram) -> TadpoleGraph:
     """Inverse of tadpole_to_diagram."""
     if not d.is_connected():
         raise ValueError("only connected diagrams correspond to tadpoles")
-    if d.n == 1:
-        return X_TADPOLE
-    triple = nabla(d)
-    t2 = diagram_to_tadpole(triple.c2)
-    ranks = psi_order(t2)
-    marks = [v for v, rank in ranks.items() if rank == triple.k]
-    if len(marks) != 1:
-        raise AssertionError("edge ranks are not a bijection")
-    t1 = diagram_to_tadpole(triple.c1)
-    return psi(t1, (t2, marks[0]))
+    return _to_tadpole(d)[0]
 
 
 lambda_bij = tadpole_to_diagram

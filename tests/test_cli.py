@@ -267,6 +267,12 @@ def test_verify_order_error_names_the_option(capsys, suite):
     assert captured.err == "chordlab: error: --order must be at least 1, got 0\n"
 
 
+TADPOLE_FORM = (
+    "tadpole literal must have the form "
+    "'loops: (v ...)... ; bosons: v-w, ... ; leg: v', got '{}'"
+)
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -302,6 +308,18 @@ def test_verify_order_error_names_the_option(capsys, suite):
          "the K of --kinematics seed=K must be an integer, got 'x'"),
         (("diffeo", "--a", "1,2", "--n", "2", "--kinematics", "banana"),
          "--kinematics must be 'random' or 'seed=K', got 'banana'"),
+        (("bijection", "lambda", "--input", "loops (0) ; bosons ; leg 0"),
+         TADPOLE_FORM.format("loops (0) ; bosons ; leg 0")),
+        (("bijection", "lambda", "--input", "loops: (0 1 2 ; bosons: 1-2 ; leg: 0"),
+         TADPOLE_FORM.format("loops: (0 1 2 ; bosons: 1-2 ; leg: 0")),
+        (("bijection", "lambda", "--input", "loops: (0)(1 2) ; bosons: 1-x ; leg: 0"),
+         TADPOLE_FORM.format("loops: (0)(1 2) ; bosons: 1-x ; leg: 0")),
+        (("bijection", "lambda", "--input", "loops: (0)(1 2) ; bosons: 1-2 ; leg: q"),
+         TADPOLE_FORM.format("loops: (0)(1 2) ; bosons: 1-2 ; leg: q")),
+        (("bijection", "lambda", "--input", "loops: (0)(1 2) ; bosons: 1-2 ; leg: 0"),
+         "only connected 1PI tadpoles correspond to connected diagrams"),
+        (("bijection", "lambda", "--input", "loops: (0 1 2)(2 1 0) ; bosons: 1-2 ; leg: 0"),
+         "tadpole literal 'loops: (0 1 2)(2 1 0) ; bosons: 1-2 ; leg: 0' lists a loop vertex twice"),
     ],
 )
 def test_error_names_the_option(capsys, argv, message):

@@ -202,6 +202,14 @@ def test_ladder_nabla_roundtrip(n):
 
 
 @pytest.mark.parametrize("n", LADDER)
+def test_ladder_lambda_roundtrip(n):
+    d = ladder_matching(n, connected=True)
+    t = diagram_to_tadpole(d)
+    assert t.boson_count == n
+    assert tadpole_to_diagram(t) == d
+
+
+@pytest.mark.parametrize("n", LADDER)
 def test_ladder_theta_roundtrip(n):
     left = ladder_matching(n // 3, salt="/left")
     seed = TreeSeed.from_diagrams(left, ladder_matching(n - 1 - left.n, salt="/right"))
