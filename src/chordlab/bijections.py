@@ -122,19 +122,12 @@ def _rearrange(parts: Sequence[LabeledDiagram], orders) -> list[LabeledDiagram]:
 class RootShareTriple:
     """Outcome of removing the root from a connected diagram: the remainder
     `c1` (keeping the root), the first component `c2`, and the interval of
-    c2 through which the root used to pass (1-based, never the last one)."""
+    c2 through which the root used to pass (1-based, never the last one).
+    A plain record: `nabla_inv` checks the triples it is given."""
 
     c1: ChordDiagram
     c2: ChordDiagram
     k: int
-
-    def __post_init__(self):
-        if not (self.c1.is_connected() and self.c2.is_connected()):
-            raise ValueError("both parts must be connected and nonempty")
-        if not 1 <= self.k <= 2 * self.c2.n - 1:
-            raise ValueError(
-                f"interval index {self.k} out of range 1..{2 * self.c2.n - 1}"
-            )
 
 
 def _root_share(d: ChordDiagram) -> tuple[list[int], list[int], int]:
@@ -159,6 +152,8 @@ def nabla(d: ChordDiagram) -> RootShareTriple:
 
 
 def nabla_inv(t: RootShareTriple) -> ChordDiagram:
+    if not (t.c1.is_connected() and t.c2.is_connected()):
+        raise ValueError("both parts must be connected and nonempty")
     m1, m2 = 2 * t.c1.n, 2 * t.c2.n
     if not 1 <= t.k <= m2 - 1:
         raise ValueError(f"interval index {t.k} out of range 1..{m2 - 1}")

@@ -236,7 +236,10 @@ class TadpoleGraph:
             ) from None
         if len(succ) != listed:
             raise ValueError(f"tadpole literal {text!r} lists a loop vertex twice")
-        return cls(succ, boson, leg_vertex)
+        try:
+            return cls(succ, boson, leg_vertex)
+        except ValueError as exc:
+            raise ValueError(f"tadpole literal {text!r}: {exc}") from None
 
 
 def _bridges(edges: Sequence[tuple[int, int]], vertices: set[int]) -> list[int]:

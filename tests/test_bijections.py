@@ -85,10 +85,11 @@ def test_nabla_two_chords():
 
 
 def test_nabla_rejects_bad_triples():
-    with pytest.raises(ValueError):
-        RootShareTriple(SINGLE, SINGLE, 2)  # last interval is forbidden
-    with pytest.raises(ValueError):
-        RootShareTriple(NESTED, SINGLE, 1)  # nested pair is not connected
+    with pytest.raises(ValueError, match="interval index 2 out of range 1..1"):
+        nabla_inv(RootShareTriple(SINGLE, SINGLE, 2))  # last interval is forbidden
+    for c1, c2 in [(NESTED, SINGLE), (SINGLE, NESTED), (ChordDiagram(()), SINGLE)]:
+        with pytest.raises(ValueError, match="both parts must be connected and nonempty"):
+            nabla_inv(RootShareTriple(c1, c2, 1))  # nested pair, empty part
     with pytest.raises(ValueError):
         nabla(NESTED)
 

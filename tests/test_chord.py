@@ -1,10 +1,11 @@
 """Brute-force diagram enumeration and structural predicates."""
 
+import os
 from itertools import combinations
 
 import pytest
 
-from chordlab import chord
+from chordlab import checks, chord
 from chordlab.bijections import (
     join_root_component,
     split_root_component,
@@ -171,6 +172,86 @@ def test_indecomposable_completions_match_brute_force():
                         p[free[i]] = free[q]
                     count += ChordDiagram(p).is_indecomposable()
             assert g[a][b] == count, (a, b)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_census_shards_add_up_to_the_whole_search(n):
+    whole = chord._census_search(n, 1)(0)
+    for shards in (2, 3, 4):
+        run = chord._census_search(n, shards)
+        assert [sum(c) for c in zip(*map(run, range(shards)))] == whole, shards
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sharded_census_matches_the_series(monkeypatch, cpus):
+    real_fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(chord.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(chord.os, "fork", counted_fork)
+    name, ok, detail = checks.census_matches_series(7)
+    assert ok, detail
+    assert detail == str(Census(135135, 38232, 10113, 28119, 110410))
+    assert len(forks) == min(cpus, 2) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_census_below_seven_chords_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("census forked")
+
+    monkeypatch.setattr(chord.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(chord.os, "fork", no_fork)
+    assert census(0) == Census(1, 0, 0, 0, 0)
+    for n in range(1, 7):
+        assert census(n) == Census(DOUBLE_FACTORIALS[n], CONNECTED[n], TWO_CONNECTED[n],
+                                   CONNECTIVITY_ONE[n], INDECOMPOSABLE[n])
+
+
+def test_census_runs_whole_without_fork_or_affinity(monkeypatch):
+    monkeypatch.setattr(chord.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert chord._census_shards(8) == 3
+    assert chord._census_shards(7) == 2
+    monkeypatch.delattr(chord.os, "fork")
+    assert chord._census_shards(8) == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(chord.os, "sched_getaffinity")
+    assert chord._census_shards(8) == 1
+
+
+@pytest.mark.parametrize("failure", [ArithmeticError("shard lost"), KeyboardInterrupt()],
+                         ids=["worker", "interrupt"])
+def test_census_reaps_its_workers_when_a_shard_fails(monkeypatch, failure):
+    # An ArithmeticError fails the worker's shard; a KeyboardInterrupt stops
+    # the caller's own shard while the worker is still searching.
+    search = chord._census_search
+
+    def failing_search(n, shards):
+        run = search(n, shards)
+
+        def failing_run(shard):
+            if (shard == 0) == isinstance(failure, KeyboardInterrupt):
+                raise failure
+            return run(shard)
+
+        return failing_run
+
+    monkeypatch.setattr(chord.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(chord, "_census_search", failing_search)
+    if isinstance(failure, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            census(7)
+    else:
+        with pytest.raises(RuntimeError,
+                           match=r"census worker for shard 1 failed .*shard lost"):
+            census(7)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

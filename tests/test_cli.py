@@ -79,6 +79,15 @@ def test_enumerate_diagrams(capsys):
     assert out.strip() == "count 27"
 
 
+@pytest.mark.parametrize("name,count", [("2connected", 10113), ("connectivity1", 28119)])
+def test_count_only_at_n7_reads_the_sharded_census(capsys, name, count):
+    code, out = run_cli(
+        capsys, "enumerate", "--n", "7", "--filter", name, "--count-only"
+    )
+    assert code == 0
+    assert out.strip() == f"count {count}"
+
+
 @pytest.mark.parametrize("n", range(7))
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_count_only_matches_listing(capsys, name, n):
@@ -320,6 +329,11 @@ TADPOLE_FORM = (
          "only connected 1PI tadpoles correspond to connected diagrams"),
         (("bijection", "lambda", "--input", "loops: (0 1 2)(2 1 0) ; bosons: 1-2 ; leg: 0"),
          "tadpole literal 'loops: (0 1 2)(2 1 0) ; bosons: 1-2 ; leg: 0' lists a loop vertex twice"),
+        (("bijection", "lambda", "--input", "loops: (0 1 2) ; bosons: 1-1 ; leg: 0"),
+         "tadpole literal 'loops: (0 1 2) ; bosons: 1-1 ; leg: 0': "
+         "every vertex but the leg needs a boson partner"),
+        (("bijection", "nabla", "--inverse", "--input", "2: 4 3 2 1 | 1: 2 1 | 1"),
+         "both parts must be connected and nonempty"),
     ],
 )
 def test_error_names_the_option(capsys, argv, message):
