@@ -102,9 +102,7 @@ def alien_two_connected(order: int) -> ScaledSeries:
     s = two_connected_sequence_series(order + 2)
     x_squared = fps.from_coeffs([0, 0, 1], order=order + 2)
     front = fps.divide(x_squared, c2 * s)  # valuation-2 cancellation
-    s1 = s.truncate(order + 1)
-    square = (s1 + fps.x(order + 1)) ** 2
-    exponent = fps.divide_by_power(square - fps.one(order + 1), 1) / 2  # constant 2
+    exponent = two_connected_exponent_argument(order)  # constant term 2
     body = front.truncate(order) * (
         -(exponent - 2 * fps.one(order))
     ).exp().truncate(order)
@@ -178,12 +176,10 @@ def square_image_consistency(order: int) -> bool:
 # -- numeric fits -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def exact_connected_count(n: int) -> int:
     return connected_counts(n)[n]
 
 
-@lru_cache(maxsize=None)
 def exact_two_connected_count(n: int) -> int:
     value = two_connected_series(n)[n]
     assert value.denominator == 1

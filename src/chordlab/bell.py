@@ -246,8 +246,8 @@ def verify_bell_identity(which: str, n: int, k: int, xs: Sequence[Rational], k2:
 def lift_solve(g: FormalPowerSeries, order: int) -> FormalPowerSeries:
     """The unique series R with R = x g(R), for invertible g (g_0 != 0).
 
-    Solved by the fixed-point iteration R <- x g(R), which gains one correct
-    order per step; g must be known through order-1.
+    R = x g(R) says that x/g(x) sends R to x, so R is the compositional
+    inverse of x/g(x); g must be known through order-1.
     """
     if not g.coeffs[0]:
         raise ValueError("the fixed point needs a nonzero constant term in g")
@@ -255,11 +255,7 @@ def lift_solve(g: FormalPowerSeries, order: int) -> FormalPowerSeries:
         return fps.zero(0)
     if g.order < order - 1:
         raise ValueError(f"g is needed through order {order - 1}")
-    gt = g.truncate(order - 1)
-    r = fps.zero(order - 1)
-    for _ in range(order):
-        r = fps.multiply_by_power(gt.compose(r), 1).truncate(order - 1)
-    return fps.multiply_by_power(gt.compose(r), 1)
+    return fps.multiply_by_power(fps.reciprocal(g.truncate(order - 1)), 1).reversion()
 
 
 def lift_coefficient(

@@ -154,11 +154,17 @@ def nabla(d: ChordDiagram) -> RootShareTriple:
 def nabla_inv(t: RootShareTriple) -> ChordDiagram:
     if not (t.c1.is_connected() and t.c2.is_connected()):
         raise ValueError("both parts must be connected and nonempty")
-    m1, m2 = 2 * t.c1.n, 2 * t.c2.n
-    if not 1 <= t.k <= m2 - 1:
-        raise ValueError(f"interval index {t.k} out of range 1..{m2 - 1}")
-    order = [0, *range(m1, m1 + t.k), *range(1, m1), *range(m1 + t.k, m1 + m2)]
-    partners = t.c1.partners + tuple(q + m1 for q in t.c2.partners)
+    if not 1 <= t.k <= 2 * t.c2.n - 1:
+        raise ValueError(f"interval index {t.k} out of range 1..{2 * t.c2.n - 1}")
+    return _root_share_join(t.c1, t.c2, t.k)
+
+
+def _root_share_join(c1: ChordDiagram, c2: ChordDiagram, k: int) -> ChordDiagram:
+    """nabla_inv of (c1, c2, k) without its checks, for parts the caller
+    built itself."""
+    m1, m2 = 2 * c1.n, 2 * c2.n
+    order = [0, *range(m1, m1 + k), *range(1, m1), *range(m1 + k, m1 + m2)]
+    partners = c1.partners + tuple(q + m1 for q in c2.partners)
     return ChordDiagram(_reordered(partners, [order])[0])
 
 
@@ -397,7 +403,7 @@ def parse_ztree(text: str) -> ZTreeVertex:
 
     def peek() -> str:
         if pos >= len(text):
-            raise ValueError(f"tree literal ends early at position {pos}")
+            raise ValueError(f"ends early at position {pos}")
         return text[pos]
 
     def parse_vertex() -> ZTreeVertex:
@@ -406,7 +412,12 @@ def parse_ztree(text: str) -> ZTreeVertex:
             raise ValueError(f"expected '(' at {pos}")
         pos += 1
         stack_part = _take_until(";")
-        stack = [int(t) for t in stack_part.split(".")]
+        try:
+            stack = [int(t) for t in stack_part.split(".")]
+        except ValueError:
+            raise ValueError(
+                f"a stack is integer labels joined by '.', got {stack_part!r}"
+            ) from None
         body = _take_until(";")
         children: list[ZTreeVertex] = []
         while peek() != ")":
@@ -434,9 +445,12 @@ def parse_ztree(text: str) -> ZTreeVertex:
         pos = end + 1
         return out
 
-    v = parse_vertex()
-    if pos != len(text):
-        raise ValueError("trailing characters after the tree")
+    try:
+        v = parse_vertex()
+        if pos != len(text):
+            raise ValueError("trailing characters after the tree")
+    except ValueError as exc:
+        raise ValueError(f"tree literal {text!r}: {exc}") from None
     return v
 
 

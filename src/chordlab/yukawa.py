@@ -4,9 +4,12 @@ the explicit bijection onto connected chord diagrams, the chord
 representation of the no-fermion-loop vertex graphs, and the series-level
 identities for the associated generating functions.
 
-The bijection is one recursion per direction over the pairing
-decomposition, each returning its image together with the edge ranks, so
-an n-loop tadpole is split n - 1 times and a map takes O(n^2) steps.
+The pairing is called as psi(t1, (t2, d)).  Its image is the 1PI tadpoles
+with more than one vertex, and psi_inv rejects any other tadpole.  The
+bijection is one recursion per direction over the pairing decomposition,
+each returning its image together with the edge ranks, so an n-loop
+tadpole is split n - 1 times and a map takes O(n^2) steps.  The recursion
+splits and joins the parts it built itself, so it checks only its input.
 
 A tadpole is stored as
   succ   -- successor along the (counter-clockwise) fermion loops; a
@@ -28,7 +31,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import fps
-from .bijections import RootShareTriple, nabla, nabla_inv
+from .bijections import _root_share_join, nabla
 from .chord import ChordDiagram, size_guard
 from .fps import FormalPowerSeries
 from .gfseries import (
@@ -79,12 +82,6 @@ class TadpoleGraph:
     def is_single_vertex(self) -> bool:
         return len(self.succ) == 1
 
-    def pred(self, v: int) -> int:
-        w = v
-        while self.succ[w] != v:
-            w = self.succ[w]
-        return w
-
     def loops(self) -> list[list[int]]:
         seen = set()
         out = []
@@ -101,38 +98,23 @@ class TadpoleGraph:
             out.append(loop)
         return out
 
-    def _edges(self) -> list[tuple[int, int]]:
-        es = [(v, w) for v, w in self.succ.items()]
-        es.extend((v, w) for v, w in self.boson.items() if v < w)
-        return es
-
     def is_connected(self) -> bool:
-        vs = self.vertices
-        adj: dict[int, list[int]] = {v: [] for v in vs}
-        for a, b in self._edges():
-            adj[a].append(b)
-            adj[b].append(a)
-        stack = [self.leg]
-        seen = {self.leg}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == vs
+        return len(self._traversal()[0]) == len(self.succ)
 
     def is_one_particle_irreducible(self) -> bool:
         """Bridgeless on the internal (fermion + boson) edges; the external
         leg is not an internal edge and is ignored."""
-        return self.is_connected() and not _bridges(self._edges(), self.vertices)
+        return self.is_connected() and not _bridges(
+            _edges(self.succ, self.boson), self.vertices
+        )
 
     # -- identity ------------------------------------------------------------
 
     def _traversal(self) -> tuple[list[int], dict[int, int]]:
         """Breadth-first visit from the leg following the successor,
-        predecessor and boson functions: the vertices in visiting order and
-        the number of each vertex (its position in that order)."""
+        predecessor and boson functions: the vertices of the leg's component
+        in visiting order and the number of each (its position in that
+        order)."""
         pred = {w: v for v, w in self.succ.items()}
         number = {self.leg: 0}
         order = [self.leg]
@@ -147,8 +129,6 @@ class TadpoleGraph:
                 if w not in number:
                     number[w] = len(order)
                     order.append(w)
-        if len(order) != len(self.succ):
-            raise ValueError("signature of a disconnected tadpole is undefined")
         return order, number
 
     def canonical_signature(self) -> tuple:
@@ -157,6 +137,8 @@ class TadpoleGraph:
         isomorphic (leg-preserving, orientation kept) exactly when their
         signatures agree."""
         order, number = self._traversal()
+        if len(order) != len(self.succ):
+            raise ValueError("signature of a disconnected tadpole is undefined")
         return tuple(
             (
                 number[self.succ[v]],
@@ -174,10 +156,10 @@ class TadpoleGraph:
 
     def canonical(self) -> "TadpoleGraph":
         """The isomorphic copy whose vertex names are the traversal numbers."""
-        order, number = self._traversal()
+        signature = self.canonical_signature()
         return TadpoleGraph(
-            {number[v]: number[self.succ[v]] for v in order},
-            {number[v]: number[self.boson[v]] for v in order if v != self.leg},
+            {v: w for v, (w, _) in enumerate(signature)},
+            {v: w for v, (_, w) in enumerate(signature) if v},
             0,
         )
 
@@ -240,6 +222,11 @@ class TadpoleGraph:
             return cls(succ, boson, leg_vertex)
         except ValueError as exc:
             raise ValueError(f"tadpole literal {text!r}: {exc}") from None
+
+
+def _edges(succ: dict[int, int], boson: dict[int, int]) -> list[tuple[int, int]]:
+    """The fermion edges, then each boson edge once."""
+    return [*succ.items(), *((v, w) for v, w in boson.items() if v < w)]
 
 
 def _bridges(edges: Sequence[tuple[int, int]], vertices: set[int]) -> list[int]:
@@ -346,13 +333,8 @@ def enumerate_tadpoles(loops: int, allow_five: bool = False) -> list[TadpoleGrap
 # -- the pairing algorithm ------------------------------------------------------------
 
 
-def psi(
-    t1: TadpoleGraph,
-    marked: TadpoleGraph | tuple[TadpoleGraph, int | str],
-    d: int | str | None = None,
-):
-    """Combine a tadpole with a vertex-marked tadpole; call either as
-    psi(t1, (t2, d)) or psi(t1, t2, d).
+def psi(t1: TadpoleGraph, marked: tuple[TadpoleGraph, int | str]):
+    """Combine a tadpole t1 with a vertex-marked tadpole marked = (t2, d).
 
     With the mark on the free end of the leg, the pair is returned
     unchanged.  Otherwise the two graphs are joined into a single 1PI
@@ -362,10 +344,7 @@ def psi(
     after the first's leg vertex migrates into the marked edge.  The second
     keeps its vertex names; the first's are shifted past them.
     """
-    if d is None:
-        t2, d = marked
-    else:
-        t2 = marked
+    t2, d = marked
     if d == LEG_END:
         return (t1, t2)
     if d not in t2.vertices:
@@ -397,92 +376,64 @@ def psi(
 
 def psi_inv(obj):
     """Inverse of psi.  A pair maps to the pair with the leg-end mark; a
-    single tadpole (never the one-vertex one) is split back into
-    (t1, (t2, d)).  Vertex names of t2 and the mark d are preserved."""
+    single tadpole is split back into (t1, (t2, d)).  The tadpole must be
+    1PI and not the one-vertex one, which is exactly the image of psi on
+    vertex marks.  Vertex names of t2 and the mark d are preserved."""
     if isinstance(obj, tuple):
         t1, t2 = obj
         return (t1, (t2, LEG_END))
-    t: TadpoleGraph = obj
-    if t.is_single_vertex():
+    if obj.is_single_vertex():
         raise ValueError("the one-vertex tadpole is not in the image")
+    if not obj.is_one_particle_irreducible():
+        raise ValueError("only 1PI tadpoles are in the image of psi")
+    return _split(obj)
+
+
+def _split(t: TadpoleGraph):
+    """psi_inv of a 1PI tadpole with more than one vertex, unchecked."""
     v_t = t.leg
-    a = t.succ[v_t]
+    a = t.succ[v_t]  # the leg end of t2, inserted after the leg vertex
     v2 = t.boson[a]
-    # Gamma: remove a from its loop and drop its boson edge
-    gamma_succ = dict(t.succ)
-    pred_a = t.pred(a)
-    gamma_succ[pred_a] = gamma_succ.pop(a)
-    gamma_boson = dict(t.boson)
-    del gamma_boson[a], gamma_boson[v2]
-    gamma_vertices = t.vertices - {a}
-    gamma_edges = [(v, w) for v, w in gamma_succ.items()]
-    gamma_edges.extend((v, w) for v, w in gamma_boson.items() if v < w)
-    gamma_adj: dict[int, set[int]] = {v: set() for v in gamma_vertices}
-    for x, y in gamma_edges:
-        gamma_adj[x].add(y)
-        gamma_adj[y].add(x)
-    reach = {v_t}
-    stack = [v_t]
+    # Gamma: t with a taken off its loop and its boson edge dropped
+    succ, pred = dict(t.succ), {w: v for v, w in t.succ.items()}
+    before, after = pred.pop(a), succ.pop(a)
+    succ[before], pred[after] = after, before
+    boson = dict(t.boson)
+    del boson[a], boson[v2]
+    # t2 is what v2 reaches in Gamma without crossing a bridge
+    edges = _edges(succ, boson)
+    bridges = set(_bridges(edges, set(succ)))
+    adj: dict[int, list[int]] = {v: [] for v in succ}
+    for i, (x, y) in enumerate(edges):
+        if i not in bridges:
+            adj[x].append(y)
+            adj[y].append(x)
+    block, stack = {v2}, [v2]
     while stack:
-        v = stack.pop()
-        for nb in gamma_adj[v]:
-            if nb not in reach:
-                reach.add(nb)
-                stack.append(nb)
-    connected = reach == gamma_vertices
-    bridge_ids = _bridges(gamma_edges, gamma_vertices)
-
-    if connected and not bridge_ids:
-        # t1 was the single vertex
-        d = v_t
-        while gamma_succ[d] != v_t:
-            d = gamma_succ[d]
-        t2_succ = dict(gamma_succ)
-        pred_vt = d
-        t2_succ[pred_vt] = t2_succ.pop(v_t)
-        t2 = TadpoleGraph(t2_succ, gamma_boson, v2)
-        return (X_TADPOLE, (t2, d))
-
-    # locate the bridgeless block of v2 and its unique incident bridge
-    bridge_set = {gamma_edges[i] for i in bridge_ids}
-    block_adj: dict[int, set[int]] = {v: set() for v in gamma_vertices}
-    for x, y in gamma_edges:
-        if (x, y) in bridge_set or x == y:
-            continue
-        block_adj[x].add(y)
-        block_adj[y].add(x)
-    block = {v2}
-    stack = [v2]
-    while stack:
-        v = stack.pop()
-        for nb in block_adj[v]:
-            if nb not in block:
-                block.add(nb)
-                stack.append(nb)
-    incident = [
-        (x, y) for x, y in bridge_set if (x in block) != (y in block)
-    ]
-    if len(incident) != 1:
-        raise ValueError("malformed input: no unique bridge at the second part")
-    bx, by = incident[0]
-    w = bx if bx in block else by
-    d = w
-    while gamma_succ[d] != w:
-        d = gamma_succ[d]
-    # t2: the block with w removed from its loop, leg at v2
-    t2_succ = {v: gamma_succ[v] for v in block if v != w}
-    t2_succ[d] = gamma_succ[w]
-    t2_boson = {v: p for v, p in gamma_boson.items() if v in block and p in block}
-    t2 = TadpoleGraph(t2_succ, t2_boson, v2)
-    # t1: everything outside the block, with w inserted after the leg vertex
-    t1_vertices = (gamma_vertices - block) | {w}
-    t1_succ = {v: gamma_succ[v] for v in gamma_vertices - block}
-    t1_succ[w] = t1_succ[v_t]
-    t1_succ[v_t] = w
-    t1_boson = {
-        v: p for v, p in gamma_boson.items() if v in t1_vertices and p in t1_vertices
-    }
-    t1 = TadpoleGraph(t1_succ, t1_boson, v_t)
+        for y in adj[stack.pop()]:
+            if y not in block:
+                block.add(y)
+                stack.append(y)
+    if len(block) == len(succ):
+        # Gamma is connected and bridgeless: t1 was the single vertex, and
+        # the leg vertex sits on the marked edge of t2
+        w, t1 = v_t, X_TADPOLE
+    else:
+        # the one edge leaving t2 is the bridge to w, the vertex of t1 that
+        # moved onto the marked edge
+        [(x, y)] = [(x, y) for x, y in edges if (x in block) != (y in block)]
+        w = x if x in block else y
+        t1_succ = {v: u for v, u in succ.items() if v not in block}
+        t1_succ[w], t1_succ[v_t] = t1_succ[v_t], w
+        t1 = TadpoleGraph(
+            t1_succ, {v: u for v, u in boson.items() if v in t1_succ}, v_t
+        )
+    d = pred[w]
+    t2_succ = {v: u for v, u in succ.items() if v in block and v != w}
+    t2_succ[d] = succ[w]
+    t2 = TadpoleGraph(
+        t2_succ, {v: u for v, u in boson.items() if v in t2_succ}, v2
+    )
     return (t1, (t2, d))
 
 
@@ -494,7 +445,7 @@ def psi_order(t: TadpoleGraph) -> dict[int, int]:
     induced by the recursive decomposition (the leg vertex's outgoing edge
     always comes first).  A bijection onto 1..(2*loops - 1).  It is the
     ranks half of the tadpole -> diagram recursion, which splits each node
-    of the decomposition once: n - 1 calls of psi_inv, O(n^2) in all."""
+    of the decomposition once: n - 1 splits, O(n^2) in all."""
     return _to_diagram(t)[1]
 
 
@@ -527,11 +478,10 @@ SINGLE_CHORD = ChordDiagram((1, 0))
 def _to_diagram(t: TadpoleGraph) -> tuple[ChordDiagram, dict[int, int]]:
     if t.is_single_vertex():
         return SINGLE_CHORD, {t.leg: 1}
-    t1, (t2, d) = psi_inv(t)
+    t1, (t2, d) = _split(t)
     c1, ranks1 = _to_diagram(t1)
     c2, ranks2 = _to_diagram(t2)
-    image = nabla_inv(RootShareTriple(c1, c2, ranks2[d]))
-    return image, _joined_ranks(t, d, ranks1, ranks2)
+    return _root_share_join(c1, c2, ranks2[d]), _joined_ranks(t, d, ranks1, ranks2)
 
 
 def _to_tadpole(c: ChordDiagram) -> tuple[TadpoleGraph, dict[int, int]]:

@@ -160,6 +160,18 @@ def test_lift_requires_invertible_g():
 
 
 @pytest.mark.parametrize("seed", range(3))
+def test_lift_solves_its_defining_equation(seed):
+    rng = random.Random(500 + seed)
+    order = 9
+    g = FormalPowerSeries(random_values(rng, order))
+    while not g[0]:
+        g = FormalPowerSeries(random_values(rng, order))
+    r = lift_solve(g, order)
+    assert r[0] == 0
+    assert r == fps.multiply_by_power(g.compose(r.truncate(order - 1)), 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
 def test_lift_coefficient_formula(seed):
     rng = random.Random(300 + seed)
     order = 10

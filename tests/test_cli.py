@@ -334,6 +334,10 @@ TADPOLE_FORM = (
          "every vertex but the leg needs a boson partner"),
         (("bijection", "nabla", "--inverse", "--input", "2: 4 3 2 1 | 1: 2 1 | 1"),
          "both parts must be connected and nonempty"),
+        (("bijection", "theta", "--inverse", "--input", "(;-;)"),
+         "tree literal '(;-;)': a stack is integer labels joined by '.', got ''"),
+        (("bijection", "theta", "--inverse", "--input", "(a;-;)"),
+         "tree literal '(a;-;)': a stack is integer labels joined by '.', got 'a'"),
     ],
 )
 def test_error_names_the_option(capsys, argv, message):

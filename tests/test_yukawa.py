@@ -125,7 +125,7 @@ def test_psi_rejects_foreign_mark():
 
 
 def test_psi_inv_rejects_single_vertex():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the one-vertex tadpole is not in the image$"):
         psi_inv(X_TADPOLE)
 
 
@@ -215,11 +215,13 @@ def test_psi_order_splits_each_node_once(loops, monkeypatch):
     t = diagram_to_tadpole(random_connected_diagram(loops, seed=loops))
     calls = []
 
-    def counted(obj):
-        calls.append(obj)
-        return psi_inv(obj)
+    split = yukawa._split
 
-    monkeypatch.setattr(yukawa, "psi_inv", counted)
+    def counted(t):
+        calls.append(t)
+        return split(t)
+
+    monkeypatch.setattr(yukawa, "_split", counted)
     psi_order(t)
     assert len(calls) == loops - 1
 
@@ -231,11 +233,13 @@ def test_roundtrip_splits_each_node_once(loops, monkeypatch):
     d = random_connected_diagram(loops, seed=loops)
     calls = []
 
-    def counted(obj):
-        calls.append(obj)
-        return psi_inv(obj)
+    split = yukawa._split
 
-    monkeypatch.setattr(yukawa, "psi_inv", counted)
+    def counted(t):
+        calls.append(t)
+        return split(t)
+
+    monkeypatch.setattr(yukawa, "_split", counted)
     t = diagram_to_tadpole(d)
     before = len(calls)
     assert tadpole_to_diagram(t) == d
@@ -358,6 +362,33 @@ def test_tadpole_to_diagram_rejects_tadpoles_that_are_not_1pi():
     disconnected = TadpoleGraph.from_literal("loops: (0)(1 2) ; bosons: 1-2 ; leg: 0")
     with pytest.raises(ValueError, match="^only connected 1PI tadpoles"):
         tadpole_to_diagram(disconnected)
+
+
+def test_psi_inv_rejects_tadpoles_that_are_not_1pi():
+    # psi only builds 1PI tadpoles, so nothing else may be split
+    rejected = [t for loops in (2, 3, 4) for t in raw_tadpoles(loops)
+                if not t.is_one_particle_irreducible()]
+    assert len(rejected) == 431
+    for t in rejected:
+        with pytest.raises(ValueError, match="^only 1PI tadpoles are in the image of psi$"):
+            psi_inv(t)
+
+
+def test_lambda_does_not_recheck_its_own_parts(monkeypatch):
+    # every part of the recursion is built by the recursion itself, so no
+    # level scans a chord diagram for connectivity
+    tadpoles = enumerate_tadpoles(4)
+    calls = []
+    is_connected = ChordDiagram.is_connected
+
+    def counted(d):
+        calls.append(d)
+        return is_connected(d)
+
+    monkeypatch.setattr(ChordDiagram, "is_connected", counted)
+    images = {tadpole_to_diagram(t) for t in tadpoles}
+    assert len(images) == 27
+    assert calls == []
 
 
 def test_diagram_to_tadpole_rejects_disconnected():
