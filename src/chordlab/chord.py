@@ -113,6 +113,8 @@ class ChordDiagram:
         try:
             n = int(head)
             vals = [int(t) for t in body.split()]
+            if n < 0:
+                raise ValueError
         except ValueError:
             raise ValueError(
                 f"chord diagram literal must have the form 'n: p1 ... p2n', got {text!r}"
@@ -121,7 +123,10 @@ class ChordDiagram:
             raise ValueError(
                 f"chord diagram literal {text!r} has {len(vals)} partners, expected {2 * n}"
             )
-        return cls([v - 1 for v in vals])
+        try:
+            return cls([v - 1 for v in vals])
+        except ValueError as exc:
+            raise ValueError(f"chord diagram literal {text!r}: {exc}") from None
 
     def to_literal(self) -> str:
         body = " ".join(str(q + 1) for q in self.partners)
@@ -175,9 +180,7 @@ class ChordDiagram:
         connectivity is n.  Equals the least number of chords whose deletion
         disconnects the intersection graph.
         """
-        if not self.n:
-            return 0
-        return _min_window_cut(self.partners)
+        return _window_cuts(self.partners)[0]
 
     def is_k_connected(self, k: int) -> bool:
         return self.connectivity() >= k
@@ -276,27 +279,31 @@ def first_block_end(partners: Sequence[int]) -> int | None:
     return None
 
 
-def _min_window_cut(partners: Sequence[int]) -> int:
-    """Minimum boundary-crossing count over separating windows (see
-    ChordDiagram.connectivity); falls back to n when nothing separates."""
+def _window_cuts(partners: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
+    """The least cut over separating windows (ChordDiagram.connectivity), and
+    the separating windows [i, j] crossed by one chord, in (i, j) order.
+
+    Only windows ending at a closer paired inside are tested: `census` shows
+    that minimal separating windows do, and when the least cut is 1 so does
+    every cut-1 window, as dropping any other last endpoint leaves cut 0."""
     m = len(partners)
-    n = m // 2
-    best = n
+    best = m // 2
+    ones = []
     for i in range(m):
         out = 0
-        inside = False
         for j in range(i, m):
             q = partners[j]
             if i <= q < j:
                 out -= 1
-                inside = True
+                if out <= best and m - j + i - out > 2:
+                    if not out:
+                        return 0, []
+                    best = out
+                    if out == 1:
+                        ones.append((i, j))
             else:
                 out += 1
-            if out < best and inside and m - (j - i + 1) - out >= 2:
-                best = out
-                if not best:
-                    return 0
-    return best
+    return best, ones
 
 
 @dataclass(frozen=True)
@@ -325,57 +332,34 @@ def reasons_and_cuts(d: ChordDiagram) -> ReasonReport:
     For a diagram whose connectivity is not 1 the report carries an empty
     list and is flagged via `connectivity_one=False`.
     """
-    if d.connectivity() != 1:
+    best, ones = _window_cuts(d.partners)
+    if best != 1:
         return ReasonReport(False, ())
-    p = d.partners
-    m = len(p)
-    cs = d.chords()
-    chord_at = {}
-    for idx, (a, b) in enumerate(cs):
-        chord_at[a] = idx
-        chord_at[b] = idx
-    found = []
-    for i in range(m):
-        open_chords: set[int] = set()
-        inside = False
-        for j in range(i, m):
-            q = p[j]
-            if i <= q < j:
-                open_chords.discard(chord_at[j])
-                inside = True
-            else:
-                open_chords.add(chord_at[j])
-            if len(open_chords) == 1 and inside and m - (j - i + 1) - 1 >= 2:
-                found.append(Reason((i + 1, j + 1), next(iter(open_chords))))
-    return ReasonReport(True, tuple(found))
+    # xor[k]: the XOR of the chord indices of the endpoints before k.  A chord
+    # with both ends in a window cancels out, so a cut-1 window leaves the
+    # index of its cut chord.
+    xor, index = [0], {}  # index: chord index by opener
+    for j, q in enumerate(d.partners):
+        xor.append(xor[-1] ^ index.setdefault(min(j, q), len(index)))
+    return ReasonReport(True, tuple(
+        Reason((i + 1, j + 1), xor[j + 1] ^ xor[i]) for i, j in ones))
+
+
+def _contains(r: Reason, s: Reason) -> bool:
+    """True when the window of r holds that of another reason s."""
+    return s != r and r.window[0] <= s.window[0] and s.window[1] <= r.window[1]
 
 
 def minimal_reasons(report: ReasonReport) -> tuple[Reason, ...]:
     """Reasons that contain no other reason."""
-    return tuple(
-        r
-        for r in report.reasons
-        if not any(
-            s != r
-            and r.window[0] <= s.window[0]
-            and s.window[1] <= r.window[1]
-            for s in report.reasons
-        )
-    )
+    return tuple(r for r in report.reasons
+                 if not any(_contains(r, s) for s in report.reasons))
 
 
 def maximal_reasons(report: ReasonReport) -> tuple[Reason, ...]:
     """Reasons contained in no other reason."""
-    return tuple(
-        r
-        for r in report.reasons
-        if not any(
-            s != r
-            and s.window[0] <= r.window[0]
-            and r.window[1] <= s.window[1]
-            for s in report.reasons
-        )
-    )
+    return tuple(r for r in report.reasons
+                 if not any(_contains(s, r) for s in report.reasons))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -459,7 +443,7 @@ def census(n: int) -> Census:
     the closers that follow it.
 
     Only windows that end at a closer whose partner lies inside can be
-    minimal separating windows (those `_min_window_cut` minimises over):
+    minimal separating windows (those `_window_cuts` minimises over):
     dropping a last endpoint that is an opener, or a closer paired outside
     the window, lowers the cut by one and keeps a full chord inside.  So a
     window is tested once, when the closer that ends it is scanned.

@@ -119,22 +119,15 @@ def cmd_series(args) -> OutputRecord:
     return record
 
 
+# Each filter: the predicate a listing applies, and the Census field that
+# counts the diagrams it keeps.
 FILTERS = {
-    "all": lambda d: True,
-    "connected": lambda d: d.is_connected(),
-    "2connected": lambda d: d.is_k_connected(2),
-    "connectivity1": lambda d: d.connectivity() == 1,
-    "indecomposable": lambda d: d.n > 0 and d.is_indecomposable(),
-}
-
-
-# The Census field that counts the diagrams each filter keeps.
-CENSUS_FIELDS = {
-    "all": "total",
-    "connected": "connected",
-    "2connected": "two_connected",
-    "connectivity1": "connectivity_one",
-    "indecomposable": "indecomposable_nonempty",
+    "all": (lambda d: True, "total"),
+    "connected": (lambda d: d.is_connected(), "connected"),
+    "2connected": (lambda d: d.is_k_connected(2), "two_connected"),
+    "connectivity1": (lambda d: d.connectivity() == 1, "connectivity_one"),
+    "indecomposable": (lambda d: d.n > 0 and d.is_indecomposable(),
+                       "indecomposable_nonempty"),
 }
 
 
@@ -143,15 +136,15 @@ def cmd_enumerate(args) -> OutputRecord:
     diagrams is read from the one-pass census; the listing through FILTERS
     stays its oracle."""
     items = []
+    keep, field = FILTERS[args.filter]
     if args.kind == "tadpoles":
         if args.filter != "all":
             raise ValueError("filters apply to diagrams only")
         items = [t.to_literal() for t in yukawa.enumerate_tadpoles(args.n)]
         count = len(items)
     elif args.count_only:
-        count = getattr(chord.census(args.n), CENSUS_FIELDS[args.filter])
+        count = getattr(chord.census(args.n), field)
     else:
-        keep = FILTERS[args.filter]
         items = [
             d.to_literal() for d in chord.enumerate_diagrams(args.n) if keep(d)
         ]

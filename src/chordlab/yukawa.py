@@ -147,13 +147,6 @@ class TadpoleGraph:
             for v in order
         )
 
-    def relabeled(self, offset: int) -> "TadpoleGraph":
-        return TadpoleGraph(
-            {v + offset: w + offset for v, w in self.succ.items()},
-            {v + offset: w + offset for v, w in self.boson.items()},
-            self.leg + offset,
-        )
-
     def canonical(self) -> "TadpoleGraph":
         """The isomorphic copy whose vertex names are the traversal numbers."""
         signature = self.canonical_signature()
@@ -298,14 +291,14 @@ def _partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def enumerate_tadpoles(loops: int, allow_five: bool = False) -> list[TadpoleGraph]:
+def enumerate_tadpoles(loops: int) -> list[TadpoleGraph]:
     """All 1PI tadpoles with the given loop number, one per isomorphism
     class, in a deterministic (signature-sorted) order."""
-    limit = max(size_guard(DEFAULT_MAX_LOOPS), 5 if allow_five else 0)
+    limit = size_guard(DEFAULT_MAX_LOOPS)
     if loops > limit:
         raise ValueError(
             f"loop number {loops} exceeds the guard ({limit}); "
-            "pass allow_five=True or set CHORDLAB_MAX_N"
+            "set CHORDLAB_MAX_N to raise it"
         )
     if loops < 1:
         raise ValueError("a tadpole has at least one loop")
@@ -349,16 +342,15 @@ def psi(t1: TadpoleGraph, marked: tuple[TadpoleGraph, int | str]):
         return (t1, t2)
     if d not in t2.vertices:
         raise ValueError("the marked vertex is not in the second tadpole")
-    offset = max(t2.vertices) + 1
-    t1r = t1.relabeled(offset)
-    u2 = max(t1r.vertices) + 1
+    offset = max(t2.succ) + 1
     succ = dict(t2.succ)
-    succ.update(t1r.succ)
+    succ.update((v + offset, w + offset) for v, w in t1.succ.items())
     boson = dict(t2.boson)
-    boson.update(t1r.boson)
-    v1 = t1r.leg
+    boson.update((v + offset, w + offset) for v, w in t1.boson.items())
+    u2 = max(t1.succ) + offset + 1
+    v1 = t1.leg + offset
     v2 = t2.leg
-    w = t1r.succ[v1]
+    w = succ[v1]
     if w == v1:
         # single-vertex case: subdivide the marked edge by v1 then u2
         succ[d] = v1
@@ -366,7 +358,7 @@ def psi(t1: TadpoleGraph, marked: tuple[TadpoleGraph, int | str]):
         succ[u2] = t2.succ[d]
     else:
         succ[v1] = u2
-        succ[u2] = t1r.succ[w]
+        succ[u2] = succ[w]
         succ[d] = w
         succ[w] = t2.succ[d]
     boson[u2] = v2

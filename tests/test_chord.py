@@ -69,6 +69,34 @@ def deletion_connectivity(d: ChordDiagram) -> int:
     return d.n
 
 
+def scanned_reasons(d: ChordDiagram) -> chord.ReasonReport:
+    """Oracle for reasons_and_cuts: every window scanned again from each
+    start, keeping the set of chords open across its boundary."""
+    if d.connectivity() != 1:
+        return chord.ReasonReport(False, ())
+    p = d.partners
+    m = len(p)
+    cs = d.chords()
+    chord_at = {}
+    for idx, (a, b) in enumerate(cs):
+        chord_at[a] = idx
+        chord_at[b] = idx
+    found = []
+    for i in range(m):
+        open_chords: set[int] = set()
+        inside = False
+        for j in range(i, m):
+            q = p[j]
+            if i <= q < j:
+                open_chords.discard(chord_at[j])
+                inside = True
+            else:
+                open_chords.add(chord_at[j])
+            if len(open_chords) == 1 and inside and m - (j - i + 1) - 1 >= 2:
+                found.append(chord.Reason((i + 1, j + 1), next(iter(open_chords))))
+    return chord.ReasonReport(True, tuple(found))
+
+
 def test_literal_roundtrip():
     for text in ("2: 3 4 1 2", "3: 4 6 5 1 3 2"):
         assert ChordDiagram.from_literal(text).to_literal() == text
@@ -258,6 +286,12 @@ def test_census_reaps_its_workers_when_a_shard_fails(monkeypatch, failure):
 def test_window_connectivity_equals_deletion_connectivity(n):
     for d in enumerate_diagrams(n):
         assert d.connectivity() == deletion_connectivity(d), d
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_reasons_match_the_open_chord_scan(n):
+    for d in enumerate_diagrams(n):
+        assert reasons_and_cuts(d) == scanned_reasons(d), d
 
 
 def test_root_component_and_dangling():

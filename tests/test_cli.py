@@ -280,6 +280,7 @@ TADPOLE_FORM = (
     "tadpole literal must have the form "
     "'loops: (v ...)... ; bosons: v-w, ... ; leg: v', got '{}'"
 )
+NOT_AN_INVOLUTION = "partner array is not a fixed-point-free involution"
 
 
 @pytest.mark.parametrize(
@@ -338,6 +339,16 @@ TADPOLE_FORM = (
          "tree literal '(;-;)': a stack is integer labels joined by '.', got ''"),
         (("bijection", "theta", "--inverse", "--input", "(a;-;)"),
          "tree literal '(a;-;)': a stack is integer labels joined by '.', got 'a'"),
+        (("bijection", "nabla", "--inverse", "--input", "1: 2 1 | 2: 2 2 4 3 | 1"),
+         f"chord diagram literal '2: 2 2 4 3': {NOT_AN_INVOLUTION}"),
+        (("bijection", "phi", "--input", "2: 2 1 4 5"),
+         f"chord diagram literal '2: 2 1 4 5': {NOT_AN_INVOLUTION}"),
+        (("bijection", "theta", "--input", "1: 2 1 | 1: 1 2"),
+         f"chord diagram literal '1: 1 2': {NOT_AN_INVOLUTION}"),
+        (("bijection", "lambda", "--inverse", "--input", "1: 3 1"),
+         f"chord diagram literal '1: 3 1': {NOT_AN_INVOLUTION}"),
+        (("bijection", "phi", "--input=-1:"),
+         "chord diagram literal must have the form 'n: p1 ... p2n', got '-1:'"),
     ],
 )
 def test_error_names_the_option(capsys, argv, message):

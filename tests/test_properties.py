@@ -5,6 +5,7 @@ orders 0-24."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +31,11 @@ from chordlab.chord import (
     crossing_blocks,
     first_block_end,
     intersection_components,
+    reasons_and_cuts,
 )
 from chordlab.fps import FormalPowerSeries
 from chordlab.yukawa import TadpoleGraph, diagram_to_tadpole, tadpole_to_diagram
+from test_chord import deletion_connectivity, scanned_reasons
 
 SIZES = st.integers(9, 12)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -68,6 +71,13 @@ def concatenations(draw):
     right = draw(matchings(st.integers(1, 6)))
     shift = len(left.partners)
     return ChordDiagram(left.partners + tuple(q + shift for q in right.partners))
+
+
+@PROPERTY
+@given(st.one_of(matchings(), matchings(connected=True)))
+def test_window_scan_matches_its_oracles(d):
+    assert d.connectivity() == deletion_connectivity(d)
+    assert reasons_and_cuts(d) == scanned_reasons(d)
 
 
 @PROPERTY
@@ -163,12 +173,55 @@ def test_intersection_components_partition_without_crossings(d, seed):
 LADDER = [30, 60, 120, 200]
 
 
-def ladder_matching(n, connected=False, salt=""):
+def ladder_matching(n, connected=False, salt="", until=lambda d: True):
     rng = random.Random(f"ladder/{n}{salt}")
     while True:  # about 36% of uniform matchings are connected at these sizes
         d = random_matching(rng, n)
-        if not connected or d.is_connected():
+        if (not connected or d.is_connected()) and until(d):
             return d
+
+
+def cut_openers(partners):
+    """The openers of the chords whose deletion disconnects the diagram."""
+    return {a for a, q in enumerate(partners)
+            if a < q and len(list(crossing_blocks(partners, skip=a))) > 1}
+
+
+def connectivity_one_rung(n):
+    return ladder_matching(n, connected=True, salt="/connectivity1",
+                           until=lambda d: d.connectivity() == 1)
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_ladder_connectivity_against_deletions(n):
+    # Connectivity 1 is a single deletion that disconnects, connectivity 2
+    # a pair of them; pairs cost O(n^3), so they are checked at n <= 60.
+    two_connected = ladder_matching(n, connected=True, salt="/2connected",
+                                    until=lambda d: d.connectivity() >= 2)
+    for d in (ladder_matching(n), connectivity_one_rung(n), two_connected):
+        k = d.connectivity()
+        assert (k == 0) == (not d.is_connected())
+        if k:
+            assert (k == 1) == bool(cut_openers(d.partners))
+        if k >= 2 and n <= 60:
+            pairs = any(cut_openers(d.subdiagram(set(range(n)) - {c}).partners)
+                        for c in range(n))
+            assert (k == 2) == pairs
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_ladder_reasons(n):
+    d = connectivity_one_rung(n)
+    report = reasons_and_cuts(d)
+    assert report == scanned_reasons(d)
+    openers = [a for a, _ in d.chords()]
+    assert {openers[r.cut_chord] for r in report.reasons} == cut_openers(d.partners)
+    by_cut = {}
+    for r in report.reasons:
+        by_cut.setdefault(r.cut_chord, []).append(r.window)
+    for windows in by_cut.values():  # windows of one cut nest or are disjoint
+        for (a1, b1), (a2, b2) in combinations(windows, 2):
+            assert b1 < a2 or b2 < a1 or a1 <= a2 <= b2 <= b1 or a2 <= a1 <= b1 <= b2
 
 
 @pytest.mark.parametrize("n", LADDER)

@@ -64,8 +64,9 @@ def test_tadpole_guard(monkeypatch):
     monkeypatch.delenv("CHORDLAB_MAX_N")
 
 
-def test_tadpole_count_at_five_loops_behind_flag():
-    assert len(enumerate_tadpoles(5, allow_five=True)) == 248
+def test_tadpole_count_at_five_loops_behind_flag(monkeypatch):
+    monkeypatch.setenv("CHORDLAB_MAX_N", "5")
+    assert len(enumerate_tadpoles(5)) == 248
 
 
 def test_literal_roundtrip():
@@ -254,8 +255,9 @@ def test_bijection_roundtrip_at_forty_chords():
     assert tadpole_to_diagram(t) == d
 
 
-def test_bijection_at_five_loops_behind_flag():
-    tadpoles = enumerate_tadpoles(5, allow_five=True)
+def test_bijection_at_five_loops_behind_flag(monkeypatch):
+    monkeypatch.setenv("CHORDLAB_MAX_N", "5")
+    tadpoles = enumerate_tadpoles(5)
     images = {tadpole_to_diagram(t) for t in tadpoles}
     assert len(images) == 248
     assert images == set(connected_diagrams(5))
@@ -328,8 +330,9 @@ def oracle_diagram_to_tadpole(d):
 
 
 @pytest.mark.parametrize("loops", [1, 2, 3, 4, 5])
-def test_maps_match_the_oracle(loops):
-    for t in enumerate_tadpoles(loops, allow_five=True):
+def test_maps_match_the_oracle(loops, monkeypatch):
+    monkeypatch.setenv("CHORDLAB_MAX_N", "5")
+    for t in enumerate_tadpoles(loops):
         assert psi_order(t) == oracle_psi_order(t)
         d = tadpole_to_diagram(t)
         assert d == oracle_tadpole_to_diagram(t)
@@ -389,6 +392,23 @@ def test_lambda_does_not_recheck_its_own_parts(monkeypatch):
     images = {tadpole_to_diagram(t) for t in tadpoles}
     assert len(images) == 27
     assert calls == []
+
+
+def test_lambda_inverse_builds_one_tadpole_per_level(monkeypatch):
+    # psi shifts t1's vertex names itself, so each of the 3 joins behind a
+    # 4-chord diagram validates only the tadpole it builds
+    diagrams = connected_diagrams(4)
+    calls = []
+    init = TadpoleGraph.__init__
+
+    def counted(t, *args):
+        calls.append(args)
+        init(t, *args)
+
+    monkeypatch.setattr(TadpoleGraph, "__init__", counted)
+    tadpoles = {diagram_to_tadpole(d) for d in diagrams}
+    assert len(tadpoles) == 27
+    assert len(calls) == 81
 
 
 def test_diagram_to_tadpole_rejects_disconnected():
