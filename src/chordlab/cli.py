@@ -1,14 +1,17 @@
 """Command-line frontend.
 
 Subcommands: series, enumerate, bijection, bell, asym, diffeo, verify,
-oeis-compare.  Output formats: table (default), json, csv, and bfile for
-integer series.  `verify` runs the check registry in chordlab.checks, which
-the acceptance tests share, with all randomness drawn from one seeded
-generator (--seed, default printed with the output); enumeration sizes are
-guarded by CHORDLAB_MAX_N.  Invalid input (a ValueError or
-ZeroDivisionError from a handler, or an OSError for a file it cannot read)
-prints "chordlab: error: ..." on stderr and exits with status 2, as
-argparse does for malformed arguments.
+oeis-compare, each declared once in COMMANDS.  A request builds only its
+subcommand's parser; the full parser serves -h, unknown commands and stray
+arguments, so usage, help and error texts are the full parser's.  Output
+formats: table (default), json, csv, and bfile for integer series.
+`verify` runs the check registry in chordlab.checks, which the acceptance
+tests share, with all randomness drawn from one seeded generator (--seed,
+default printed with the output); enumeration sizes are guarded by
+CHORDLAB_MAX_N.  Invalid input (a ValueError or ZeroDivisionError from a
+handler, or an OSError for a file it cannot read) prints "chordlab: error:
+..." on stderr and exits with status 2, as argparse does for malformed
+arguments.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotics, bell, bijections, checks, chord, diffeo, gfseries, oeis, yukawa
@@ -30,8 +33,8 @@ class OutputRecord:
     command: str
     parameters: dict
     payload: object
-    fmt: str = "table"
-    lines: list[str] = field(default_factory=list)  # table rendering
+    fmt: str
+    lines: list[str]  # table rendering, and a series' b-file
 
     def to_json(self) -> str:
         return json.dumps(
@@ -85,20 +88,24 @@ def _parse_int(text: str, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {text!r}") from None
 
 
+def _check_range(option: str, value: int, lo: int, hi: int | None = None) -> None:
+    if value < lo:
+        raise ValueError(f"{option} must be at least {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{option} must be at most {hi}, got {value}")
+
+
 # -- subcommand handlers --------------------------------------------------------
+#
+# Each handler returns (parameters, payload, table lines); main adds the
+# command and the format.
 
 
-def cmd_series(args) -> OutputRecord:
-    if args.order > gfseries.MAX_ORDER:
-        raise ValueError(f"order is capped at {gfseries.MAX_ORDER}")
+def cmd_series(args):
+    _check_range("--order", args.order, 0, gfseries.MAX_ORDER)
     series = gfseries.named_series(args.name, args.order)
     coeffs = [_fraction_text(series[i]) for i in range(args.order + 1)]
-    record = OutputRecord(
-        "series",
-        {"name": args.name, "order": args.order},
-        coeffs,
-        args.format,
-    )
+    lines = [",".join(coeffs)]
     if args.format == "bfile":
         val = series.valuation()
         if val > args.order:
@@ -112,11 +119,7 @@ def cmd_series(args) -> OutputRecord:
             if value.denominator != 1:
                 raise ValueError("bfile output needs integer coefficients")
             lines.append(f"{i} {value.numerator}")
-        record.lines = lines
-        record.fmt = "table"  # already rendered
-    else:
-        record.lines = [",".join(coeffs)]
-    return record
+    return {"name": args.name, "order": args.order}, coeffs, lines
 
 
 # Each filter: the predicate a listing applies, and the Census field that
@@ -131,10 +134,11 @@ FILTERS = {
 }
 
 
-def cmd_enumerate(args) -> OutputRecord:
+def cmd_enumerate(args):
     """List the diagrams (or tadpoles) of size n.  A count-only request for
     diagrams is read from the one-pass census; the listing through FILTERS
     stays its oracle."""
+    _check_range("--n", args.n, 1 if args.kind == "tadpoles" else 0)
     items = []
     keep, field = FILTERS[args.filter]
     if args.kind == "tadpoles":
@@ -152,14 +156,8 @@ def cmd_enumerate(args) -> OutputRecord:
     payload = {"count": count}
     if not args.count_only:
         payload["items"] = items
-    record = OutputRecord(
-        "enumerate",
-        {"kind": args.kind, "n": args.n, "filter": args.filter},
-        payload,
-        args.format,
-    )
-    record.lines = [f"count {count}"] + ([] if args.count_only else items)
-    return record
+    lines = [f"count {count}"] + ([] if args.count_only else items)
+    return {"kind": args.kind, "n": args.n, "filter": args.filter}, payload, lines
 
 
 def _fields(text: str, form: str) -> list[str]:
@@ -169,7 +167,7 @@ def _fields(text: str, form: str) -> list[str]:
     return fields
 
 
-def cmd_bijection(args) -> OutputRecord:
+def cmd_bijection(args):
     name = args.map
     if name == "phi":
         d = chord.ChordDiagram.from_literal(args.input)
@@ -204,39 +202,24 @@ def cmd_bijection(args) -> OutputRecord:
                 else chord.ChordDiagram(()),
             )
             result = bijections.serialize_ztree(bijections.theta(seed))
-    elif name == "lambda":
+    else:  # lambda, the last of the map choices
         if args.inverse:
             d = chord.ChordDiagram.from_literal(args.input)
             result = yukawa.diagram_to_tadpole(d).to_literal()
         else:
             t = yukawa.TadpoleGraph.from_literal(args.input)
             result = yukawa.tadpole_to_diagram(t).to_literal()
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown map {name}")
-    record = OutputRecord(
-        "bijection",
-        {"map": name, "inverse": args.inverse, "input": args.input},
-        result,
-        args.format,
-    )
-    record.lines = [result]
-    return record
+    return {"map": name, "inverse": args.inverse, "input": args.input}, result, [result]
 
 
-def cmd_bell(args) -> OutputRecord:
+def cmd_bell(args):
     xs = _parse_rationals(args.xs, "--xs")
-    value = bell.bell_partial(args.n, args.k, xs)
-    record = OutputRecord(
-        "bell",
-        {"n": args.n, "k": args.k, "xs": [str(x) for x in xs]},
-        _fraction_text(value),
-        args.format,
-    )
-    record.lines = [f"B({args.n},{args.k}) = {_fraction_text(value)}"]
-    return record
+    value = _fraction_text(bell.bell_partial(args.n, args.k, xs))
+    parameters = {"n": args.n, "k": args.k, "xs": [str(x) for x in xs]}
+    return parameters, value, [f"B({args.n},{args.k}) = {value}"]
 
 
-def cmd_asym(args) -> OutputRecord:
+def cmd_asym(args):
     report = asymptotics.asymptotic_fit(args.series, args.n, args.terms)
     payload = {
         "series": report.series,
@@ -248,19 +231,12 @@ def cmd_asym(args) -> OutputRecord:
         "next_coefficient": str(report.next_coefficient),
         "tracking_ratio": str(report.tracking_ratio),
     }
-    record = OutputRecord(
-        "asym",
-        {"series": args.series, "n": args.n, "terms": args.terms},
-        payload,
-        args.format,
-    )
-    record.lines = [f"{key} {value}" for key, value in payload.items()]
-    return record
+    lines = [f"{key} {value}" for key, value in payload.items()]
+    return {"series": args.series, "n": args.n, "terms": args.terms}, payload, lines
 
 
-def cmd_diffeo(args) -> OutputRecord:
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
+def cmd_diffeo(args):
+    _check_range("--n", args.n, 1)
     coeffs = _parse_rationals(args.a, "--a")
     mapping = diffeo.Diffeomorphism.from_values(coeffs)
     seed = args.seed
@@ -283,17 +259,11 @@ def cmd_diffeo(args) -> OutputRecord:
             diffeo.amplitude_recursion(mapping, args.n, kin)
         )
         payload["amplitude_matches"] = payload["amplitude"] == payload["b"][-1]
-    record = OutputRecord(
-        "diffeo",
-        {"a": [str(c) for c in coeffs], "n": args.n, "kinematics": args.kinematics},
-        payload,
-        args.format,
-    )
-    record.lines = [f"{key} {value}" for key, value in payload.items()]
-    return record
+    parameters = {"a": [str(c) for c in coeffs], "n": args.n, "kinematics": args.kinematics}
+    return parameters, payload, [f"{key} {value}" for key, value in payload.items()]
 
 
-def cmd_oeis_compare(args) -> OutputRecord:
+def cmd_oeis_compare(args):
     comparison = oeis.compare_bfile(args.name, args.bfile, order=args.order)
     payload = {
         "series": comparison.series,
@@ -304,27 +274,22 @@ def cmd_oeis_compare(args) -> OutputRecord:
         "mismatches": [list(m) for m in comparison.mismatches],
         "ok": comparison.ok,
     }
-    record = OutputRecord(
-        "oeis-compare",
-        {"name": args.name, "bfile": args.bfile, "order": args.order},
-        payload,
-        args.format,
-    )
-    record.lines = [
+    lines = [
         f"{comparison.series} vs {comparison.sequence_id}: "
         f"{comparison.matches}/{comparison.checked} matched, "
         f"{comparison.skipped} outside range"
     ]
     for bindex, bvalue, ours in comparison.mismatches:
-        record.lines.append(f"  mismatch at {bindex}: file {bvalue}, series {ours}")
+        lines.append(f"  mismatch at {bindex}: file {bvalue}, series {ours}")
     if not comparison.ok:
-        record.lines.append("MISMATCH")
-    return record
+        lines.append("MISMATCH")
+    return {"name": args.name, "bfile": args.bfile, "order": args.order}, payload, lines
 
 
-def cmd_verify(args) -> OutputRecord:
-    if args.order < 1:
-        raise ValueError(f"--order must be at least 1, got {args.order}")
+def cmd_verify(args):
+    # Only the identity checks of the chord suite are capped in order.
+    cap = gfseries.MAX_ORDER if args.suite in ("chord", "all") else None
+    _check_range("--order", args.order, 1, cap)
     rng = random.Random(args.seed)
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     results = [r for name in names for r in checks.SUITES[name](args.order, rng)]
@@ -336,100 +301,122 @@ def cmd_verify(args) -> OutputRecord:
         ],
         "all_ok": all(ok for _, ok, _ in results),
     }
-    record = OutputRecord(
-        "verify", {"suite": args.suite, "order": args.order, "seed": args.seed},
-        payload, args.format,
-    )
-    record.lines = [f"seed {args.seed}"]
+    lines = [f"seed {args.seed}"]
     for name, ok, detail in results:
         status = "pass" if ok else "FAIL"
-        record.lines.append(f"{status} {name}" + (f" ({detail})" if detail else ""))
-    record.lines.append("all pass" if payload["all_ok"] else "FAILURES PRESENT")
-    return record
+        lines.append(f"{status} {name}" + (f" ({detail})" if detail else ""))
+    lines.append("all pass" if payload["all_ok"] else "FAILURES PRESENT")
+    return {"suite": args.suite, "order": args.order, "seed": args.seed}, payload, lines
 
 
 # -- entry point ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chordlab",
-        description="Exact chord-diagram enumeration, identities, and asymptotics",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+FORMATS = ["table", "json", "csv"]
+FORMAT_ARG = ("--format", {"choices": FORMATS, "default": "table"})
+N_ARG = ("--n", {"type": int, "required": True})
+SEED_ARG = ("--seed", {"type": int, "default": DEFAULT_SEED})
 
-    p = sub.add_parser("series", help="print a named counting series")
-    p.add_argument("name", choices=sorted(gfseries.SERIES))
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument(
-        "--format", choices=["table", "json", "csv", "bfile"], default="table"
-    )
-    p.set_defaults(handler=cmd_series)
+# Each subcommand: its help line, its handler, and its arguments as
+# (name or flag, add_argument keywords) in the order its usage lists them.
+COMMANDS = {
+    "series": ("print a named counting series", cmd_series, [
+        ("name", {"choices": sorted(gfseries.SERIES)}),
+        ("--order", {"type": int, "default": 8}),
+        ("--format", {"choices": [*FORMATS, "bfile"], "default": "table"}),
+    ]),
+    "enumerate": ("enumerate diagrams or tadpoles", cmd_enumerate, [
+        ("--kind", {"choices": ["diagrams", "tadpoles"], "default": "diagrams"}),
+        N_ARG,
+        ("--filter", {"choices": sorted(FILTERS), "default": "all"}),
+        ("--count-only", {"action": "store_true"}),
+        FORMAT_ARG,
+    ]),
+    "bijection": ("apply one of the bijections", cmd_bijection, [
+        ("map", {"choices": ["phi", "nabla", "theta", "lambda"]}),
+        ("--input", {"required": True}),
+        ("--inverse", {"action": "store_true"}),
+        FORMAT_ARG,
+    ]),
+    "bell": ("evaluate a partial Bell polynomial", cmd_bell, [
+        N_ARG,
+        ("--k", {"type": int, "required": True}),
+        ("--xs", {"required": True, "help": 'comma list, e.g. "1,1/2,3"'}),
+        FORMAT_ARG,
+    ]),
+    "asym": ("asymptotic fit of a counting sequence", cmd_asym, [
+        ("series", {"choices": ["C", "C2"]}),
+        N_ARG,
+        ("--terms", {"type": int, "default": 1}),
+        FORMAT_ARG,
+    ]),
+    "diffeo": ("tree-level amplitude coefficients", cmd_diffeo, [
+        ("--a", {"required": True, "help": 'coefficients "1,a1,a2,..."'}),
+        N_ARG,
+        ("--kinematics", {"default": "random", "help": '"random" or "seed=K"'}),
+        SEED_ARG,
+        FORMAT_ARG,
+    ]),
+    "verify": ("run a verification suite", cmd_verify, [
+        ("suite", {"choices": ["chord", "bell", "diffeo", "yukawa", "all"]}),
+        ("--order", {"type": int, "default": 12}),
+        SEED_ARG,
+        FORMAT_ARG,
+    ]),
+    "oeis-compare": ("compare a series against a local b-file", cmd_oeis_compare, [
+        ("name", {"choices": sorted(oeis.SEQUENCE_MAP)}),
+        ("bfile", {}),
+        ("--order", {"type": int, "default": gfseries.MAX_ORDER}),
+        FORMAT_ARG,
+    ]),
+}
 
-    p = sub.add_parser("enumerate", help="enumerate diagrams or tadpoles")
-    p.add_argument("--kind", choices=["diagrams", "tadpoles"], default="diagrams")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--filter", choices=sorted(FILTERS), default="all")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.set_defaults(handler=cmd_enumerate)
 
-    p = sub.add_parser("bijection", help="apply one of the bijections")
-    p.add_argument("map", choices=["phi", "nabla", "theta", "lambda"])
-    p.add_argument("--input", required=True)
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.set_defaults(handler=cmd_bijection)
-
-    p = sub.add_parser("bell", help="evaluate a partial Bell polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--xs", required=True, help='comma list, e.g. "1,1/2,3"')
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.set_defaults(handler=cmd_bell)
-
-    p = sub.add_parser("asym", help="asymptotic fit of a counting sequence")
-    p.add_argument("series", choices=["C", "C2"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--terms", type=int, default=1)
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.set_defaults(handler=cmd_asym)
-
-    p = sub.add_parser("diffeo", help="tree-level amplitude coefficients")
-    p.add_argument("--a", required=True, help='coefficients "1,a1,a2,..."')
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kinematics", default="random", help='"random" or "seed=K"')
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.set_defaults(handler=cmd_diffeo)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["chord", "bell", "diffeo", "yukawa", "all"])
-    p.add_argument("--order", type=int, default=12)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("oeis-compare", help="compare a series against a local b-file")
-    p.add_argument("name", choices=sorted(oeis.SEQUENCE_MAP))
-    p.add_argument("bfile")
-    p.add_argument("--order", type=int, default=gfseries.MAX_ORDER)
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.set_defaults(handler=cmd_oeis_compare)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full chordlab parser or, given a command, a standalone parser of
+    that command's arguments alone, which parses them as the full parser's
+    subparser does."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="chordlab",
+            description="Exact chord-diagram enumeration, identities, and asymptotics",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        targets = [(name, sub.add_parser(name, help=entry[0]))
+                   for name, entry in COMMANDS.items()]
+    else:
+        parser = argparse.ArgumentParser(prog=f"chordlab {command}")
+        targets = [(command, parser)]
+    for name, target in targets:
+        _, handler, arguments = COMMANDS[name]
+        for flag, options in arguments:
+            target.add_argument(flag, **options)
+        target.set_defaults(handler=handler, command=name)
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the standalone parser of the command it names.  No
+    command, an unknown one or stray arguments go to the full parser, which
+    words their usage, help and errors."""
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        record = args.handler(args)
+        parameters, payload, lines = args.handler(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"chordlab: error: {exc}", file=sys.stderr)
         return 2
-    print(record.render())
-    if args.command == "verify" and not record.payload["all_ok"]:
+    print(OutputRecord(args.command, parameters, payload, args.format, lines).render())
+    if args.command == "verify" and not payload["all_ok"]:
         return 1
-    if args.command == "oeis-compare" and not record.payload["ok"]:
+    if args.command == "oeis-compare" and not payload["ok"]:
         return 1
     return 0
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: output formats, determinism, exit codes, and
 the b-file comparison tooling."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import chordlab
-from chordlab import checks, fps
-from chordlab.cli import FILTERS, main
+from chordlab import checks, cli, fps
+from chordlab.cli import COMMANDS, FILTERS, build_parser, main
 from chordlab.oeis import SEQUENCE_MAP, compare_bfile, parse_bfile, write_bfile
 
 
@@ -56,7 +57,7 @@ def test_series_order_cap(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "chordlab: error: order is capped at 64\n"
+    assert captured.err == "chordlab: error: --order must be at most 64, got 65\n"
 
 
 def test_series_bfile_rejects_rational_coefficients(capsys, monkeypatch):
@@ -213,18 +214,85 @@ def test_amplitude_check_reports_the_bound_it_checked(capsys, order, bound):
     assert f"pass diffeo:amplitude_recursion (n<={bound})" in out.splitlines()
 
 
+def outcome(capsys, argv):
+    """main's exit code, whether returned or raised by argparse, and its
+    output."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+VALID_CALLS = [
+    ("series", "C", "--order", "4", "--format", "json"),
+    ("enumerate", "--n", "3", "--filter", "connected", "--count-only"),
+    ("bijection", "phi", "--input", "2: 3 4 1 2", "--inverse"),
+    ("bell", "--n", "4", "--k", "2", "--xs", "1,1,1", "--format", "csv"),
+    ("asym", "C", "--n", "20", "--terms", "2"),
+    ("diffeo", "--a", "1,1/2", "--n", "3", "--kinematics", "seed=3"),
+    ("verify", "bell", "--order", "3", "--seed", "7"),
+    ("oeis-compare", "C", "missing-bfile.txt", "--order", "5"),
+    ("series", "C", "--ord", "4"),
+]
+DISPATCH_CORPUS = [
+    *[(name, "-h") for name in COMMANDS],
+    *VALID_CALLS,
+    ("series", "C", "--order", "x"),
+    ("verify", "fps"),
+    ("bell", "--n", "2", "--xs", "1"),
+    ("series", "C", "--order", "3", "extra"),
+    ("verify", "all", "--order", "2", "--bogus"),
+    ("series", "C", "--", "--order"),
+    (),
+    ("-h",),
+    ("sieries", "C"),
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS)
+def test_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "parse_args", lambda argv: build_parser().parse_args(argv))
+    assert got == outcome(capsys, argv)
+    if argv in VALID_CALLS:
+        assert build_parser(argv[0]).parse_args(argv[1:]) == build_parser().parse_args(argv)
+
+
+def test_a_request_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["series", "C", "--order", "4"]) == 0
+    assert built == ["chordlab series"]
+    built.clear()
+    assert outcome(capsys, ["-h"])[0] == 0
+    assert len(built) == 9
+    built.clear()
+    assert outcome(capsys, ["series", "C", "extra"])[0] == 2
+    assert len(built) == 1 + 9
+
+
 @pytest.mark.parametrize(
     "argv,code",
-    [(("series", "C", "--order", "4"), 0), (("bijection", "theta", "--input", "0:"), 2)],
+    [(("series", "C", "--order", "4"), 0), (("bijection", "theta", "--input", "0:"), 2),
+     (("asym", "--help"), 0), (("series", "C", "--order", "3", "extra"), 2)],
 )
-def test_python_dash_m_runs_the_cli(capsys, argv, code):
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
     env = dict(os.environ, PYTHONPATH=str(Path(chordlab.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-m", "chordlab", *argv], capture_output=True, text=True, env=env
     )
-    assert main(list(argv)) == code
-    captured = capsys.readouterr()
-    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+    assert (done.returncode, done.stdout, done.stderr) == outcome(capsys, argv)
+    assert done.returncode == code
 
 
 def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
@@ -349,6 +417,11 @@ NOT_AN_INVOLUTION = "partner array is not a fixed-point-free involution"
          f"chord diagram literal '1: 3 1': {NOT_AN_INVOLUTION}"),
         (("bijection", "phi", "--input=-1:"),
          "chord diagram literal must have the form 'n: p1 ... p2n', got '-1:'"),
+        (("series", "C", "--order", "-1"), "--order must be at least 0, got -1"),
+        (("series", "C", "--order", "65"), "--order must be at most 64, got 65"),
+        (("verify", "chord", "--order", "65"), "--order must be at most 64, got 65"),
+        (("enumerate", "--n", "-1"), "--n must be at least 0, got -1"),
+        (("enumerate", "--kind", "tadpoles", "--n", "0"), "--n must be at least 1, got 0"),
     ],
 )
 def test_error_names_the_option(capsys, argv, message):
