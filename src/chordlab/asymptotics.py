@@ -34,6 +34,7 @@ from .gfseries import (
 )
 
 FIT_PRECISION = 60  # decimal digits used for every numeric fit
+MAX_FIT_N = 200  # the largest n with exact counts for a fit
 
 # Empirical tolerances for the fit checks, kept in one place.  The expansion
 # itself carries no error constants, so these are calibrated values.
@@ -217,8 +218,8 @@ def asymptotic_fit(series: str, n: int, terms: int) -> FitReport:
         raise KeyError(f"unknown series {series!r}; known: C, C2")
     if terms < 1 or n < terms + 2:
         raise ValueError("need terms >= 1 and n >= terms + 2")
-    if n > 200:
-        raise ValueError("exact counts supported through n = 200")
+    if n > MAX_FIT_N:
+        raise ValueError(f"exact counts supported through n = {MAX_FIT_N}")
     build, exact_fn = MODELS[series]
     expansion = build(terms)
     exact = exact_fn(n)

@@ -1,17 +1,17 @@
 """Command-line frontend.
 
 Subcommands: series, enumerate, bijection, bell, asym, diffeo, verify,
-oeis-compare, each declared once in COMMANDS.  A request builds only its
-subcommand's parser; the full parser serves -h, unknown commands and stray
-arguments, so usage, help and error texts are the full parser's.  Output
-formats: table (default), json, csv, and bfile for integer series.
-`verify` runs the check registry in chordlab.checks, which the acceptance
-tests share, with all randomness drawn from one seeded generator (--seed,
-default printed with the output); enumeration sizes are guarded by
-CHORDLAB_MAX_N.  Invalid input (a ValueError or ZeroDivisionError from a
-handler, or an OSError for a file it cannot read) prints "chordlab: error:
-..." on stderr and exits with status 2, as argparse does for malformed
-arguments.
+oeis-compare, each declared once in COMMANDS.  A well-formed request is read
+straight from its command's specs and builds no parser; the full argparse
+parser takes -h and all the reader turns down, so usage, help and error
+texts are argparse's.  Output formats: table (default), json, csv, and bfile
+for integer series.  `verify` runs the check registry in chordlab.checks,
+which the acceptance tests share, with all randomness drawn from one seeded
+generator (--seed, default printed with the output); enumeration sizes are
+guarded by CHORDLAB_MAX_N.  Invalid input (a ValueError or ZeroDivisionError
+from a handler, or an OSError for a file it cannot read) prints "chordlab:
+error: ..." on stderr and exits with status 2, as argparse does for
+malformed arguments.
 """
 
 from __future__ import annotations
@@ -213,6 +213,8 @@ def cmd_bijection(args):
 
 
 def cmd_bell(args):
+    _check_range("--n", args.n, 0)
+    _check_range("--k", args.k, 0)
     xs = _parse_rationals(args.xs, "--xs")
     value = _fraction_text(bell.bell_partial(args.n, args.k, xs))
     parameters = {"n": args.n, "k": args.k, "xs": [str(x) for x in xs]}
@@ -220,6 +222,8 @@ def cmd_bell(args):
 
 
 def cmd_asym(args):
+    _check_range("--terms", args.terms, 1)
+    _check_range("--n", args.n, args.terms + 2, asymptotics.MAX_FIT_N)
     report = asymptotics.asymptotic_fit(args.series, args.n, args.terms)
     payload = {
         "series": report.series,
@@ -264,6 +268,7 @@ def cmd_diffeo(args):
 
 
 def cmd_oeis_compare(args):
+    _check_range("--order", args.order, 0)
     comparison = oeis.compare_bfile(args.name, args.bfile, order=args.order)
     payload = {
         "series": comparison.series,
@@ -372,38 +377,62 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full chordlab parser or, given a command, a standalone parser of
-    that command's arguments alone, which parses them as the full parser's
-    subparser does."""
-    if command is None:
-        parser = argparse.ArgumentParser(
-            prog="chordlab",
-            description="Exact chord-diagram enumeration, identities, and asymptotics",
-        )
-        sub = parser.add_subparsers(dest="command", required=True)
-        targets = [(name, sub.add_parser(name, help=entry[0]))
-                   for name, entry in COMMANDS.items()]
-    else:
-        parser = argparse.ArgumentParser(prog=f"chordlab {command}")
-        targets = [(command, parser)]
-    for name, target in targets:
-        _, handler, arguments = COMMANDS[name]
+def build_parser() -> argparse.ArgumentParser:
+    """The full chordlab parser, which words every usage, help and error."""
+    parser = argparse.ArgumentParser(
+        prog="chordlab",
+        description="Exact chord-diagram enumeration, identities, and asymptotics",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, arguments) in COMMANDS.items():
+        target = sub.add_parser(name, help=help_line)
         for flag, options in arguments:
             target.add_argument(flag, **options)
         target.set_defaults(handler=handler, command=name)
     return parser
 
 
+def _read(command: str, words: list[str]) -> argparse.Namespace | None:
+    """The full parser's Namespace for a well-formed request, read from the
+    command's specs; None, for the full parser to word, on a word or value
+    starting with "-" or a bad, missing or surplus value."""
+    _, handler, arguments = COMMANDS[command]
+    specs = dict(arguments)
+    positionals = [name for name in specs if not name.startswith("-")]
+    given = {name: options.get("default", False if options.get("action") else None)
+             for name, options in arguments}
+    rest = iter(words)
+    for word in rest:
+        if not word.startswith("-") and positionals:
+            name, text = positionals.pop(0), word
+        elif not word.startswith("-") or word not in specs:
+            return None
+        elif specs[word].get("action"):  # store_true, the one action used
+            given[word] = True
+            continue
+        else:
+            name, text = word, next(rest, "-")  # a missing value reads as "-"
+            if text.startswith("-"):
+                return None
+        options = specs[name]
+        try:
+            given[name] = options.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in options and given[name] not in options["choices"]:
+            return None
+    if positionals or any(specs[n].get("required") and v is None for n, v in given.items()):
+        return None
+    return argparse.Namespace(handler=handler, command=command, **{
+        name.lstrip("-").replace("-", "_"): value for name, value in given.items()})
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with the standalone parser of the command it names.  No
-    command, an unknown one or stray arguments go to the full parser, which
-    words their usage, help and errors."""
-    if argv and argv[0] in COMMANDS:
-        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    """Read a request for a known command straight from COMMANDS; the full
+    parser takes whatever that reader turns down, and no command or an
+    unknown one."""
+    args = argv and argv[0] in COMMANDS and _read(argv[0], argv[1:])
+    return args or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,10 @@
 """Property tests on random matchings at n = 9-12, beyond the sizes the
 exhaustive tests reach (n <= 6), a size ladder of seeded uniform matchings
-at n = 30-200, and random series with mixed int and Fraction coefficients at
-orders 0-24."""
+at n = 30-200, random series with mixed int and Fraction coefficients at
+orders 0-24, and CLI requests read with and without the full parser."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +27,7 @@ from chordlab.bijections import (
     theta_inv,
     with_fresh_labels,
 )
-from chordlab import fps
+from chordlab import cli, fps
 from chordlab.chord import (
     ChordDiagram,
     crossing_blocks,
@@ -368,3 +370,48 @@ def test_divide_inverts_multiplication(a, b, shift):
     assert quotient == a.truncate(quotient.order)
     assert quotient.order == min(a.order, b.order) - shift
     assert_exact(product, quotient)
+
+
+CLI_INTS = st.integers(-3, 70).map(str)
+CLI_TEXTS = st.sampled_from(["x", "", "b.txt", "1,1/2"])
+CLI_WORDS = st.one_of(st.sampled_from(["-h", "--", "--order=3"]), CLI_INTS, CLI_TEXTS)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A request for one command: its required arguments and some optional
+    ones, positionals mostly present and anywhere, values valid seven times
+    in eight, and one time in three one more word from anywhere."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    arguments = cli.COMMANDS[command][2]
+    flags = st.sampled_from([flag for flag, _ in arguments if flag.startswith("-")])
+    words = []
+    for flag, options in arguments:
+        valid = (st.sampled_from(options["choices"]) if "choices" in options
+                 else CLI_INTS if "type" in options else CLI_TEXTS)
+        value = draw(valid if draw(st.integers(0, 7)) else st.one_of(CLI_WORDS, flags))
+        if not flag.startswith("-"):
+            if draw(st.integers(0, 7)):  # a positional is left out one time in eight
+                words.insert(draw(st.integers(0, len(words))), value)
+        elif options.get("required") or draw(st.booleans()):
+            words += [flag] if options.get("action") else [flag, value]
+    if not draw(st.integers(0, 2)):
+        words.insert(draw(st.integers(0, len(words))), draw(st.one_of(CLI_WORDS, flags)))
+    return [command, *words]
+
+
+def parse_outcome(parse, argv):
+    """The Namespace, or the exit code and the text of the parser's exit."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cli_argvs())
+def test_reader_matches_the_full_parser(argv):
+    full = cli.build_parser().parse_args
+    assert parse_outcome(cli.parse_args, argv) == parse_outcome(full, argv)
