@@ -3,13 +3,18 @@ identity suite, and Lagrange fixed-point machinery.
 
 B(n, k; x1, x2, ...) sums, over set partitions of {1,...,n} into k blocks,
 the product of x_{|block|}.  Everything here is exact rational arithmetic.
+With every x_s = 1 it counts the partitions into k blocks, the Stirling
+number S(4, 2) = 7 here, by the recurrence and by listing the partitions:
+
+>>> bell_partial(4, 2, [1, 1, 1]), bell_partial_by_partitions(4, 2, [1, 1, 1])
+(Fraction(7, 1), Fraction(7, 1))
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from . import fps
@@ -20,16 +25,21 @@ def _key(xs: Sequence[Rational]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in xs)
 
 
+def _values(n: int, k: int, xs: Sequence[Rational]) -> tuple[Fraction, ...]:
+    """The values x_1..x_(n-k+1) that B(n, k) reads."""
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be nonnegative")
+    if 0 < k <= n and len(xs) < n - k + 1:
+        raise ValueError(f"need x_1..x_{n - k + 1}, got {len(xs)} values")
+    return _key(xs[: max(n - k + 1, 0)])
+
+
 def bell_partial(n: int, k: int, xs: Sequence[Rational]) -> Fraction:
     """B(n, k) via the block-of-the-first-element recurrence
 
         k B(n,k) = sum_s C(n,s) x_s B(n-s, k-1).
     """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    if 0 < k <= n and len(xs) < n - k + 1:
-        raise ValueError(f"need x_1..x_{n - k + 1}, got {len(xs)} values")
-    return _bell_memo(n, k, _key(xs[: max(n - k + 1, 0)]))
+    return _bell_memo(n, k, _values(n, k, xs))
 
 
 @lru_cache(maxsize=None)
@@ -48,39 +58,27 @@ def _bell_memo(n: int, k: int, xs: tuple[Fraction, ...]) -> Fraction:
 
 def bell_partial_by_partitions(n: int, k: int, xs: Sequence[Rational]) -> Fraction:
     """Independent oracle: literally enumerate set partitions of {1,...,n}
-    into k blocks (restricted-growth strings) and sum the block products."""
-    if n == 0:
-        return Fraction(1) if k == 0 else Fraction(0)
-    if k == 0 or k > n:
-        return Fraction(0)
-    values = _key(xs)
-    total = Fraction(0)
-    rgs = [0] * n
+    into k blocks (restricted-growth strings) and sum the block products.
+    The sum runs over the integers x_s * L, L the least common denominator
+    of x_1..x_(n-k+1), and is divided by L^k once."""
+    values = _values(n, k, xs)
+    scale = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    sizes = [0] * k  # of the blocks, numbered by their least element
+    total = 0
 
-    def rec(i: int, maxused: int, sizes: list[int]) -> None:
+    def rec(i: int, used: int) -> None:
         nonlocal total
         if i == n:
-            if maxused + 1 == k:
-                prod = Fraction(1)
-                for size in sizes:
-                    prod *= values[size - 1]
-                total += prod
-            return
-        if maxused + 1 + (n - i) < k:
-            return
-        for b in range(min(maxused + 1, k - 1) + 1):
-            rgs[i] = b
-            if b == maxused + 1:
-                sizes.append(1)
-                rec(i + 1, maxused + 1, sizes)
-                sizes.pop()
-            else:
+            total += prod(scaled[s - 1] for s in sizes) if used == k else 0
+        elif used + n - i >= k:
+            for b in range(min(used + 1, k)):  # element i joins block b
                 sizes[b] += 1
-                rec(i + 1, maxused, sizes)
+                rec(i + 1, used + (b == used))
                 sizes[b] -= 1
 
-    rec(0, -1, [])
-    return total
+    rec(0, 0)
+    return Fraction(total, scale**k)
 
 
 def faa_di_bruno(

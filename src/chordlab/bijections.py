@@ -8,10 +8,14 @@
   diagram) triple into a rooted tree of label stacks whose vertices carry an
   at-most-two-component diagram over their children (and back).
 
-Every map rearranges endpoints: it lays its input diagrams side by side,
-lists their endpoints in the new order and builds each output's partner
-array in one pass.  Chord labels follow their endpoints, which tracks chord
-identity through theta; a LabeledDiagram is a diagram plus one label each.
+nabla and phi rearrange endpoints: they list the input's endpoints in the
+new order and build each output's partner array in one pass.  theta and its
+inverse work on token lists, the label at each endpoint, which track chord
+identity through the queue.  Every run of endpoints between two ends of a
+root component is one dangling diagram, so splitting off the root component
+slices the list, and joining writes each core token followed by the run
+hanging after it.  A LabeledDiagram (a diagram plus one label per chord) is
+built only for a vertex structure and the rebuilt seed.
 
 Worked example, in the "n: p1 ... p2n" partner-list encoding: the connected
 diagram "3: 4 6 5 1 3 2" (chords {1,4},{2,6},{3,5}) has the root share
@@ -71,6 +75,16 @@ EMPTY = LabeledDiagram(ChordDiagram(()), ())
 
 
 def from_tokens(tokens: Sequence[Token]) -> LabeledDiagram:
+    """The labeled diagram with these endpoint labels; EMPTY for none."""
+    if not tokens:
+        return EMPTY
+    p = _partners(tokens)
+    labels = tuple([lab for pos, lab in enumerate(tokens) if p[pos] > pos])
+    return LabeledDiagram(ChordDiagram(p), labels)
+
+
+def _partners(tokens: Sequence[Token]) -> list[int]:
+    """The partner array that pairs the two positions of each label."""
     first: dict[Token, int] = {}
     p = [0] * len(tokens)
     for pos, lab in enumerate(tokens):
@@ -81,8 +95,7 @@ def from_tokens(tokens: Sequence[Token]) -> LabeledDiagram:
             first[lab] = pos
     if first:
         raise ValueError(f"unpaired labels: {sorted(first)}")
-    labels = tuple(lab for pos, lab in enumerate(tokens) if p[pos] > pos)
-    return LabeledDiagram(ChordDiagram(p), labels)
+    return p
 
 
 def with_fresh_labels(d: ChordDiagram, start: int = 0) -> LabeledDiagram:
@@ -97,22 +110,6 @@ def _reordered(partners: Sequence[int], orders) -> list[list[int]]:
         for i, pos in enumerate(order):
             rank[pos] = i
     return [[rank[partners[pos]] for pos in order] for order in orders]
-
-
-def _rearrange(parts: Sequence[LabeledDiagram], orders) -> list[LabeledDiagram]:
-    """`_reordered` on the labeled diagrams `parts` laid side by side; each
-    chord keeps its label."""
-    partners: list[int] = []
-    labels: list[Token] = []
-    for ld in parts:
-        partners += [q + len(labels) for q in ld.diagram.partners]
-        labels += ld.tokens()
-    return [
-        LabeledDiagram(
-            ChordDiagram(p), tuple([labels[pos] for i, pos in enumerate(order) if p[i] > i])
-        ) if p else EMPTY
-        for order, p in zip(orders, _reordered(partners, orders))
-    ]
 
 
 # -- root share decomposition -----------------------------------------------
@@ -130,12 +127,16 @@ class RootShareTriple:
     k: int
 
 
-def _root_share(d: ChordDiagram) -> tuple[list[int], list[int], int]:
-    """The endpoints of c1 and of c2, in order, and the interval k of the
-    root share decomposition of d."""
+def _shareable(d: ChordDiagram) -> tuple[int, ...]:
+    """The partners of d, which must be connected on >= 2 chords."""
     if not d.is_connected() or d.n < 2:
         raise ValueError("root share decomposition needs a connected diagram on >= 2 chords")
-    p = d.partners
+    return d.partners
+
+
+def _root_share(p: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """The endpoints of c1 and of c2, in order, and the interval k of the
+    root share decomposition of the connected partner array p."""
     # first component after root removal: the one of chord 1, at position 1
     inside = [False] * len(p)
     for a in next(b for b in crossing_blocks(p, skip=0) if b[0] == 1):
@@ -146,7 +147,7 @@ def _root_share(d: ChordDiagram) -> tuple[list[int], list[int], int]:
 
 
 def nabla(d: ChordDiagram) -> RootShareTriple:
-    c1, c2, k = _root_share(d)
+    c1, c2, k = _root_share(_shareable(d))
     p1, p2 = _reordered(d.partners, [c1, c2])
     return RootShareTriple(ChordDiagram(p1), ChordDiagram(p2), k)
 
@@ -171,8 +172,8 @@ def _root_share_join(c1: ChordDiagram, c2: ChordDiagram, k: int) -> ChordDiagram
 # -- phi ----------------------------------------------------------------------
 
 
-def _phi_order(d: ChordDiagram) -> list[int]:
-    c1, c2, k = _root_share(d)
+def _phi_order(p: Sequence[int]) -> list[int]:
+    c1, c2, k = _root_share(p)
     return c2[:k] + c1 + c2[k:]
 
 
@@ -190,7 +191,7 @@ def _phi_inv_order(d: ChordDiagram) -> list[int]:
 
 def phi(d: ChordDiagram) -> ChordDiagram:
     """Connected on >= 2 chords -> indecomposable with two components."""
-    return ChordDiagram(_reordered(d.partners, [_phi_order(d)])[0])
+    return ChordDiagram(_reordered(d.partners, [_phi_order(_shareable(d))])[0])
 
 
 def phi_inv(d: ChordDiagram) -> ChordDiagram:
@@ -259,6 +260,32 @@ class ZTreeVertex:
             child.validate()
 
 
+def _split(tokens: list[Token]) -> tuple[list[Token], list[tuple[Token, Sequence, Sequence]]]:
+    """The root component of a nonempty token list and, per core chord in
+    first-endpoint order, its label with the runs hanging after its two
+    ends.  A chord in one run crossing into another would cross the core,
+    so each run is a slice.  A connected list is its own core."""
+    p = _partners(tokens)
+    root = next(b for b in crossing_blocks(p) if not b[0])
+    if 2 * len(root) == len(p):
+        return tokens, [(tokens[a], (), ()) for a in root]
+    ends = sorted(root + [p[a] for a in root])
+    run = {pos: tokens[pos + 1:end] for pos, end in zip(ends, ends[1:] + [len(p)])}
+    return [tokens[pos] for pos in ends], [(tokens[a], run[a], run[p[a]]) for a in root]
+
+
+def _join(core: Sequence[Token], hanging: dict) -> list[Token]:
+    """Inverse of _split: each core token followed by the run hanging after
+    it, hanging[label] holding the runs after the label's two ends."""
+    out: list[Token] = []
+    seen: set[Token] = set()
+    for lab in core:
+        out.append(lab)
+        out += hanging[lab][lab in seen]
+        seen.add(lab)
+    return out
+
+
 def split_root_component(
     ld: LabeledDiagram,
 ) -> tuple[LabeledDiagram, list[tuple[LabeledDiagram, LabeledDiagram]]]:
@@ -266,17 +293,13 @@ def split_root_component(
     chord, the labeled diagrams hanging right of its two ends (after the
     left end, after the right end).  A plain diagram goes through
     with_fresh_labels."""
-    p = ld.diagram.partners
-    if not p:
+    tokens = ld.tokens()
+    if not tokens:
         raise ValueError("the empty diagram has no root component")
-    root = next(b for b in crossing_blocks(p) if not b[0])
-    if 2 * len(root) == len(p):  # connected: nothing hangs off the core
-        return ld, [(EMPTY, EMPTY)] * len(root)
-    ends = [pos for a in root for pos in (a, p[a])]
-    boundary = sorted(ends)
-    gap_after = {pos: range(pos + 1, end) for pos, end in zip(boundary, boundary[1:] + [len(p)])}
-    core, *gaps = _rearrange([ld], [boundary, *(gap_after[pos] for pos in ends)])
-    return core, list(zip(gaps[::2], gaps[1::2]))
+    core, hanging = _split(tokens)
+    return (ld if core is tokens else from_tokens(core)), [
+        (from_tokens(left), from_tokens(right)) for _, left, right in hanging
+    ]
 
 
 def join_root_component(core: LabeledDiagram, danglings) -> LabeledDiagram:
@@ -284,20 +307,13 @@ def join_root_component(core: LabeledDiagram, danglings) -> LabeledDiagram:
     the two ends of the matching core chord."""
     if not any(dl.labels for pair in danglings for dl in pair):
         return core
-    hung = [EMPTY] * (2 * core.n)  # the diagram hanging after each endpoint
-    for (a, b), pair in zip(core.diagram.chords(), danglings):
-        hung[a], hung[b] = pair
-    order, start = [], len(hung)
-    for pos, dl in enumerate(hung):
-        end = start + 2 * len(dl.labels)
-        order += [pos, *range(start, end)]
-        start = end
-    return _rearrange([core, *hung], [order])[0]
+    hanging = {lab: (dl.tokens(), dr.tokens()) for lab, (dl, dr) in zip(core.labels, danglings)}
+    return from_tokens(_join(core.tokens(), hanging))
 
 
 def theta(seed: TreeSeed) -> ZTreeVertex:
-    """Grow the stack tree by working through a queue of chords with their
-    dangling diagram pairs.
+    """Grow the stack tree by working through a queue of chords with the
+    token lists of their dangling diagram pairs.
 
     Case split per popped chord: nothing hangs off it (leaf); only the right
     diagram is nonempty (its root component becomes the structure); both are
@@ -308,39 +324,39 @@ def theta(seed: TreeSeed) -> ZTreeVertex:
     distinguishable when inverting).
     """
     root = ZTreeVertex([seed.root_label])
-    queue: deque[tuple[int, LabeledDiagram, LabeledDiagram, ZTreeVertex]] = deque(
-        [(seed.root_label, seed.left, seed.right, root)]
+    right = seed.right.tokens()
+    queue: deque[tuple[Sequence[Token], Sequence[Token], ZTreeVertex]] = deque(
+        [(seed.left.tokens(), right, root)]
     )
 
-    def attach(vertex: ZTreeVertex, core: LabeledDiagram, danglings) -> None:
-        for i, label in enumerate(core.labels):
+    def attach(vertex: ZTreeVertex, hanging) -> None:
+        for label, dl, dr in hanging:
             child = ZTreeVertex([label])
             vertex.children[label] = child
-            queue.append((label, danglings[i][0], danglings[i][1], child))
+            queue.append((dl, dr, child))
 
     while queue:
-        _, dl, dr, v = queue.popleft()
-        if not dl.n and not dr.n:
+        dl, dr, v = queue.popleft()
+        if not dl and not dr:
             continue
-        if not dl.n:
-            core, danglings = split_root_component(dr)
-            v.structure = core
-            attach(v, core, danglings)
-        elif dr.n:
-            core_l, dang_l = split_root_component(dl)
-            core_r, dang_r = split_root_component(dr)
-            v.structure = _rearrange([core_l, core_r], [range(2 * (core_l.n + core_r.n))])[0]
-            attach(v, core_l, dang_l)
-            attach(v, core_r, dang_r)
+        if not dl:
+            core, hanging = _split(dr)
+            v.structure = seed.right if core is right else from_tokens(core)
+            attach(v, hanging)
+        elif dr:
+            core_l, hang_l = _split(dl)
+            core_r, hang_r = _split(dr)
+            v.structure = from_tokens(core_l + core_r)
+            attach(v, hang_l + hang_r)
         else:
-            core, danglings = split_root_component(dl)
-            if core.n == 1:
-                label = core.labels[0]
+            core, hanging = _split(dl)
+            if len(hanging) == 1:
+                label, dl, dr = hanging[0]
                 v.stack.append(label)
-                queue.append((label, danglings[0][0], danglings[0][1], v))
+                queue.append((dl, dr, v))
             else:
-                v.structure = _rearrange([core], [_phi_order(core.diagram)])[0]
-                attach(v, core, danglings)
+                v.structure = from_tokens([core[pos] for pos in _phi_order(_partners(core))])
+                attach(v, hanging)
     return root
 
 
@@ -348,37 +364,33 @@ def theta_inv(root: ZTreeVertex) -> TreeSeed:
     """Rebuild the seed by discriminating each vertex's structure shape."""
     root.validate()
     label, dl, dr = _unbuild(root)
-    return TreeSeed(label, dl, dr)
+    sigma = root.structure
+    # a structure with nothing hanging off it is the right side: share it
+    right = sigma if sigma is not None and dr == sigma.tokens() else from_tokens(dr)
+    return TreeSeed(label, from_tokens(dl), right)
 
 
-def _unbuild(v: ZTreeVertex) -> tuple[int, LabeledDiagram, LabeledDiagram]:
-    if v.structure is None:
-        dl, dr = EMPTY, EMPTY
-    else:
-        sigma = v.structure
-        child_danglings = {}
+def _unbuild(v: ZTreeVertex) -> tuple[int, list[Token], list[Token]]:
+    """The head label of v and the token lists of its two dangling sides."""
+    dl = dr = []
+    sigma = v.structure
+    if sigma is not None:
+        hanging = {}
         for label, child in v.children.items():
             head, cdl, cdr = _unbuild(child)
             if head != label:
                 raise ValueError("child stack head differs from its structure label")
-            child_danglings[label] = (cdl, cdr)
-
-        def assemble(core: LabeledDiagram) -> LabeledDiagram:
-            return join_root_component(
-                core, [child_danglings[lab] for lab in core.labels]
-            )
-
+            hanging[label] = (cdl, cdr)
+        tokens = sigma.tokens()
         j = first_block_end(sigma.diagram.partners)
         if sigma.diagram.is_connected():
-            dl, dr = EMPTY, assemble(sigma)
+            dr = _join(tokens, hanging)
         elif j is not None:  # a concatenation: split after its first block
-            halves = _rearrange([sigma], [range(j + 1), range(j + 1, 2 * sigma.n)])
-            dl, dr = map(assemble, halves)
+            dl, dr = _join(tokens[:j + 1], hanging), _join(tokens[j + 1:], hanging)
         else:
-            dl, dr = assemble(_rearrange([sigma], [_phi_inv_order(sigma.diagram)])[0]), EMPTY
-    for i in range(len(v.stack) - 1, 0, -1):
-        single = LabeledDiagram(ChordDiagram((1, 0)), (v.stack[i],))
-        dl, dr = join_root_component(single, [(dl, dr)]), EMPTY
+            dl = _join([tokens[pos] for pos in _phi_inv_order(sigma.diagram)], hanging)
+    for label in reversed(v.stack[1:]):
+        dl, dr = [label, *dl, label, *dr], []
     return v.stack[0], dl, dr
 
 

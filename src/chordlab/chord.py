@@ -166,9 +166,21 @@ class ChordDiagram:
     # -- connectivity ---------------------------------------------------------
 
     def is_connected(self) -> bool:
-        """True when the first component to finish holds every chord."""
+        """True when the first block of the `crossing_blocks` scan to finish holds every chord."""
         p = self.partners
-        return bool(p) and 2 * len(next(crossing_blocks(p))) == len(p)
+        blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
+        for j, q in enumerate(p):
+            if q > j:
+                blocks.append((j, 1))
+                continue
+            low, count = blocks.pop()
+            while low > q:
+                low, below = blocks.pop()
+                count += below
+            if count == 1:
+                return j == len(p) - 1
+            blocks.append((low, count - 1))
+        return False
 
     def connectivity(self) -> int:
         """Largest k such that the diagram is k-connected.
@@ -369,28 +381,29 @@ def enumerate_diagrams(n: int) -> Iterator[ChordDiagram]:
     """All (2n-1)!! diagrams on n chords, in the deterministic order given by
     always matching the smallest free endpoint with its partner increasing."""
     check_size(n)
-    if n == 0:
-        yield ChordDiagram(())
-        return
     m = 2 * n
     p = [-1] * m
-
-    def rec(start: int) -> Iterator[ChordDiagram]:
-        i = start
-        while p[i] >= 0:
-            i += 1
-            if i == m:
-                yield ChordDiagram(p)
-                return
-        for j in range(i + 1, m):
-            if p[j] < 0:
-                p[i] = j
-                p[j] = i
-                yield from rec(i + 1)
-                p[i] = -1
-                p[j] = -1
-
-    yield from rec(0)
+    placed: list[int] = []  # openers of the placed chords, in placing order
+    i = j = 0  # i is the least free endpoint, tried with the free ones after j
+    while True:
+        if i == m:
+            yield ChordDiagram(p)
+        else:
+            j += 1
+            while j < m and p[j] >= 0:
+                j += 1
+            if j < m:
+                p[i], p[j] = j, i
+                placed.append(i)
+                while i < m and p[i] >= 0:
+                    i += 1
+                j = i
+                continue
+        if not placed:
+            return
+        i = placed.pop()
+        j = p[i]
+        p[i] = p[j] = -1
 
 
 def indecomposable_completions(size: int) -> list[list[int]]:

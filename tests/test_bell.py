@@ -2,6 +2,7 @@
 Lagrange fixed point."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from chordlab import checks, fps
 from chordlab.bell import (
     BELL_IDENTITIES,
     bell_partial,
+    bell_partial_by_partitions,
     faa_di_bruno,
     lift_coefficient,
     lift_resummation,
@@ -54,6 +56,67 @@ def test_degenerate_values():
 def test_insufficient_values_rejected():
     with pytest.raises(ValueError):
         bell_partial(5, 2, [1, 1])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1, 1, [1]), "n and k must be nonnegative"),
+    ((2, -1, [1, 1]), "n and k must be nonnegative"),
+    ((3, 1, [1]), "need x_1..x_3, got 1 values"),
+    ((5, 2, [1, 1]), "need x_1..x_4, got 2 values"),
+])
+def test_both_evaluations_reject_bad_input_alike(args, message):
+    for evaluate in (bell_partial, bell_partial_by_partitions):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(*args)
+
+
+def fraction_partitions(n, k, xs):
+    """The partition sum in Fractions, as `bell_partial_by_partitions` once
+    computed it: every set partition of {1,...,n} into k blocks, walked as a
+    restricted-growth string, adds the product of its x_(block size)."""
+    if n == 0:
+        return Fraction(1) if k == 0 else Fraction(0)
+    if k == 0 or k > n:
+        return Fraction(0)
+    values = [Fraction(v) for v in xs]
+    total = Fraction(0)
+
+    def rec(i, maxused, sizes):
+        nonlocal total
+        if i == n:
+            if maxused + 1 == k:
+                prod = Fraction(1)
+                for size in sizes:
+                    prod *= values[size - 1]
+                total += prod
+            return
+        if maxused + 1 + (n - i) < k:
+            return
+        for b in range(min(maxused + 1, k - 1) + 1):
+            if b == maxused + 1:
+                sizes.append(1)
+                rec(i + 1, maxused + 1, sizes)
+                sizes.pop()
+            else:
+                sizes[b] += 1
+                rec(i + 1, maxused, sizes)
+                sizes[b] -= 1
+
+    rec(0, -1, [])
+    return total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_partition_sum_matches_the_fraction_oracle(seed):
+    rng = random.Random(seed)
+    for n in range(9):
+        for k in range(n + 1):
+            # two values past x_(n-k+1) that no partition reads, and zeros
+            xs = random_values(rng, n - k + 3)
+            xs[rng.randrange(len(xs))] = 0
+            got = bell_partial_by_partitions(n, k, xs)
+            assert got == fraction_partitions(n, k, xs)
+            assert type(got) is Fraction
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -155,6 +155,20 @@ def test_theta_roundtrip_exhaustive(total):
         assert theta_inv(tree) == seed
 
 
+@pytest.mark.parametrize("total", [1, 2, 3, 4, 5])
+def test_theta_shares_the_seed_and_tree_objects(total):
+    # what keeps a roundtrip over all seeds from holding extra copies
+    for seed in all_seeds(total):
+        tree = theta(seed)
+        if not seed.left.n and seed.right.diagram.is_connected():
+            assert tree.structure is seed.right
+        back = theta_inv(tree)
+        for side in (back.left, back.right):
+            assert side.n or side is EMPTY
+        if not back.left.n and back.right.diagram.is_connected():
+            assert back.right is tree.structure
+
+
 @pytest.mark.parametrize("total", [1, 2, 3, 4, 5, 6, 7])
 def test_theta_image_count_matches_series(total):
     z = stack_tree_series(total)

@@ -121,6 +121,46 @@ def test_enumeration_is_deterministic_and_duplicate_free():
     ]
 
 
+def recursive_diagrams(n):
+    """The recursive enumeration `enumerate_diagrams` replaced: the smallest
+    free endpoint takes each free partner in increasing order, through one
+    nested generator per endpoint scanned."""
+    if n == 0:
+        yield ChordDiagram(())
+        return
+    m = 2 * n
+    p = [-1] * m
+
+    def rec(start):
+        i = start
+        while p[i] >= 0:
+            i += 1
+            if i == m:
+                yield ChordDiagram(p)
+                return
+        for j in range(i + 1, m):
+            if p[j] < 0:
+                p[i] = j
+                p[j] = i
+                yield from rec(i + 1)
+                p[i] = -1
+                p[j] = -1
+
+    yield from rec(0)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_enumeration_matches_the_recursive_oracle(n):
+    # census and the roundtrip checks rely on this order
+    assert list(enumerate_diagrams(n)) == list(recursive_diagrams(n))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_is_connected_matches_the_full_crossing_scan(n):
+    for d in enumerate_diagrams(n):
+        assert d.is_connected() == (len(list(chord.crossing_blocks(d.partners))) == 1)
+
+
 def test_enumeration_guard(monkeypatch):
     monkeypatch.setenv("CHORDLAB_MAX_N", "2")
     with pytest.raises(ValueError):

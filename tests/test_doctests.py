@@ -2,10 +2,10 @@ import doctest
 
 import pytest
 
-from chordlab import bijections, chord, fps, gfseries
+from chordlab import bell, bijections, chord, fps, gfseries
 
 
-@pytest.mark.parametrize("module", [fps, chord, bijections, gfseries])
+@pytest.mark.parametrize("module", [fps, chord, bijections, gfseries, bell])
 def test_module_doctests(module):
     failures, attempted = doctest.testmod(module, verbose=False)
     assert attempted > 0

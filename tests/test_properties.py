@@ -83,6 +83,12 @@ def test_window_scan_matches_its_oracles(d):
 
 
 @PROPERTY
+@given(matchings(st.integers(9, 14)))
+def test_is_connected_matches_the_full_crossing_scan(d):
+    assert d.is_connected() == (len(list(crossing_blocks(d.partners))) == 1)
+
+
+@PROPERTY
 @given(matchings())
 def test_split_join_root_component_roundtrip(d):
     ld = with_fresh_labels(d)
