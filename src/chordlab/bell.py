@@ -21,8 +21,16 @@ from . import fps
 from .fps import FormalPowerSeries, Rational
 
 
+def _exact(v: Rational) -> Fraction:
+    """v as a Fraction; a float is refused, since it would become an
+    inexact one."""
+    if isinstance(v, float):
+        raise TypeError(f"Bell polynomial arguments must be exact, not the float {v!r}")
+    return Fraction(v)
+
+
 def _key(xs: Sequence[Rational]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in xs)
+    return tuple(map(_exact, xs))
 
 
 def _values(n: int, k: int, xs: Sequence[Rational]) -> tuple[Fraction, ...]:
@@ -89,17 +97,16 @@ def faa_di_bruno(
 
         h_n = sum_k f_k B(n, k; g_1, g_2, ...).
     """
-    if g_coeffs and Fraction(g_coeffs[0]) != 0:
+    fs, gs = _key(f_coeffs), list(_key(g_coeffs))
+    if gs and gs.pop(0) != 0:
         raise ValueError("the inner series must have zero constant term")
-    gs = list(_key(g_coeffs[1:]))
     gs.extend([Fraction(0)] * (n - len(gs)))  # unstated tail coefficients vanish
     if n == 0:
-        return Fraction(f_coeffs[0]) if f_coeffs else Fraction(0)
+        return fs[0] if fs else Fraction(0)
     total = Fraction(0)
-    for k in range(1, min(n, len(f_coeffs) - 1) + 1):
-        fk = Fraction(f_coeffs[k])
-        if fk:
-            total += fk * bell_partial(n, k, gs)
+    for k in range(1, min(n, len(fs) - 1) + 1):
+        if fs[k]:
+            total += fs[k] * bell_partial(n, k, gs)
     return total
 
 

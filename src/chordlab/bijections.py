@@ -240,24 +240,34 @@ class ZTreeVertex:
     structure: LabeledDiagram | None = None
     children: dict[int, "ZTreeVertex"] = field(default_factory=dict)
 
+    def vertices(self) -> list["ZTreeVertex"]:
+        """Every vertex of the subtree in preorder, children in dict order;
+        an explicit stack, so the depth is not bound by the recursion limit."""
+        out, todo = [], [self]
+        while todo:
+            v = todo.pop()
+            out.append(v)
+            if v.children:
+                todo += reversed(v.children.values())
+        return out
+
     def size(self) -> int:
-        return len(self.stack) + sum(c.size() for c in self.children.values())
+        return sum(len(v.stack) for v in self.vertices())
 
     def validate(self) -> None:
-        if not self.stack:
-            raise ValueError("empty stack")
-        if self.structure is None:
-            if self.children:
-                raise ValueError("children without a structure")
-        else:
-            if self.structure.n != len(self.children):
-                raise ValueError("structure size differs from child count")
-            if sum(1 for _ in crossing_blocks(self.structure.diagram.partners)) > 2:
-                raise ValueError("structure has more than two components")
-            if set(self.structure.labels) != set(self.children):
-                raise ValueError("structure labels do not match children")
-        for child in self.children.values():
-            child.validate()
+        for v in self.vertices():
+            if not v.stack:
+                raise ValueError("empty stack")
+            if v.structure is None:
+                if v.children:
+                    raise ValueError("children without a structure")
+            else:
+                if v.structure.n != len(v.children):
+                    raise ValueError("structure size differs from child count")
+                if sum(1 for _ in crossing_blocks(v.structure.diagram.partners)) > 2:
+                    raise ValueError("structure has more than two components")
+                if set(v.structure.labels) != set(v.children):
+                    raise ValueError("structure labels do not match children")
 
 
 def _split(tokens: list[Token]) -> tuple[list[Token], list[tuple[Token, Sequence, Sequence]]]:
@@ -370,85 +380,73 @@ def theta_inv(root: ZTreeVertex) -> TreeSeed:
     return TreeSeed(label, from_tokens(dl), right)
 
 
-def _unbuild(v: ZTreeVertex) -> tuple[int, list[Token], list[Token]]:
-    """The head label of v and the token lists of its two dangling sides."""
-    dl = dr = []
-    sigma = v.structure
-    if sigma is not None:
-        hanging = {}
-        for label, child in v.children.items():
-            head, cdl, cdr = _unbuild(child)
-            if head != label:
-                raise ValueError("child stack head differs from its structure label")
-            hanging[label] = (cdl, cdr)
-        tokens = sigma.tokens()
-        j = first_block_end(sigma.diagram.partners)
-        if sigma.diagram.is_connected():
-            dr = _join(tokens, hanging)
-        elif j is not None:  # a concatenation: split after its first block
-            dl, dr = _join(tokens[:j + 1], hanging), _join(tokens[j + 1:], hanging)
-        else:
-            dl = _join([tokens[pos] for pos in _phi_inv_order(sigma.diagram)], hanging)
-    for label in reversed(v.stack[1:]):
-        dl, dr = [label, *dl, label, *dr], []
-    return v.stack[0], dl, dr
+def _unbuild(root: ZTreeVertex) -> tuple[int, list[Token], list[Token]]:
+    """The head label of root and the token lists of its two dangling sides.
+    In reversed preorder every vertex comes after its subtree, and the sides
+    of its children are the top entries of `done`, the first child's on top."""
+    done: list[tuple[list[Token], list[Token]]] = []
+    for v in reversed(root.vertices()):
+        dl = dr = []
+        sigma = v.structure
+        if sigma is not None:
+            hanging = {}
+            for label, child in v.children.items():
+                if child.stack[0] != label:
+                    raise ValueError("child stack head differs from its structure label")
+                hanging[label] = done.pop()
+            tokens = sigma.tokens()
+            j = first_block_end(sigma.diagram.partners)
+            if sigma.diagram.is_connected():
+                dr = _join(tokens, hanging)
+            elif j is not None:  # a concatenation: split after its first block
+                dl, dr = _join(tokens[:j + 1], hanging), _join(tokens[j + 1:], hanging)
+            else:
+                dl = _join([tokens[pos] for pos in _phi_inv_order(sigma.diagram)], hanging)
+        for label in reversed(v.stack[1:]):
+            dl, dr = [label, *dl, label, *dr], []
+        done.append((dl, dr))
+    return root.stack[0], *done.pop()
 
 
 # -- serialization ---------------------------------------------------------------
 
 
-def serialize_ztree(v: ZTreeVertex) -> str:
+def serialize_ztree(root: ZTreeVertex) -> str:
     """Nested parenthesized form: (stack; structure literal or -; children),
-    children listed in the structure's chord order."""
-    stack = ".".join(str(label) for label in v.stack)
-    if v.structure is None:
-        return f"({stack};-;)"
-    body = v.structure.diagram.to_literal()
-    kids = " ".join(
-        serialize_ztree(v.children[lab]) for lab in v.structure.labels
-    )
-    return f"({stack};{body};{kids})"
+    children listed in the structure's chord order.  The vertices are
+    written in preorder; a vertex at depth d that does not follow its parent
+    is a later child, so the open vertices at depth >= d are closed and a
+    space is written first."""
+    out: list[str] = []
+    depth, todo = -1, [(root, 0)]
+    while todo:
+        v, d = todo.pop()
+        if d <= depth:
+            out.append(")" * (depth - d + 1) + " ")
+        depth = d
+        stack = ".".join(str(label) for label in v.stack)
+        if v.structure is None:
+            out.append(f"({stack};-;")
+        else:
+            out.append(f"({stack};{v.structure.diagram.to_literal()};")
+            todo += [(v.children[label], d + 1) for label in reversed(v.structure.labels)]
+    out.append(")" * (depth + 1))
+    return "".join(out)
 
 
 def parse_ztree(text: str) -> ZTreeVertex:
+    """Inverse of serialize_ztree.  The vertices still open are kept on an
+    explicit stack, each with its stack labels, structure literal and the
+    children read so far; a vertex is built when its ')' is read."""
     pos = 0
+    open_vertices: list[tuple[list[int], str, list[ZTreeVertex]]] = []
 
     def peek() -> str:
         if pos >= len(text):
             raise ValueError(f"ends early at position {pos}")
         return text[pos]
 
-    def parse_vertex() -> ZTreeVertex:
-        nonlocal pos
-        if peek() != "(":
-            raise ValueError(f"expected '(' at {pos}")
-        pos += 1
-        stack_part = _take_until(";")
-        try:
-            stack = [int(t) for t in stack_part.split(".")]
-        except ValueError:
-            raise ValueError(
-                f"a stack is integer labels joined by '.', got {stack_part!r}"
-            ) from None
-        body = _take_until(";")
-        children: list[ZTreeVertex] = []
-        while peek() != ")":
-            if peek() == " ":
-                pos += 1
-                continue
-            children.append(parse_vertex())
-        pos += 1
-        v = ZTreeVertex(stack)
-        if body != "-":
-            diagram = ChordDiagram.from_literal(body)
-            labels = tuple(c.stack[0] for c in children)
-            v.structure = LabeledDiagram(diagram, labels)
-            v.children = {c.stack[0]: c for c in children}
-        elif children:
-            raise ValueError("children listed without a structure")
-        return v
-
-    def _take_until(stop: str) -> str:
+    def take_until(stop: str) -> str:
         nonlocal pos
         end = text.find(stop, pos)
         if end < 0:
@@ -458,12 +456,40 @@ def parse_ztree(text: str) -> ZTreeVertex:
         return out
 
     try:
-        v = parse_vertex()
-        if pos != len(text):
-            raise ValueError("trailing characters after the tree")
+        while True:
+            if peek() != "(":
+                raise ValueError(f"expected '(' at {pos}")
+            pos += 1
+            stack_part = take_until(";")
+            try:
+                stack = [int(t) for t in stack_part.split(".")]
+            except ValueError:
+                raise ValueError(
+                    f"a stack is integer labels joined by '.', got {stack_part!r}"
+                ) from None
+            open_vertices.append((stack, take_until(";"), []))
+            while True:
+                while peek() == " ":
+                    pos += 1
+                if peek() != ")":
+                    break  # the next child starts
+                pos += 1
+                stack, body, children = open_vertices.pop()
+                v = ZTreeVertex(stack)
+                if body != "-":
+                    diagram = ChordDiagram.from_literal(body)
+                    labels = tuple(c.stack[0] for c in children)
+                    v.structure = LabeledDiagram(diagram, labels)
+                    v.children = {c.stack[0]: c for c in children}
+                elif children:
+                    raise ValueError("children listed without a structure")
+                if not open_vertices:
+                    if pos != len(text):
+                        raise ValueError("trailing characters after the tree")
+                    return v
+                open_vertices[-1][2].append(v)
     except ValueError as exc:
         raise ValueError(f"tree literal {text!r}: {exc}") from None
-    return v
 
 
 # -- enumeration of seeds (testing / counting) -------------------------------------

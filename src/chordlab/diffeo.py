@@ -4,9 +4,15 @@ A substitution is F(t) = sum_j a_j t^(j+1) with a_0 = 1.  The n-point
 subtree amplitude b_n (propagator of the marked edge included) is computed
 four independent ways: the Bell-polynomial closed form, the compositional
 inverse, the pair of coefficient recurrences, and the literal momentum-level
-recursion over set partitions with randomized rational kinematics.  All of
-them must agree, and the momentum-level value must not depend on the
-kinematics; that cancellation is the point.
+recursion over subsets of the momenta with randomized rational kinematics.
+All of them must agree, and the momentum-level value must not depend on the
+kinematics; that cancellation is the point.  For F(t) = t + t^2:
+
+>>> F = Diffeomorphism.from_values([1, 1])
+>>> b_inverse_list(F, 4)
+[1, -2, 12, -120]
+>>> amplitude_recursion(F, 4, KinematicSample.random_nondegenerate(4, random.Random(0)))
+Fraction(-120, 1)
 
 Kinematics are formally independent rationals: only the squared mass and
 the dot products s_ij enter, and no attempt is made to realize them as
@@ -26,7 +32,7 @@ from . import fps
 from .bell import bell_partial
 from .fps import FormalPowerSeries, Rational
 
-MAX_AMPLITUDE_POINTS = 7  # set-partition growth guard
+MAX_AMPLITUDE_POINTS = 10  # the recursion costs O(3^n n) exact operations
 
 
 @dataclass(frozen=True)
@@ -76,31 +82,24 @@ class Diffeomorphism:
         ]
 
 
-def _as_diffeo(a) -> Diffeomorphism:
-    return a if isinstance(a, Diffeomorphism) else Diffeomorphism.from_values(a)
-
-
 # -- the four routes to b_n ---------------------------------------------------
 
 
-def b_inverse(a, n: int) -> Fraction:
+def b_inverse(diffeo: Diffeomorphism, n: int) -> Fraction:
     """b_n = n! [t^n] reversion(F)."""
-    diffeo = _as_diffeo(a)
     if n < 1:
         raise ValueError("defined for n >= 1")
     return factorial(n) * diffeo.series(n).reversion()[n]
 
 
-def b_inverse_list(a, nmax: int) -> list[Fraction]:
+def b_inverse_list(diffeo: Diffeomorphism, nmax: int) -> list[Fraction]:
     """(b_1, ..., b_nmax) in one reversion."""
-    diffeo = _as_diffeo(a)
     g = diffeo.series(nmax).reversion()
     return [factorial(n) * g[n] for n in range(1, nmax + 1)]
 
 
-def b_closed_form(a, n: int) -> Fraction:
+def b_closed_form(diffeo: Diffeomorphism, n: int) -> Fraction:
     """b_(m+1) = sum_k ((m+k)!/m!) B(m, k; -1! a_1, -2! a_2, ...)."""
-    diffeo = _as_diffeo(a)
     if n < 1:
         raise ValueError("defined for n >= 1")
     if n == 1:
@@ -116,10 +115,9 @@ def b_closed_form(a, n: int) -> Fraction:
 # -- the two recurrences ---------------------------------------------------------
 
 
-def mass_recurrence_residual(a, b: Sequence[Rational], n: int) -> Fraction:
+def mass_recurrence_residual(diffeo: Diffeomorphism, b: Sequence[Rational], n: int) -> Fraction:
     """sum_k B(n,k; b) ((k-1)!/2) sum_j a_j a_(k-1-j) [2n(j+1)(k-j) - k(k+1)];
     zero exactly when the mass-term part of the momentum recursion holds."""
-    diffeo = _as_diffeo(a)
     bs = [Fraction(v) for v in b]
     total = Fraction(0)
     for k in range(1, n + 1):
@@ -136,9 +134,8 @@ def mass_recurrence_residual(a, b: Sequence[Rational], n: int) -> Fraction:
     return total
 
 
-def dot_recurrence_residual(a, b: Sequence[Rational], n: int) -> Fraction:
+def dot_recurrence_residual(diffeo: Diffeomorphism, b: Sequence[Rational], n: int) -> Fraction:
     """The dot-product part: a doubly indexed sum that must also vanish."""
-    diffeo = _as_diffeo(a)
     bs = [Fraction(v) for v in b]
     total = Fraction(0)
     for k in range(1, n + 1):
@@ -162,13 +159,15 @@ def dot_recurrence_residual(a, b: Sequence[Rational], n: int) -> Fraction:
     return total
 
 
-def verify_recurrences(a, nmax: int, b: Sequence[Rational] | None = None) -> bool:
+def verify_recurrences(
+    diffeo: Diffeomorphism, nmax: int, b: Sequence[Rational] | None = None
+) -> bool:
     """Both recurrences vanish for 1 <= n <= nmax (b defaults to the
     compositional-inverse coefficients)."""
     if b is None:
-        b = b_inverse_list(a, nmax)
+        b = b_inverse_list(diffeo, nmax)
     return all(
-        not mass_recurrence_residual(a, b, n) and not dot_recurrence_residual(a, b, n)
+        not mass_recurrence_residual(diffeo, b, n) and not dot_recurrence_residual(diffeo, b, n)
         for n in range(1, nmax + 1)
     )
 
@@ -177,12 +176,11 @@ def verify_recurrences(a, nmax: int, b: Sequence[Rational] | None = None) -> boo
 
 
 def ode_residuals(
-    a, order: int, use_inverse: bool = True
+    diffeo: Diffeomorphism, order: int, use_inverse: bool = True
 ) -> tuple[FormalPowerSeries, FormalPowerSeries]:
     """Residual series of t (P o G)' - Q o G and (P o G)'' + G'' (P' o G),
     where P = int (F')^2 dt, Q = (1/2) d/dt F^2, and G is the compositional
     inverse of F (or F itself for the negative control)."""
-    diffeo = _as_diffeo(a)
     pad = order + 2
     f = diffeo.series(pad)
     g = f.reversion() if use_inverse else f
@@ -197,8 +195,8 @@ def ode_residuals(
     return first.truncate(order), second.truncate(order)
 
 
-def verify_ode(a, order: int) -> bool:
-    first, second = ode_residuals(a, order)
+def verify_ode(diffeo: Diffeomorphism, order: int) -> bool:
+    first, second = ode_residuals(diffeo, order)
     return first == fps.zero(order) and second == fps.zero(order)
 
 
@@ -207,9 +205,13 @@ def verify_ode(a, order: int) -> bool:
 
 class KinematicSample:
     """Squared mass and the symmetric dot-product table s_ij (i < j), with
-    s_ii = mass_squared imposed (the on-shell condition)."""
+    s_ii = mass_squared imposed (the on-shell condition).
 
-    __slots__ = ("n", "mass_squared", "dots")
+    squares[S] is (sum of the momenta in S)^2, for S a bitmask in which bit
+    i - 1 stands for momentum i.  It is built from S minus its lowest
+    momentum i: squares[S] = squares[S - i] + m^2 + 2 sum_(j in S - i) s_ij."""
+
+    __slots__ = ("n", "mass_squared", "dots", "squares")
 
     def __init__(self, n: int, mass_squared: Rational, dots: dict[tuple[int, int], Rational]):
         self.n = n
@@ -221,14 +223,16 @@ class KinematicSample:
             for j in range(i + 1, n + 1):
                 if (i, j) not in self.dots:
                     raise ValueError(f"missing dot product s_{i}{j}")
+        self.squares = [Fraction(0)] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            rest, i = mask ^ low, low.bit_length()
+            cross = sum(self.dots[(i, j)] for j in range(i + 1, n + 1) if rest >> (j - 1) & 1)
+            self.squares[mask] = self.squares[rest] + self.mass_squared + 2 * cross
 
     @classmethod
-    def random(cls, n: int, rng: random.Random, mass_squared: Rational | None = None):
-        msq = (
-            Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            if mass_squared is None
-            else mass_squared
-        )
+    def random(cls, n: int, rng: random.Random) -> "KinematicSample":
+        msq = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         dots = {
             (i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             for i in range(1, n + 1)
@@ -237,96 +241,65 @@ class KinematicSample:
         return cls(n, msq, dots)
 
     @classmethod
-    def random_nondegenerate(
-        cls, n: int, rng: random.Random, mass_squared: Rational | None = None
-    ) -> "KinematicSample":
+    def random_nondegenerate(cls, n: int, rng: random.Random) -> "KinematicSample":
         """Resample until every sub-propagator denominator is nonzero, so
         the momentum recursion can run on any subset of the momenta."""
-        from itertools import combinations
-
         while True:
-            sample = cls.random(n, rng, mass_squared)
-            ok = True
-            for size in range(2, n + 1):
-                for subset in combinations(range(1, n + 1), size):
-                    if sample.subset_momentum_squared(subset) == sample.mass_squared:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            sample = cls.random(n, rng)
+            if all(
+                square != sample.mass_squared
+                for mask, square in enumerate(sample.squares)
+                if mask & (mask - 1)
+            ):
                 return sample
 
-    def subset_momentum_squared(self, subset: Sequence[int]) -> Fraction:
-        """(sum of the subset's momenta)^2 expanded on-shell:
-        |S| m^2 + 2 sum of the pairwise dot products."""
-        items = sorted(subset)
-        total = len(items) * self.mass_squared
-        for idx, i in enumerate(items):
-            for j in items[idx + 1 :]:
-                total += 2 * self.dots[(i, j)]
-        return total
 
+def amplitude_recursion(diffeo: Diffeomorphism, n: int, kin: KinematicSample) -> Fraction:
+    """Literal evaluation of the subtree-sum recursion over subsets of the n
+    external momenta: each vertex contributes its kinetic and mass terms and
+    each internal edge its propagator; the marked edge's propagator is
+    included, matching the b_n convention (b_2 = -2a_1).
 
-def _set_partitions(items: list[int]):
-    """All set partitions with at least two blocks."""
-    n = len(items)
-    codes = [0] * n
-
-    def rec(i: int, maxused: int):
-        if i == n:
-            if maxused >= 1:
-                blocks: list[list[int]] = [[] for _ in range(maxused + 1)]
-                for item, c in zip(items, codes):
-                    blocks[c].append(item)
-                yield blocks
-            return
-        for c in range(maxused + 2):
-            codes[i] = c
-            yield from rec(i + 1, max(maxused, c))
-
-    yield from rec(0, -1)
-
-
-def amplitude_recursion(a, n: int, kin: KinematicSample) -> Fraction:
-    """Literal evaluation of the subtree-sum recursion: over set partitions
-    of the n external momenta, each vertex contributes its kinetic and mass
-    terms and each internal edge its propagator; the marked edge's
-    propagator is included, matching the b_n convention (b_2 = -2a_1)."""
-    if n > MAX_AMPLITUDE_POINTS:
-        raise ValueError(f"n > {MAX_AMPLITUDE_POINTS} is guarded (set partitions blow up)")
+    A vertex reads the partition of S into its blocks B only through the
+    block count k and sum_B P_B^2, so per (S, k) the recursion keeps
+    sum prod J(B) and sum (sum_B P_B^2) prod J(B), filled by splitting off
+    the block that holds the lowest momentum: O(3^n n) operations, the
+    off-shell-current recursion of Berends and Giele (Nucl. Phys. B306
+    (1988) 759)."""
+    if not 1 <= n <= MAX_AMPLITUDE_POINTS:
+        raise ValueError(f"amplitude_recursion needs 1 <= n <= {MAX_AMPLITUDE_POINTS}")
     if kin.n < n:
         raise ValueError("the kinematic sample has too few momenta")
-    diffeo = _as_diffeo(a)
     d_const = diffeo.kinetic_constants(n)
     c_const = diffeo.mass_constants(n)
-    msq = kin.mass_squared
-
-    memo: dict[tuple[int, ...], Fraction] = {}
-
-    def subtree(momenta: tuple[int, ...]) -> Fraction:
-        if len(momenta) == 1:
-            return Fraction(1)
-        if momenta in memo:
-            return memo[momenta]
-        total_sq = kin.subset_momentum_squared(momenta)
-        denominator = total_sq - msq
+    msq, squares = kin.mass_squared, kin.squares
+    # products[S][k - 1] and weighted[S][k - 1]: the two sums over the
+    # partitions of S into k blocks; products[S][0] is the current J(S)
+    products, weighted = [[]] * (1 << n), [[]] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        others = mask ^ low
+        if not others:
+            products[mask], weighted[mask] = [Fraction(1)], [squares[mask]]
+            continue
+        prod, wt = [0] * mask.bit_count(), [0] * mask.bit_count()
+        sub = others
+        while sub:  # every block {low} + sub' with sub' a proper subset of others
+            sub = (sub - 1) & others
+            block = low | sub
+            current, block_square = products[block][0], squares[block]
+            for k, (p, w) in enumerate(zip(products[mask ^ block], weighted[mask ^ block]), 1):
+                term = current * p
+                prod[k] += term
+                wt[k] += current * w + block_square * term
+        denominator = squares[mask] - msq
         if not denominator:
-            raise ZeroDivisionError(
-                "vanishing propagator denominator; resample the kinematics"
-            )
-        acc = Fraction(0)
-        for blocks in _set_partitions(list(momenta)):
-            k = len(blocks)
-            prod = Fraction(1)
-            squares = total_sq
-            for block in blocks:
-                prod *= subtree(tuple(block))
-                squares += kin.subset_momentum_squared(block)
-            vertex = (d_const[k - 1] * squares - msq * c_const[k - 1]) / 2
-            acc += prod * vertex
-        value = -acc / denominator
-        memo[momenta] = value
-        return value
-
-    return subtree(tuple(range(1, n + 1)))
+            raise ZeroDivisionError("vanishing propagator denominator; resample the kinematics")
+        vertices = sum(
+            d_const[k] * (squares[mask] * prod[k] + wt[k]) - msq * c_const[k] * prod[k]
+            for k in range(1, len(prod))
+        )
+        prod[0] = -vertices / (2 * denominator)
+        wt[0] = squares[mask] * prod[0]
+        products[mask], weighted[mask] = prod, wt
+    return products[-1][0]

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 from . import fps
 from .bijections import _root_share_join, nabla
-from .chord import ChordDiagram, size_guard
+from .chord import ChordDiagram, enumerate_diagrams, size_guard
 from .fps import FormalPowerSeries
 from .gfseries import (
     IdentityReport,
@@ -269,18 +269,6 @@ X_TADPOLE = TadpoleGraph({0: 0}, {}, 0)
 # -- enumeration -------------------------------------------------------------------
 
 
-def _matchings(items: list[int]) -> Iterator[dict[int, int]]:
-    if not items:
-        yield {}
-        return
-    first, rest = items[0], items[1:]
-    for i, other in enumerate(rest):
-        for sub in _matchings(rest[:i] + rest[i + 1 :]):
-            sub[first] = other
-            sub[other] = first
-            yield sub
-
-
 def _partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()
@@ -303,6 +291,9 @@ def enumerate_tadpoles(loops: int) -> list[TadpoleGraph]:
     if loops < 1:
         raise ValueError("a tadpole has at least one loop")
     m = 2 * loops - 1
+    bosons = [  # the matchings of the vertices 1..m-1
+        {a + 1: b + 1 for a, b in enumerate(d.partners)} for d in enumerate_diagrams(loops - 1)
+    ]
     found: dict[tuple, TadpoleGraph] = {}
     for root_len in range(1, m + 1):
         for rest in _partitions(m - root_len):
@@ -313,8 +304,8 @@ def enumerate_tadpoles(loops: int) -> list[TadpoleGraph]:
                 for a, b in zip(block, block[1:] + block[:1]):
                     succ[a] = b
                 start += length
-            for matching in _matchings(list(range(1, m))):
-                t = TadpoleGraph(succ, matching, 0)
+            for boson in bosons:
+                t = TadpoleGraph(succ, boson, 0)
                 if not t.is_one_particle_irreducible():
                     continue
                 sig = t.canonical_signature()
@@ -597,15 +588,12 @@ def qqed_primitive(g: QQEDVertexGraph) -> bool:
 
 def enumerate_vertex_graphs(loop_number: int) -> Iterator[QQEDVertexGraph]:
     """All vertex graphs with the given loop number: a leg position on a
-    path of 2*loop_number - 1 vertices plus a photon matching of the rest."""
-    k = 2 * loop_number - 1
-    for leg in range(1, k + 1):
-        rest = [pos for pos in range(1, k + 1) if pos != leg]
-        for matching in _matchings(rest):
-            photons = tuple(
-                sorted((v, w) for v, w in matching.items() if v < w)
-            )
-            yield QQEDVertexGraph(k, photons, leg)
+    path of 2*loop_number - 1 vertices plus a photon matching of the rest,
+    read off the chord diagrams on loop_number chords (the chord at 0 goes
+    to the leg, the others are the photons)."""
+    for d in enumerate_diagrams(loop_number) if loop_number else ():
+        (_, leg), *photons = d.chords()
+        yield QQEDVertexGraph(2 * loop_number - 1, tuple(photons), leg)
 
 
 # -- series identities -----------------------------------------------------------------

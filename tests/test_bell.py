@@ -170,6 +170,23 @@ def test_faa_di_bruno_rejects_constant_inner():
         faa_di_bruno([0, 1], [1, 1], 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bell_partial(1, 1, [0.1]),
+        lambda: bell_partial_by_partitions(1, 1, [0.1]),
+        lambda: faa_di_bruno([0, 0.1], [0, 1], 1),
+        lambda: faa_di_bruno([0, 1], [0, 0.1], 1),
+        lambda: nested_convolution(2, 1, [1, 0.1]),
+    ],
+    ids=["bell_partial", "by_partitions", "faa_di_bruno_f", "faa_di_bruno_g", "nested"],
+)
+def test_float_arguments_are_refused(call):
+    # 0.1 would become the inexact 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match=r"not the float 0\.1"):
+        call()
+
+
 def test_lemma_identities_examples():
     rng = random.Random(99)
     xs = random_values(rng, 6)

@@ -139,6 +139,20 @@ def test_bijection_theta_roundtrip(capsys):
     assert back.strip() == "1: 2 1 | 0:"
 
 
+def test_bijection_theta_on_a_tree_deeper_than_the_recursion_limit(capsys):
+    # n disjoint chords on the left: the root absorbs chord 1, and every
+    # further chord hangs one level below the one before it
+    n = 1200
+    seed = f"{n}: " + " ".join(f"{2 * i + 2} {2 * i + 1}" for i in range(n))
+    code, out = run_cli(capsys, "bijection", "theta", "--input", f"{seed} | -")
+    assert code == 0
+    chain = "".join(f"({i};1: 2 1;" for i in range(2, n))
+    assert out.strip() == f"(0.1;1: 2 1;{chain}({n};-;){')' * (n - 1)}"
+    code, back = run_cli(capsys, "bijection", "theta", "--input", out.strip(), "--inverse")
+    assert code == 0
+    assert back.strip() == f"{seed} | 0:"
+
+
 def test_bijection_lambda(capsys):
     _, out = run_cli(
         capsys, "bijection", "lambda", "--input",

@@ -3,11 +3,13 @@ controls must fail."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from chordlab import checks
 from chordlab.diffeo import (
+    MAX_AMPLITUDE_POINTS,
     Diffeomorphism,
     KinematicSample,
     amplitude_recursion,
@@ -92,7 +94,7 @@ def test_ode_negative_control_breaks_at_t2():
 def test_amplitude_base_case():
     rng = random.Random(1)
     kin = KinematicSample.random(3, rng)
-    assert amplitude_recursion([1, 1], 1, kin) == 1
+    assert amplitude_recursion(Diffeomorphism.from_values([1, 1]), 1, kin) == 1
 
 
 def test_amplitude_three_points_momentum_independent():
@@ -115,20 +117,22 @@ def test_amplitude_equals_inverse_coefficients(seed):
 
 def test_amplitude_guard_and_denominator():
     rng = random.Random(5)
+    diffeo = Diffeomorphism.from_values([1, 1])
+    n = MAX_AMPLITUDE_POINTS + 1
     with pytest.raises(ValueError):
-        amplitude_recursion([1, 1], 8, KinematicSample.random(8, rng))
+        amplitude_recursion(diffeo, n, KinematicSample.random(n, rng))
     # engineered vanishing denominator: all dots zero, msq chosen so that
     # (p1+p2)^2 - m^2 = 2 m^2 + 2 s12 - m^2 = 0
     kin = KinematicSample(2, 1, {(1, 2): Fraction(-1, 2)})
     with pytest.raises(ZeroDivisionError):
-        amplitude_recursion([1, 1], 2, kin)
+        amplitude_recursion(diffeo, 2, kin)
 
 
 def test_kinematic_sample_validation():
     with pytest.raises(ValueError):
         KinematicSample(3, 1, {(1, 2): 1})
     kin = KinematicSample(2, Fraction(3), {(2, 1): Fraction(7)})
-    assert kin.subset_momentum_squared([1, 2]) == 2 * 3 + 2 * 7
+    assert kin.squares == [0, 3, 3, 2 * 3 + 2 * 7]
 
 
 def test_feynman_constants():
@@ -136,3 +140,109 @@ def test_feynman_constants():
     # d_0 = 1, d_1 = 4 a_1, d_2 = 2 (4 a_1^2 + 6 a_2)/2 ... spot values
     assert diffeo.kinetic_constants(1) == [1, 4]
     assert diffeo.mass_constants(1) == [2, 12]
+
+
+# -- the set-partition recursion, the oracle of the subset recursion ----------
+
+
+def subset_square(kin, subset):
+    """(sum of the subset's momenta)^2 from the pairwise dot products."""
+    return len(subset) * kin.mass_squared + 2 * sum(
+        kin.dots[pair] for pair in combinations(sorted(subset), 2)
+    )
+
+
+def set_partitions(items):
+    """All set partitions of items with at least two blocks."""
+    n = len(items)
+    codes = [0] * n
+
+    def rec(i, maxused):
+        if i == n:
+            if maxused >= 1:
+                blocks = [[] for _ in range(maxused + 1)]
+                for item, c in zip(items, codes):
+                    blocks[c].append(item)
+                yield blocks
+            return
+        for c in range(maxused + 2):
+            codes[i] = c
+            yield from rec(i + 1, max(maxused, c))
+
+    yield from rec(0, -1)
+
+
+def oracle_amplitude(diffeo, n, kin):
+    """The subtree sum written out over every set partition of every subset
+    of the momenta, memoised on the subset as a tuple."""
+    d_const = diffeo.kinetic_constants(n)
+    c_const = diffeo.mass_constants(n)
+    msq = kin.mass_squared
+    memo = {}
+
+    def subtree(momenta):
+        if len(momenta) == 1:
+            return Fraction(1)
+        if momenta not in memo:
+            total_sq = subset_square(kin, momenta)
+            acc = Fraction(0)
+            for blocks in set_partitions(list(momenta)):
+                k = len(blocks)
+                prod = Fraction(1)
+                squares = total_sq
+                for block in blocks:
+                    prod *= subtree(tuple(block))
+                    squares += subset_square(kin, block)
+                acc += prod * (d_const[k - 1] * squares - msq * c_const[k - 1]) / 2
+            memo[momenta] = -acc / (total_sq - msq)
+        return memo[momenta]
+
+    return subtree(tuple(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_subset_recursion_matches_the_set_partition_oracle(n):
+    rng = random.Random(400 + n)
+    for _ in range(3):
+        diffeo = checks.diffeo_mapping(rng, rng.randint(1, 6))
+        kin = KinematicSample.random_nondegenerate(n, rng)
+        assert amplitude_recursion(diffeo, n, kin) == oracle_amplitude(diffeo, n, kin)
+
+
+@pytest.mark.parametrize("n, samples", [(9, 2), (10, 1)])
+def test_amplitude_beyond_the_old_guard(n, samples):
+    rng = random.Random(500 + n)
+    diffeo = checks.diffeo_mapping(rng, 3)
+    expected = b_inverse(diffeo, n)
+    assert b_closed_form(diffeo, n) == expected
+    for _ in range(samples):
+        kin = KinematicSample.random_nondegenerate(n, rng)
+        assert amplitude_recursion(diffeo, n, kin) == expected
+
+
+def resample_subset_by_subset(n, rng):
+    """random_nondegenerate written over the subsets one at a time; it must
+    make the same draws and keep the same sample."""
+    while True:
+        msq = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        dots = {
+            (i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+        }
+        kin = KinematicSample(n, msq, dots)
+        if all(
+            subset_square(kin, subset) != msq
+            for size in range(2, n + 1)
+            for subset in combinations(range(1, n + 1), size)
+        ):
+            return msq, dots
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_nondegenerate_draws_are_pinned(seed):
+    new_rng, old_rng = random.Random(seed), random.Random(seed)
+    for n in range(1, 8):
+        kin = KinematicSample.random_nondegenerate(n, new_rng)
+        assert (kin.mass_squared, kin.dots) == resample_subset_by_subset(n, old_rng)
+    assert new_rng.getstate() == old_rng.getstate()

@@ -2,10 +2,10 @@ import doctest
 
 import pytest
 
-from chordlab import bell, bijections, chord, fps, gfseries
+from chordlab import bell, bijections, chord, diffeo, fps, gfseries
 
 
-@pytest.mark.parametrize("module", [fps, chord, bijections, gfseries, bell])
+@pytest.mark.parametrize("module", [fps, chord, bijections, gfseries, bell, diffeo])
 def test_module_doctests(module):
     failures, attempted = doctest.testmod(module, verbose=False)
     assert attempted > 0

@@ -1,7 +1,8 @@
 """Property tests on random matchings at n = 9-12, beyond the sizes the
 exhaustive tests reach (n <= 6), a size ladder of seeded uniform matchings
 at n = 30-200, random series with mixed int and Fraction coefficients at
-orders 0-24, and CLI requests read with and without the full parser."""
+orders 0-24, the subset-square table of random kinematics, and CLI
+requests read with and without the full parser."""
 
 import contextlib
 import io
@@ -28,6 +29,7 @@ from chordlab.bijections import (
     with_fresh_labels,
 )
 from chordlab import cli, fps
+from chordlab.diffeo import KinematicSample
 from chordlab.chord import (
     ChordDiagram,
     crossing_blocks,
@@ -38,6 +40,7 @@ from chordlab.chord import (
 from chordlab.fps import FormalPowerSeries
 from chordlab.yukawa import TadpoleGraph, diagram_to_tadpole, tadpole_to_diagram
 from test_chord import deletion_connectivity, scanned_reasons
+from test_diffeo import subset_square
 
 SIZES = st.integers(9, 12)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -381,6 +384,22 @@ def test_divide_inverts_multiplication(a, b, shift):
 CLI_INTS = st.integers(-3, 70).map(str)
 CLI_TEXTS = st.sampled_from(["x", "", "b.txt", "1,1/2"])
 CLI_WORDS = st.one_of(st.sampled_from(["-h", "--", "--order=3"]), CLI_INTS, CLI_TEXTS)
+
+
+@st.composite
+def kinematic_samples(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(1, n + 1), 2))
+    dots = dict(zip(pairs, draw(st.lists(COEFFS, min_size=len(pairs), max_size=len(pairs)))))
+    return KinematicSample(n, draw(COEFFS), dots)
+
+
+@SERIES_PROPERTY
+@given(kinematic_samples())
+def test_subset_square_table_expands_on_shell(kin):
+    for mask, square in enumerate(kin.squares):
+        subset = [i for i in range(1, kin.n + 1) if mask >> (i - 1) & 1]
+        assert square == subset_square(kin, subset)
 
 
 @st.composite

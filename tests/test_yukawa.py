@@ -351,8 +351,8 @@ def raw_tadpoles(loops):
                 block = list(range(start, start + length))
                 succ.update(zip(block, block[1:] + block[:1]))
                 start += length
-            for matching in yukawa._matchings(list(range(1, m))):
-                yield TadpoleGraph(succ, matching, 0)
+            for d in enumerate_diagrams(loops - 1):
+                yield TadpoleGraph(succ, {a + 1: b + 1 for a, b in enumerate(d.partners)}, 0)
 
 
 def test_tadpole_to_diagram_rejects_tadpoles_that_are_not_1pi():
