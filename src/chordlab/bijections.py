@@ -329,9 +329,10 @@ def theta(seed: TreeSeed) -> ZTreeVertex:
     diagram is nonempty (its root component becomes the structure); both are
     nonempty (the two root components are concatenated); only the left is
     nonempty with a single-chord root component (the vertex absorbs that
-    label into its stack); only the left with a larger root component (phi
-    of it becomes the structure, which is how the four shapes stay
-    distinguishable when inverting).
+    label into its stack, a whole nest of chords spanning the list at once);
+    only the left with a larger root component (phi of it becomes the
+    structure, which is how the four shapes stay distinguishable when
+    inverting).
     """
     root = ZTreeVertex([seed.root_label])
     right = seed.right.tokens()
@@ -358,6 +359,13 @@ def theta(seed: TreeSeed) -> ZTreeVertex:
             core_r, hang_r = _split(dr)
             v.structure = from_tokens(core_l + core_r)
             attach(v, hang_l + hang_r)
+        elif dl[0] == dl[-1]:
+            # a chord spanning the list crosses nothing: absorb the whole nest
+            k = 1
+            while 2 * k < len(dl) and dl[k] == dl[-1 - k]:
+                k += 1
+            v.stack += dl[:k]
+            queue.append((dl[k : len(dl) - k], (), v))
         else:
             core, hanging = _split(dl)
             if len(hanging) == 1:

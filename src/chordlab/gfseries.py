@@ -1,10 +1,12 @@
 """Constructors for the named counting series and verifiers for the
 functional identities that relate them.
 
-Every constructor returns exact rational coefficients and is memoized per
-(name, order); building the same series twice is bit-identical.  The short
-names used by the CLI (D, C, C1, C2, I, I0, Dleq2, A, B, S, Z) follow the
-conventional symbols for these sequences:
+Every constructor returns exact rational coefficients; building the same
+series twice is bit-identical.  Only the two O(n^2) integer recurrences, C
+(connected_counts) and C2 (_two_connected), are memoized per order; every
+other series is a short composition of C, C2 and D, rebuilt on request.
+The short names used by the CLI (D, C, C1, C2, I, I0, Dleq2, A, B, S, Z)
+follow the conventional symbols for these sequences:
 
     D      all diagrams, (2n-1)!!
     C      connected diagrams
@@ -78,7 +80,6 @@ def connected_counts(nmax: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-@lru_cache(maxsize=None)
 def double_factorial_series(order: int) -> FormalPowerSeries:
     """D: the coefficient of x^n is (2n-1)!!."""
     _check_order(order)
@@ -88,7 +89,6 @@ def double_factorial_series(order: int) -> FormalPowerSeries:
     return FormalPowerSeries(vals)
 
 
-@lru_cache(maxsize=None)
 def connected_series(order: int) -> FormalPowerSeries:
     """C: connected diagrams, solving 2xCC' = C(1+C) - x."""
     _check_order(order)
@@ -130,26 +130,22 @@ def _two_connected(order: int) -> FormalPowerSeries:
     return FormalPowerSeries(s)
 
 
-@lru_cache(maxsize=None)
 def connectivity_one_series(order: int) -> FormalPowerSeries:
     """C1 = C - C2."""
     return connected_series(order) - two_connected_series(order)
 
 
-@lru_cache(maxsize=None)
 def nonempty_indecomposable_series(order: int) -> FormalPowerSeries:
     """I0 = 1 - 1/D (a diagram is a sequence of indecomposable ones)."""
     _check_order(order)
     return fps.one(order) - fps.reciprocal(double_factorial_series(order))
 
 
-@lru_cache(maxsize=None)
 def indecomposable_series(order: int) -> FormalPowerSeries:
     """I = 1 + I0."""
     return fps.one(order) + nonempty_indecomposable_series(order)
 
 
-@lru_cache(maxsize=None)
 def stack_tree_series(order: int) -> FormalPowerSeries:
     """Z = x/(1-I0)^2 = x*D^2: rooted trees of label stacks (see bijections)."""
     _check_order(order)
@@ -159,7 +155,6 @@ def stack_tree_series(order: int) -> FormalPowerSeries:
     return fps.multiply_by_power(d * d, 1)
 
 
-@lru_cache(maxsize=None)
 def at_most_two_components_series(order: int) -> FormalPowerSeries:
     """Dleq2 = (1+C)^2 - x: empty, connected, a concatenation of two
     connected, or indecomposable with exactly two components (C - x)."""
@@ -168,7 +163,6 @@ def at_most_two_components_series(order: int) -> FormalPowerSeries:
     return fps.one(order) + c + c * c + (c - fps.x(order) if order else c)
 
 
-@lru_cache(maxsize=None)
 def connected_pair_series(order: int) -> FormalPowerSeries:
     """A = (1+C)^2: ordered pairs of connected diagrams, empty allowed."""
     _check_order(order)
@@ -177,7 +171,6 @@ def connected_pair_series(order: int) -> FormalPowerSeries:
     return one_plus * one_plus
 
 
-@lru_cache(maxsize=None)
 def root_insertion_series(order: int) -> FormalPowerSeries:
     """B = x + 4(xC2' - C2)^2 / (x - (2xC2' - C2)): connectivity-1 diagrams
     paired with an interval whose root insertion makes them 2-connected."""
@@ -191,7 +184,6 @@ def root_insertion_series(order: int) -> FormalPowerSeries:
     return fps.x(order) + (num / den).truncate(order)
 
 
-@lru_cache(maxsize=None)
 def two_connected_sequence_series(order: int) -> FormalPowerSeries:
     """S = 1/(1 - C2/x): sequences of 2-connected diagrams, one less chord."""
     _check_order(order)

@@ -10,7 +10,6 @@ import pytest
 from chordlab import fps
 from chordlab.asymptotics import (
     TOLERANCES,
-    ScaledSeries,
     alien_connected,
     alien_connected_alternative,
     alien_two_connected,
@@ -73,19 +72,6 @@ def test_two_connected_intermediate_rows():
     assert exp_part.coeffs == fracs(
         [1, -4, -6, Fraction(-176, 3), Fraction(-2008, 3), Fraction(-46636, 5)]
     )
-
-
-def test_scaled_series_arithmetic():
-    a = ScaledSeries(fps.one(3), Fraction(-1), True)
-    b = ScaledSeries(fps.geometric(3), Fraction(1))
-    prod = a * b
-    assert prod.exp_offset == 0
-    assert prod.inv_sqrt_2pi
-    with pytest.raises(ValueError):
-        a * a
-    with pytest.raises(ValueError):
-        a + b
-    assert (a + a).body == 2 * fps.one(3)
 
 
 def test_model_scale_matches_double_factorial():

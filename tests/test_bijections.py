@@ -146,6 +146,16 @@ def test_theta_right_child():
     assert theta_inv(tree) == seed
 
 
+def test_theta_absorbs_a_nest_of_1200_chords_into_one_stack():
+    n = 1200
+    nested = ChordDiagram([2 * n - 1 - i for i in range(2 * n)])
+    seed = TreeSeed.from_diagrams(nested, ChordDiagram(()))
+    tree = theta(seed)
+    assert tree.stack == list(range(n + 1))
+    assert tree.structure is None and not tree.children
+    assert theta_inv(tree) == seed
+
+
 @pytest.mark.parametrize("total", [1, 2, 3, 4, 5])
 def test_theta_roundtrip_exhaustive(total):
     for seed in all_seeds(total):

@@ -2,10 +2,10 @@ import doctest
 
 import pytest
 
-from chordlab import bell, bijections, chord, diffeo, fps, gfseries
+from chordlab import asymptotics, bell, bijections, chord, diffeo, fps, gfseries
 
 
-@pytest.mark.parametrize("module", [fps, chord, bijections, gfseries, bell, diffeo])
+@pytest.mark.parametrize("module", [fps, chord, bijections, gfseries, bell, diffeo, asymptotics])
 def test_module_doctests(module):
     failures, attempted = doctest.testmod(module, verbose=False)
     assert attempted > 0

@@ -1,9 +1,15 @@
 """Named series against their known values and identity verifiers."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import chordlab
 from chordlab import checks, chord, fps, gfseries
 from chordlab.gfseries import (
     IDENTITIES,
@@ -90,6 +96,51 @@ def test_series_construction_is_reproducible():
     a = two_connected_series(10)
     b = two_connected_series(10)
     assert a is b or a == b
+
+
+# sha256 of repr(named_series(name, 256).coeffs): the values and their
+# int/Fraction types, so how a series is built or cached cannot change them
+GOLDEN_256 = {
+    "A": "9f3a0b2869505a4d89db6ada55da62537e93685fe8c80f4e5ad8a94c8b686870",
+    "B": "c73112e07b5090c944f13e6a6d768508aba394d24101388e1557d0225389743a",
+    "C": "6422cbdabb6a0a862bc45c887846b735b4e5b2efcbbe6c3e43cbf757a7d77c70",
+    "C1": "45b89edf286777baf973357a8a6ddbb6f48e79382f1cbca095ca2965a3f2d0d8",
+    "C2": "ad7b15c0854ad6926646e671fb152de0a09ce6dc85b7a47de441baec83d2b852",
+    "D": "019b1d0827abe03728daf6885e94f417889f893a91242b741472adb04c029ca1",
+    "Dleq2": "72a6c587f0096f47bd0106b588b7e754da5c30444795cf392be16ed28f3d4b5f",
+    "I": "3d53668daae62046e806d5f09090054d72d6481cf9bb1fa7e2e70727886451a1",
+    "I0": "4d0812e2adf41d918a2b9d9d30e4e17bbdf4004c11a165bbf34ac09df0333fb8",
+    "S": "f5622ec8a1aeb9f294ce440964143d0a7865f1b57326bc1c0d454149fe1f1101",
+    "Z": "d22da7894a93a6fe2d2c513dd2ffae54650641795f2576174892c4a968182633",
+}
+
+
+def test_named_series_match_their_golden_digests():
+    assert set(GOLDEN_256) == set(gfseries.SERIES)
+    for name, digest in GOLDEN_256.items():
+        coeffs = named_series(name, 256).coeffs
+        assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == digest, name
+
+
+MEMO_MISSES_AFTER_SERIES_C2 = """
+import contextlib, io
+from chordlab import cli, gfseries
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["series", "C2", "--order", "48", "--format", "json"])
+print(sum(f.cache_info().misses for f in vars(gfseries).values() if hasattr(f, "cache_info")))
+"""
+
+
+def test_cold_processes_miss_the_memo_tables_equally():
+    # perfbench's isolation probe: two cold jobs must miss the gfseries
+    # memo tables (its attributes with cache_info) equally and nonzero often
+    env = dict(os.environ, PYTHONPATH=str(Path(chordlab.__file__).parents[1]))
+    misses = [
+        subprocess.run([sys.executable, "-c", MEMO_MISSES_AFTER_SERIES_C2],
+                       capture_output=True, text=True, env=env, check=True).stdout
+        for _ in range(2)
+    ]
+    assert misses[0] == misses[1] and int(misses[0]) > 0
 
 
 @pytest.mark.parametrize("name", sorted(IDENTITIES))
