@@ -83,14 +83,17 @@ def from_tokens(tokens: Sequence[Token]) -> LabeledDiagram:
     return LabeledDiagram(ChordDiagram(p), labels)
 
 
-def _partners(tokens: Sequence[Token]) -> list[int]:
-    """The partner array that pairs the two positions of each label."""
+def _partners(tokens: Sequence[Token], first_block: bool = False) -> list[int]:
+    """The partner array that pairs the two positions of each label; with
+    first_block, that of the shortest prefix pairing them all, read no further."""
     first: dict[Token, int] = {}
     p = [0] * len(tokens)
     for pos, lab in enumerate(tokens):
         if lab in first:
             a = first.pop(lab)
             p[a], p[pos] = pos, a
+            if first_block and not first:
+                return p[:pos + 1]
         else:
             first[lab] = pos
     if first:
@@ -274,13 +277,14 @@ def _split(tokens: list[Token]) -> tuple[list[Token], list[tuple[Token, Sequence
     """The root component of a nonempty token list and, per core chord in
     first-endpoint order, its label with the runs hanging after its two
     ends.  A chord in one run crossing into another would cross the core,
-    so each run is a slice.  A connected list is its own core."""
-    p = _partners(tokens)
+    so each run is a slice.  The core ends with the first block, so only it is
+    scanned and the rest is the last run.  A connected list is its own core."""
+    p = _partners(tokens, first_block=True)
     root = next(b for b in crossing_blocks(p) if not b[0])
-    if 2 * len(root) == len(p):
+    if 2 * len(root) == len(tokens):
         return tokens, [(tokens[a], (), ()) for a in root]
     ends = sorted(root + [p[a] for a in root])
-    run = {pos: tokens[pos + 1:end] for pos, end in zip(ends, ends[1:] + [len(p)])}
+    run = {pos: tokens[pos + 1:end] for pos, end in zip(ends, ends[1:] + [len(tokens)])}
     return [tokens[pos] for pos in ends], [(tokens[a], run[a], run[p[a]]) for a in root]
 
 

@@ -12,7 +12,8 @@ open chords (`crossing_blocks`).  An opener pushes a block; a closer crosses
 every chord open in the blocks above its own, so they merge into its block
 before its count drops by one, and a block whose count reaches 0 is done.
 
-`census` counts every class in one pruned depth-first search.  For n >= 7
+`census` counts every class in one pruned depth-first search, which also
+lists a class (`connectivity_class`).  For n >= 7
 the search is cut at the nodes that place the third chord, numbered in
 search order; shard w of W takes the nodes numbered w mod W, and shard 0
 alone counts the subtrees settled above them.  The caller runs shard 0 and
@@ -32,7 +33,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 DEFAULT_MAX_N = 10
 
@@ -129,7 +130,7 @@ class ChordDiagram:
             raise ValueError(f"chord diagram literal {text!r}: {exc}") from None
 
     def to_literal(self) -> str:
-        body = " ".join(str(q + 1) for q in self.partners)
+        body = " ".join([str(q + 1) for q in self.partners])
         return f"{self.n}: {body}" if body else f"{self.n}:"
 
     # -- chords and crossings -------------------------------------------------
@@ -469,6 +470,12 @@ def census(n: int) -> Census:
     leaves visited are the connected diagrams and the disconnected ones
     whose separating windows all end in the final run of closers.
 
+    A node with two chords left settles the last chord in its own loop and
+    books the leaf without a call (58,784 of the 91,175 calls at n = 7 did
+    only that).  Given a leaf sink, the same search lists the classes it
+    keeps (`connectivity_class`), skipping every subtree below the least of
+    them: capped connectivity only falls with depth.
+
     For n >= 7 the search is split into shards run in parallel, one per
     CPU this process may use and at most 2**(n-6) (`_census_shards`).  The
     nodes that place the third chord are numbered in search order, and
@@ -488,6 +495,19 @@ def census(n: int) -> Census:
     return Census(*_sum_over_forks(_census_search(n, shards), shards))
 
 
+def connectivity_class(n: int, levels: Collection[int]) -> list[ChordDiagram]:
+    """The diagrams on n chords whose connectivity, capped at 2, lies in
+    levels, in the order of `enumerate_diagrams`: the leaves that the
+    census search, run whole, keeps for them (see `census`)."""
+    check_size(n)
+    if not n:
+        return [ChordDiagram(())] * (0 in levels)
+    diagrams: list[ChordDiagram] = []
+    keep = tuple(c in levels for c in range(3))
+    _census_search(n, 1, keep, lambda p: diagrams.append(ChordDiagram(p)))(0)
+    return diagrams
+
+
 def _census_shards(n: int) -> int:
     """How many processes share census(n); see its docstring."""
     if n < 7 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
@@ -495,11 +515,16 @@ def _census_shards(n: int) -> int:
     return min(len(os.sched_getaffinity(0)), 1 << n - 6)
 
 
-def _census_search(n: int, shards: int) -> Callable[[int], list[int]]:
+def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
+                   sink: Callable[[list[int]], None] | None = None) -> Callable[[int], list[int]]:
     """The search of `census` for n >= 1 cut into `shards` shards (n >= 4
     when shards > 1, so that every leaf lies below the split): the returned
     function runs one shard and returns its counts (total, connected,
-    2-connected, connectivity 1, indecomposable)."""
+    2-connected, connectivity 1, indecomposable).
+
+    keep[c] says whether a leaf of capped connectivity c goes to sink, as
+    its full partner array; a subtree below the least such c (1 if none) is
+    booked without a visit, its connected leaves uncounted."""
     m = 2 * n
     # A count is at most n, so a field's top bit stays free: adding
     # high - 1 - t to a field sets that bit exactly when the field exceeds t.
@@ -530,6 +555,7 @@ def _census_search(n: int, shards: int) -> Callable[[int], list[int]]:
     for r in range(1, n):
         chains[r] = chains[r - 1] * (2 * r - 1)
     completions = indecomposable_completions(m - 2)
+    floor = keep.index(True) if True in keep else 1
     p = [-1] * m  # p[j] = partner of a fixed closer j; openers are not stored
     # A node placing a chord with r chords left, itself included, lies
     # above the split when r > split: the first three chords.
@@ -550,8 +576,13 @@ def _census_search(n: int, shards: int) -> Callable[[int], list[int]]:
             turn += 1
             return turn % shards == shard
 
-        def rec(k: int, cuts: int, run_max: int, block: bool, best: int, r: int) -> None:
+        # The tables are bound as defaults: a local reads faster than a cell.
+        def rec(k: int, cuts: int, run_max: int, block: bool, best: int, r: int,
+                p=p, closers=closers, ones=ones, above0=above0, above1=above1,
+                counts=counts, keep=keep, m=m, split=split, floor=floor) -> None:
             # Endpoints before k are scanned; k is the smallest free endpoint.
+            # With two chords left the last one is settled here: it opens at
+            # the next free endpoint and closes at the only other one.
             for j in range(k + 1, m):
                 if p[j] >= 0:
                     continue
@@ -562,39 +593,59 @@ def _census_search(n: int, shards: int) -> Callable[[int], list[int]]:
                 has_block = block
                 conn = best
                 i = k + 1
-                while i < m:
-                    q = p[i]
-                    if q < 0:
-                        break
-                    if top == i and i < m - 1:
-                        has_block = True
-                    if conn:
-                        step, mask0, mask1 = closers[i][q]
-                        c += step
-                        x = c + above1
-                        if x & mask0 != mask0:  # a window in mask0 has cut <= 1
-                            if (c + above0) & mask0 != mask0:
-                                conn = 0
-                            elif conn == 2 and x & mask1 != mask1:
-                                conn = 1
-                    i += 1
-                if i == m:
-                    counts[0] += 1
-                    if not has_block:
-                        counts[4] += 1
-                    if conn:
-                        counts[1] += 1
-                        counts[2 if conn == 2 else 3] += 1
-                elif r > split and not mine(conn, r):
-                    pass
-                elif conn == 0:
-                    counts[0] += chains[r - 1]
-                    if not has_block:
-                        b = m - 1 - top
-                        counts[4] += completions[2 * r - 2 - b][b]
-                else:
-                    rec(i, c, top, has_block, conn, r - 1)
-                p[j] = -1
+                last = j  # the closer of the last chord, once settled here
+                while True:
+                    while i < m:
+                        q = p[i]
+                        if q < 0:
+                            break
+                        if top == i and i < m - 1:
+                            has_block = True
+                        if conn:
+                            step, mask0, mask1 = closers[i][q]
+                            c += step
+                            x = c + above1
+                            if x & mask0 != mask0:  # a window in mask0 has cut <= 1
+                                if (c + above0) & mask0 != mask0:
+                                    conn = 0
+                                elif conn == 2 and x & mask1 != mask1:
+                                    conn = 1
+                        i += 1
+                    if i == m:
+                        counts[0] += 1
+                        if not has_block:
+                            counts[4] += 1
+                        if conn:
+                            counts[1] += 1
+                            counts[2 if conn == 2 else 3] += 1
+                        if keep[conn]:
+                            full = p[:]
+                            for a, q in enumerate(p):
+                                if q >= 0:
+                                    full[q] = a
+                            sink(full)
+                    elif r > split and not mine(conn, r):
+                        pass
+                    elif conn < floor:
+                        counts[0] += chains[r - 1]
+                        if not has_block:
+                            b = m - 1 - top
+                            counts[4] += completions[2 * r - 2 - b][b]
+                    elif r > 2:
+                        rec(i, c, top, has_block, conn, r - 1)
+                    else:
+                        last = i + 1
+                        while p[last] >= 0:
+                            last += 1
+                        p[last] = i
+                        if conn:
+                            c += ones[i + 1]
+                        if last > top:
+                            top = last
+                        i += 1
+                        continue
+                    break
+                p[last] = p[j] = -1
 
         rec(0, 0, -1, False, min(n, 2), n)
         return counts

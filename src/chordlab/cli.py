@@ -122,25 +122,27 @@ def cmd_series(args):
     return {"name": args.name, "order": args.order}, coeffs, lines
 
 
-# Each filter: the predicate a listing applies, and the Census field that
-# counts the diagrams it keeps.
+# Each filter: the predicate a listing applies, the Census field that
+# counts the diagrams it keeps, and the capped connectivities that the
+# census search keeps for a listing (None: filter every diagram).
 FILTERS = {
-    "all": (lambda d: True, "total"),
-    "connected": (lambda d: d.is_connected(), "connected"),
-    "2connected": (lambda d: d.is_k_connected(2), "two_connected"),
-    "connectivity1": (lambda d: d.connectivity() == 1, "connectivity_one"),
+    "all": (lambda d: True, "total", None),
+    "connected": (lambda d: d.is_connected(), "connected", (1, 2)),
+    "2connected": (lambda d: d.is_k_connected(2), "two_connected", (2,)),
+    "connectivity1": (lambda d: d.connectivity() == 1, "connectivity_one", (1,)),
     "indecomposable": (lambda d: d.n > 0 and d.is_indecomposable(),
-                       "indecomposable_nonempty"),
+                       "indecomposable_nonempty", None),
 }
 
 
 def cmd_enumerate(args):
     """List the diagrams (or tadpoles) of size n.  A count-only request for
-    diagrams is read from the one-pass census; the listing through FILTERS
-    stays its oracle."""
+    diagrams is read from the one-pass census, and a connected, 2connected or
+    connectivity1 listing from the same search run whole.  `all` and
+    `indecomposable` filter every diagram through FILTERS, the tests' oracle."""
     _check_range("--n", args.n, 1 if args.kind == "tadpoles" else 0)
     items = []
-    keep, field = FILTERS[args.filter]
+    keep, field, levels = FILTERS[args.filter]
     if args.kind == "tadpoles":
         if args.filter != "all":
             raise ValueError("filters apply to diagrams only")
@@ -149,9 +151,9 @@ def cmd_enumerate(args):
     elif args.count_only:
         count = getattr(chord.census(args.n), field)
     else:
-        items = [
-            d.to_literal() for d in chord.enumerate_diagrams(args.n) if keep(d)
-        ]
+        diagrams = (chord.connectivity_class(args.n, levels) if levels else
+                    filter(keep, chord.enumerate_diagrams(args.n)))
+        items = [d.to_literal() for d in diagrams]
         count = len(items)
     payload = {"count": count}
     if not args.count_only:

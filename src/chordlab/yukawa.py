@@ -22,6 +22,18 @@ Vertex names are arbitrary integers; equality of tadpoles means graph
 isomorphism respecting the leg and the loop orientation, decided through a
 canonical traversal signature (the free end of the leg is never a vertex
 here; algorithms that treat it as one use the LEG_END marker instead).
+
+The bijection lambda (tadpole_to_diagram, inverse diagram_to_tadpole)
+maps the 1PI tadpoles with n loops onto the connected diagrams with n
+chords, 27 of each at n = 4:
+
+>>> len(enumerate_tadpoles(4))
+27
+>>> t = TadpoleGraph.from_literal("loops: (0 1 2) ; bosons: 1-2 ; leg: 0")
+>>> tadpole_to_diagram(t)
+ChordDiagram('2: 3 4 1 2')
+>>> diagram_to_tadpole(ChordDiagram.from_literal("2: 3 4 1 2")) == t
+True
 """
 
 from __future__ import annotations

@@ -156,6 +156,15 @@ def test_theta_absorbs_a_nest_of_1200_chords_into_one_stack():
     assert theta_inv(tree) == seed
 
 
+def test_theta_hangs_a_chain_of_1200_disjoint_chords_level_by_level():
+    n = 1200
+    chain = ChordDiagram([i ^ 1 for i in range(2 * n)])
+    seed = TreeSeed.from_diagrams(chain, ChordDiagram(()))
+    tree = theta(seed)
+    assert tree.stack == [0, 1] and tree.size() == n + 1
+    assert theta_inv(tree) == seed
+
+
 @pytest.mark.parametrize("total", [1, 2, 3, 4, 5])
 def test_theta_roundtrip_exhaustive(total):
     for seed in all_seeds(total):

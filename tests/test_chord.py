@@ -23,6 +23,7 @@ from chordlab.chord import (
     minimal_reasons,
     reasons_and_cuts,
 )
+from chordlab.cli import FILTERS
 
 DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
 CONNECTED = {1: 1, 2: 1, 3: 4, 4: 27, 5: 248, 6: 2830}
@@ -240,6 +241,43 @@ def test_indecomposable_completions_match_brute_force():
                         p[free[i]] = free[q]
                     count += ChordDiagram(p).is_indecomposable()
             assert g[a][b] == count, (a, b)
+
+
+CLASSES = ["connected", "2connected", "connectivity1"]
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_connectivity_class_equals_filtering_every_diagram(name):
+    # The per-diagram classifier of the CLI filter is the oracle, order
+    # included.
+    keep, _, levels = FILTERS[name]
+    for n in range(7):
+        listed = chord.connectivity_class(n, levels)
+        assert listed == [d for d in enumerate_diagrams(n) if keep(d)], n
+
+
+def test_connectivity_class_at_seven_chords_equals_filtering_every_diagram():
+    listed = chord.connectivity_class(7, (1, 2))
+    assert len(listed) == 38232
+    assert listed == [d for d in enumerate_diagrams(7) if d.is_connected()]
+
+
+def test_connectivity_class_with_level_zero_visits_every_leaf():
+    for n in range(6):
+        disconnected = [d for d in enumerate_diagrams(n) if not d.is_connected()]
+        assert chord.connectivity_class(n, (0,)) == disconnected
+        assert chord.connectivity_class(n, (0, 1, 2)) == list(enumerate_diagrams(n))
+    assert chord.connectivity_class(4, ()) == chord.connectivity_class(4, (3,)) == []
+
+
+def test_listing_search_counts_the_leaves_it_visits():
+    # Counting and listing run through one kernel: with every connected
+    # leaf kept, the sink sees exactly the counted connected diagrams.
+    for n in range(1, 7):
+        leaves = []
+        counts = chord._census_search(n, 1, (False, True, True), leaves.append)(0)
+        assert counts == chord._census_search(n, 1)(0)
+        assert len(leaves) == counts[1] == CONNECTED[n]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])

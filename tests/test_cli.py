@@ -103,6 +103,21 @@ def test_count_only_matches_listing(capsys, name, n):
     assert listed["count"] == len(listed["items"])
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("name", ["connected", "2connected", "connectivity1"])
+def test_class_listing_prints_what_the_filter_path_prints(capsys, monkeypatch, name, fmt):
+    # The class listings come from the census search; without their levels
+    # the same request filters every diagram through its FILTERS predicate.
+    requests = [["enumerate", "--n", str(n), "--filter", name, "--format", fmt]
+                for n in range(6)]
+    searched = [run_cli(capsys, *argv) for argv in requests]
+    keep, field, _ = FILTERS[name]
+    monkeypatch.setitem(FILTERS, name, (keep, field, None))
+    monkeypatch.setattr(cli.chord, "connectivity_class", None)
+    assert searched == [run_cli(capsys, *argv) for argv in requests]
+    assert all(code == 0 for code, _ in searched)
+
+
 def test_enumerate_tadpoles(capsys):
     code, out = run_cli(
         capsys, "enumerate", "--kind", "tadpoles", "--n", "3", "--count-only"
