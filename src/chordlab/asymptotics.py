@@ -185,7 +185,6 @@ class FitReport:
     scaled_remainder: Decimal
     next_coefficient: Decimal  # e^offset * c_R
     tracking_ratio: Decimal  # scaled_remainder / next_coefficient
-    abs_error: Decimal  # |scaled_remainder - next_coefficient|
 
 
 def _to_decimal(q: Fraction) -> Decimal:
@@ -226,13 +225,7 @@ def asymptotic_fit(series: str, n: int, terms: int) -> FitReport:
             scaled_remainder=remainder,
             next_coefficient=next_coeff,
             tracking_ratio=ratio,
-            abs_error=abs(remainder - next_coeff),
         )
-
-
-def fit_trend(series: str, ns: list[int], terms: int) -> list[FitReport]:
-    """Fits at increasing n; the tracking ratios should approach 1."""
-    return [asymptotic_fit(series, n, terms) for n in ns]
 
 
 def connectivity_probability(series: str, n: int) -> Decimal:

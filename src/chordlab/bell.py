@@ -42,12 +42,25 @@ def _values(n: int, k: int, xs: Sequence[Rational]) -> tuple[Fraction, ...]:
     return _key(xs[: max(n - k + 1, 0)])
 
 
+# The memo recursion descends one block count per call, two interpreter
+# frames each; bell_partial fills it every _BLOCK_STEP block counts from
+# below, so no call descends further than that, whatever k is.
+_BLOCK_STEP = 100
+
+
 def bell_partial(n: int, k: int, xs: Sequence[Rational]) -> Fraction:
     """B(n, k) via the block-of-the-first-element recurrence
 
         k B(n,k) = sum_s C(n,s) x_s B(n-s, k-1).
+
+    B(n, k) reads B(m, j) only at m - j <= n - k, so those are the entries
+    filled below it.
     """
-    return _bell_memo(n, k, _values(n, k, xs))
+    values = _values(n, k, xs)
+    for j in range(_BLOCK_STEP, k, _BLOCK_STEP):
+        for m in range(j, j + n - k + 1):
+            _bell_memo(m, j, values[: m - j + 1])
+    return _bell_memo(n, k, values)
 
 
 @lru_cache(maxsize=None)
@@ -187,34 +200,6 @@ def nested_convolution(n: int, blocks: int, xs: Sequence[Rational]) -> Fraction:
     if n < blocks or n == 0:
         return bell_partial(n, blocks, xs)  # degenerate: 0 (or 1 at n=blocks=0)
     return peel(n, k) / factorial(blocks)
-
-
-def nested_convolution_literal(n: int, blocks: int, xs: Sequence[Rational]) -> Fraction:
-    """Small-case oracle for nested_convolution: the same sum written with
-    one explicit loop per block boundary."""
-    k = blocks - 1
-    values = _key(xs)
-    if k == 0:
-        return values[n - 1]
-    total = Fraction(0)
-
-    def loop(depth: int, prev: int, indices: list[int]) -> None:
-        nonlocal total
-        for a in range(k - depth, prev):
-            indices.append(a)
-            if depth == k - 1:
-                prod = Fraction(1)
-                upper = n
-                for cut in indices:
-                    prod *= comb(upper, cut) * values[upper - cut - 1]
-                    upper = cut
-                total += prod * values[upper - 1]
-            else:
-                loop(depth + 1, a, indices)
-            indices.pop()
-
-    loop(0, n, [])
-    return total / factorial(blocks)
 
 
 def _identity_nested(n, blocks, xs):

@@ -300,31 +300,6 @@ def _join(core: Sequence[Token], hanging: dict) -> list[Token]:
     return out
 
 
-def split_root_component(
-    ld: LabeledDiagram,
-) -> tuple[LabeledDiagram, list[tuple[LabeledDiagram, LabeledDiagram]]]:
-    """The root component of a nonempty diagram together with, per core
-    chord, the labeled diagrams hanging right of its two ends (after the
-    left end, after the right end).  A plain diagram goes through
-    with_fresh_labels."""
-    tokens = ld.tokens()
-    if not tokens:
-        raise ValueError("the empty diagram has no root component")
-    core, hanging = _split(tokens)
-    return (ld if core is tokens else from_tokens(core)), [
-        (from_tokens(left), from_tokens(right)) for _, left, right in hanging
-    ]
-
-
-def join_root_component(core: LabeledDiagram, danglings) -> LabeledDiagram:
-    """Inverse of split_root_component: hang each pair of diagrams right of
-    the two ends of the matching core chord."""
-    if not any(dl.labels for pair in danglings for dl in pair):
-        return core
-    hanging = {lab: (dl.tokens(), dr.tokens()) for lab, (dl, dr) in zip(core.labels, danglings)}
-    return from_tokens(_join(core.tokens(), hanging))
-
-
 def theta(seed: TreeSeed) -> ZTreeVertex:
     """Grow the stack tree by working through a queue of chords with the
     token lists of their dangling diagram pairs.

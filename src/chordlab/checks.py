@@ -2,7 +2,8 @@
 
 A check returns ``(name, ok, detail)`` and takes its size plus the data
 drawn for it or the generator to draw from, so each caller keeps its own
-draws.  A suite returns its checks' results in order; `verify all` passes
+draws.  The diffeo checks take the values b_1..b_nmax they compare against
+in place of nmax, so one reversion serves them all.  A suite returns its checks' results in order; `verify all` passes
 one generator through SUITES in order.  Layer functions are called through
 their modules, so tracing wrappers installed on the modules see the calls.
 """
@@ -63,27 +64,25 @@ def diffeo_mapping(rng, count: int):
     )
 
 
-def diffeo_closed_form(mapping, nmax: int) -> Check:
-    values = diffeo.b_inverse_list(mapping, nmax)
-    ok = all(
-        diffeo.b_closed_form(mapping, n) == values[n - 1] for n in range(1, nmax + 1)
-    )
-    return "diffeo:closed_form_vs_inverse", ok, f"n<={nmax}"
+def diffeo_closed_form(mapping, values) -> Check:
+    """The Bell closed form against values = (b_1, ..., b_nmax)."""
+    ok = all(diffeo.b_closed_form(mapping, n) == b for n, b in enumerate(values, 1))
+    return "diffeo:closed_form_vs_inverse", ok, f"n<={len(values)}"
 
 
-def diffeo_recurrences(mapping, nmax: int) -> Check:
-    return "diffeo:recurrences", diffeo.verify_recurrences(mapping, nmax), ""
+def diffeo_recurrences(mapping, values) -> Check:
+    return "diffeo:recurrences", diffeo.verify_recurrences(mapping, values), ""
 
 
 def diffeo_ode(mapping, nmax: int) -> Check:
     return "diffeo:ode", diffeo.verify_ode(mapping, nmax), ""
 
 
-def diffeo_amplitudes(mapping, nmax: int, rng, samples: int = 1) -> Check:
-    """The momentum-level recursion on `samples` random nondegenerate
-    kinematic points per n <= min(5, nmax), drawn from rng in n order."""
-    top = min(5, nmax)
-    values = diffeo.b_inverse_list(mapping, top)
+def diffeo_amplitudes(mapping, values, rng, samples: int = 1) -> Check:
+    """The momentum-level recursion against values = (b_1, ..., b_nmax) on
+    `samples` random nondegenerate kinematic points per n <= min(5, nmax),
+    drawn from rng in n order."""
+    top = min(5, len(values))
     ok = all(
         diffeo.amplitude_recursion(
             mapping, n, diffeo.KinematicSample.random_nondegenerate(n, rng)
@@ -101,7 +100,7 @@ def diffeo_negative_control(mapping) -> Check:
     perturbed = diffeo.b_inverse_list(mapping, 6)
     perturbed[2] += 1
     ok = (
-        not diffeo.verify_recurrences(mapping, 6, b=perturbed)
+        not diffeo.verify_recurrences(mapping, perturbed)
         and diffeo.ode_residuals(mapping, 6, use_inverse=False)[0] != fps.zero(6)
     )
     return "diffeo:negative_control", ok, ""
@@ -152,11 +151,12 @@ def bell_suite(order: int, rng) -> list[Check]:
 def diffeo_suite(order: int, rng) -> list[Check]:
     nmax = min(order, 12)
     mapping = diffeo_mapping(rng, 4)
+    values = diffeo.b_inverse_list(mapping, nmax)
     return [
-        diffeo_closed_form(mapping, nmax),
-        diffeo_recurrences(mapping, nmax),
+        diffeo_closed_form(mapping, values),
+        diffeo_recurrences(mapping, values),
         diffeo_ode(mapping, nmax),
-        diffeo_amplitudes(mapping, nmax, rng),
+        diffeo_amplitudes(mapping, values, rng),
         diffeo_negative_control(mapping),
     ]
 

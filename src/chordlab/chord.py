@@ -96,18 +96,6 @@ class ChordDiagram:
     # -- text form ----------------------------------------------------------
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "ChordDiagram":
-        """Build from 1-indexed endpoint pairs."""
-        m = 2 * len(pairs)
-        p = [-1] * m
-        for a, b in pairs:
-            p[a - 1] = b - 1
-            p[b - 1] = a - 1
-        if -1 in p:
-            raise ValueError("pairs do not cover {1,...,2n}")
-        return cls(p)
-
-    @classmethod
     def from_literal(cls, text: str) -> "ChordDiagram":
         """Parse "n: p1 p2 ... p2n" (1-indexed partner list)."""
         head, _, body = text.partition(":")
@@ -140,23 +128,6 @@ class ChordDiagram:
         return [
             (i, q) for i, q in enumerate(self.partners) if i < q
         ]
-
-    def root_chord(self) -> tuple[int, int]:
-        if not self.n:
-            raise ValueError("the empty diagram has no root")
-        return (0, self.partners[0])
-
-    def intersection_adjacency(self) -> list[set[int]]:
-        """Adjacency of the intersection graph over chord indices."""
-        cs = self.chords()
-        adj: list[set[int]] = [set() for _ in cs]
-        for i, (a1, b1) in enumerate(cs):
-            for j in range(i + 1, len(cs)):
-                a2, b2 = cs[j]
-                if a1 < a2 < b1 < b2:
-                    adj[i].add(j)
-                    adj[j].add(i)
-        return adj
 
     def components(self) -> list[frozenset[int]]:
         """Connected components of the intersection graph (chord indices),
@@ -202,29 +173,6 @@ class ChordDiagram:
         """True unless the diagram is a concatenation of smaller ones."""
         return first_block_end(self.partners) is None
 
-    # -- root-component decomposition ------------------------------------------
-
-    def root_component(self) -> frozenset[int]:
-        """Chord indices of the intersection-graph component of the root."""
-        if not self.n:
-            raise ValueError("the empty diagram has no root component")
-        return self.components()[0]
-
-    def subdiagram(self, chord_indices) -> "ChordDiagram":
-        """Diagram induced by a subset of chords, positions collapsed."""
-        cs = self.chords()
-        keep = sorted(chord_indices)
-        positions = sorted(
-            pos for i in keep for pos in cs[i]
-        )
-        rank = {pos: r for r, pos in enumerate(positions)}
-        p = [-1] * len(positions)
-        for i in keep:
-            a, b = cs[i]
-            p[rank[a]] = rank[b]
-            p[rank[b]] = rank[a]
-        return ChordDiagram(p)
-
 
 def crossing_blocks(partners: Sequence[int], skip: int = -1) -> Iterator[list[int]]:
     """The stack scan of the module docstring over every chord but the one
@@ -253,30 +201,6 @@ def crossing_blocks(partners: Sequence[int], skip: int = -1) -> Iterator[list[in
                 i = bisect_left(pending, low)
                 yield pending[i:]
                 del pending[i:]
-
-
-def intersection_components(
-    adj: Sequence[set[int]], allowed
-) -> list[frozenset[int]]:
-    """Components of the intersection graph `adj` restricted to the chord
-    indices in `allowed`, ordered by smallest chord index (chords are
-    indexed by first endpoint, so this is first-endpoint order)."""
-    free = [False] * len(adj)
-    for i in allowed:
-        free[i] = True
-    comps = []
-    for start in range(len(adj)):
-        if not free[start]:
-            continue
-        free[start] = False
-        comp = [start]
-        for v in comp:  # grows while it is walked: a breadth-first search
-            for w in adj[v]:
-                if free[w]:
-                    free[w] = False
-                    comp.append(w)
-        comps.append(frozenset(comp))
-    return comps
 
 
 def first_block_end(partners: Sequence[int]) -> int | None:
@@ -704,40 +628,3 @@ def _sum_over_forks(run: Callable[[int], list[int]], shards: int) -> list[int]:
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
-
-
-# -- labelled intersection graph ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntersectionGraph:
-    """The intersection graph with the recursive labelling: the root chord is
-    labelled first, then the components left after removing it, ordered by
-    first endpoint, are labelled recursively."""
-
-    n: int
-    labels: tuple[int, ...]  # labels[chord_index] = label in 1..n
-    edges: frozenset[tuple[int, int]]  # (smaller label, larger label)
-
-
-def labelled_intersection_graph(d: ChordDiagram) -> IntersectionGraph:
-    adj = d.intersection_adjacency()
-    labels = [0] * d.n
-    counter = [0]
-
-    def assign(indices: frozenset[int]) -> None:
-        root = min(indices)
-        counter[0] += 1
-        labels[root] = counter[0]
-        for comp in intersection_components(adj, indices - {root}):
-            assign(comp)
-
-    if d.n:
-        assign(frozenset(range(d.n)))
-    edge_set = frozenset(
-        (min(labels[i], labels[j]), max(labels[i], labels[j]))
-        for i in range(d.n)
-        for j in adj[i]
-        if i < j
-    )
-    return IntersectionGraph(d.n, tuple(labels), edge_set)

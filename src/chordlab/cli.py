@@ -257,7 +257,7 @@ def cmd_diffeo(args):
     payload = {
         "seed": seed,
         "b": [_fraction_text(v) for v in b_series],
-        "closed_form_agrees": checks.diffeo_closed_form(mapping, args.n)[1],
+        "closed_form_agrees": checks.diffeo_closed_form(mapping, b_series)[1],
     }
     if args.n <= diffeo.MAX_AMPLITUDE_POINTS:
         kin = diffeo.KinematicSample.random_nondegenerate(args.n, rng)
@@ -270,7 +270,7 @@ def cmd_diffeo(args):
 
 
 def cmd_oeis_compare(args):
-    _check_range("--order", args.order, 0)
+    _check_range("--order", args.order, 0, gfseries.SERIES_CAP)
     comparison = oeis.compare_bfile(args.name, args.bfile, order=args.order)
     payload = {
         "series": comparison.series,

@@ -85,15 +85,8 @@ class Diffeomorphism:
 # -- the four routes to b_n ---------------------------------------------------
 
 
-def b_inverse(diffeo: Diffeomorphism, n: int) -> Fraction:
-    """b_n = n! [t^n] reversion(F)."""
-    if n < 1:
-        raise ValueError("defined for n >= 1")
-    return factorial(n) * diffeo.series(n).reversion()[n]
-
-
 def b_inverse_list(diffeo: Diffeomorphism, nmax: int) -> list[Fraction]:
-    """(b_1, ..., b_nmax) in one reversion."""
+    """(b_1, ..., b_nmax), b_n = n! [t^n] reversion(F), in one reversion."""
     g = diffeo.series(nmax).reversion()
     return [factorial(n) * g[n] for n in range(1, nmax + 1)]
 
@@ -159,16 +152,12 @@ def dot_recurrence_residual(diffeo: Diffeomorphism, b: Sequence[Rational], n: in
     return total
 
 
-def verify_recurrences(
-    diffeo: Diffeomorphism, nmax: int, b: Sequence[Rational] | None = None
-) -> bool:
-    """Both recurrences vanish for 1 <= n <= nmax (b defaults to the
-    compositional-inverse coefficients)."""
-    if b is None:
-        b = b_inverse_list(diffeo, nmax)
+def verify_recurrences(diffeo: Diffeomorphism, b: Sequence[Rational]) -> bool:
+    """Both recurrences vanish for the values b = (b_1, ..., b_nmax), at
+    1 <= n <= nmax."""
     return all(
         not mass_recurrence_residual(diffeo, b, n) and not dot_recurrence_residual(diffeo, b, n)
-        for n in range(1, nmax + 1)
+        for n in range(1, len(b) + 1)
     )
 
 

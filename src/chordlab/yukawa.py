@@ -520,7 +520,7 @@ class QQEDVertexGraph:
     """A vertex graph of the quenched theory: one directed fermion path
     through all vertices (positions 1..2n-1 along the path), a photon
     matching on the path vertices, and the external photon leg at one of
-    them.  Fermion loops are rejected at construction."""
+    them.  Positions along one path leave no room for a fermion loop."""
 
     path_length: int
     photons: tuple[tuple[int, int], ...]  # (smaller, larger) positions
@@ -543,40 +543,6 @@ class QQEDVertexGraph:
     @property
     def loop_number(self) -> int:
         return len(self.photons) + 1
-
-    @classmethod
-    def from_fermion_edges(
-        cls,
-        edges: Sequence[tuple[int, int]],
-        photons: Sequence[tuple[int, int]],
-        leg_at: int,
-    ) -> "QQEDVertexGraph":
-        """Build from directed fermion edges; rejects inputs whose fermion
-        edges close a loop instead of forming one path through all vertices."""
-        succ = dict(edges)
-        if len(succ) != len(edges):
-            raise ValueError("repeated fermion sources")
-        vertices = set(succ) | set(succ.values())
-        targets = set(succ.values())
-        starts = [v for v in vertices if v not in targets]
-        if len(starts) != 1:
-            raise ValueError("fermion edges contain a loop; no unique path exists")
-        order = [starts[0]]
-        while order[-1] in succ:
-            nxt = succ[order[-1]]
-            if nxt in order:
-                raise ValueError("fermion edges contain a loop; no unique path exists")
-            order.append(nxt)
-        if set(order) != vertices:
-            raise ValueError("fermion edges contain a loop; no unique path exists")
-        index = {v: i + 1 for i, v in enumerate(order)}
-        return cls(
-            len(order),
-            tuple(
-                tuple(sorted((index[a], index[b]))) for a, b in photons
-            ),
-            index[leg_at],
-        )
 
 
 def vertex_graph_to_diagram(g: QQEDVertexGraph) -> ChordDiagram:

@@ -1,0 +1,152 @@
+"""Reference implementations that the tests hold the library to.
+
+Nothing in chordlab calls these.  The intersection graph comes from the
+O(n^2) pairwise crossing test and its components from a breadth-first
+search, and the nested Bell expansion has one loop per block boundary.
+The root-component split and join put theta's token-list steps in
+labeled-diagram form, for the tests to compare with their own oracles."""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import comb, factorial
+from typing import Sequence
+
+from chordlab.bell import _key
+from chordlab.bijections import LabeledDiagram, _join, _split, from_tokens
+from chordlab.chord import ChordDiagram
+
+
+def intersection_adjacency(d: ChordDiagram) -> list[set[int]]:
+    """Adjacency of the intersection graph over chord indices."""
+    cs = d.chords()
+    adj: list[set[int]] = [set() for _ in cs]
+    for i, (a1, b1) in enumerate(cs):
+        for j in range(i + 1, len(cs)):
+            a2, b2 = cs[j]
+            if a1 < a2 < b1 < b2:
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
+
+
+def intersection_components(adj: Sequence[set[int]], allowed) -> list[frozenset[int]]:
+    """Components of the intersection graph `adj` restricted to the chord
+    indices in `allowed`, ordered by smallest chord index (chords are
+    indexed by first endpoint, so this is first-endpoint order)."""
+    free = [False] * len(adj)
+    for i in allowed:
+        free[i] = True
+    comps = []
+    for start in range(len(adj)):
+        if not free[start]:
+            continue
+        free[start] = False
+        comp = [start]
+        for v in comp:  # grows while it is walked: a breadth-first search
+            for w in adj[v]:
+                if free[w]:
+                    free[w] = False
+                    comp.append(w)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def subdiagram(d: ChordDiagram, chord_indices) -> ChordDiagram:
+    """Diagram induced by a subset of chords, positions collapsed."""
+    cs = d.chords()
+    keep = sorted(chord_indices)
+    positions = sorted(pos for i in keep for pos in cs[i])
+    rank = {pos: r for r, pos in enumerate(positions)}
+    p = [-1] * len(positions)
+    for i in keep:
+        a, b = cs[i]
+        p[rank[a]] = rank[b]
+        p[rank[b]] = rank[a]
+    return ChordDiagram(p)
+
+
+@dataclass(frozen=True)
+class IntersectionGraph:
+    """The intersection graph with the recursive labelling: the root chord is
+    labelled first, then the components left after removing it, ordered by
+    first endpoint, are labelled recursively."""
+
+    n: int
+    labels: tuple[int, ...]  # labels[chord_index] = label in 1..n
+    edges: frozenset[tuple[int, int]]  # (smaller label, larger label)
+
+
+def labelled_intersection_graph(d: ChordDiagram) -> IntersectionGraph:
+    adj = intersection_adjacency(d)
+    labels = [0] * d.n
+    counter = [0]
+
+    def assign(indices: frozenset[int]) -> None:
+        root = min(indices)
+        counter[0] += 1
+        labels[root] = counter[0]
+        for comp in intersection_components(adj, indices - {root}):
+            assign(comp)
+
+    if d.n:
+        assign(frozenset(range(d.n)))
+    edge_set = frozenset(
+        (min(labels[i], labels[j]), max(labels[i], labels[j]))
+        for i in range(d.n)
+        for j in adj[i]
+        if i < j
+    )
+    return IntersectionGraph(d.n, tuple(labels), edge_set)
+
+
+def nested_convolution_literal(n: int, blocks: int, xs) -> Fraction:
+    """Small-case oracle for bell.nested_convolution: the same sum written
+    with one explicit loop per block boundary."""
+    k = blocks - 1
+    values = _key(xs)
+    if k == 0:
+        return values[n - 1]
+    total = Fraction(0)
+
+    def loop(depth: int, prev: int, indices: list[int]) -> None:
+        nonlocal total
+        for a in range(k - depth, prev):
+            indices.append(a)
+            if depth == k - 1:
+                prod = Fraction(1)
+                upper = n
+                for cut in indices:
+                    prod *= comb(upper, cut) * values[upper - cut - 1]
+                    upper = cut
+                total += prod * values[upper - 1]
+            else:
+                loop(depth + 1, a, indices)
+            indices.pop()
+
+    loop(0, n, [])
+    return total / factorial(blocks)
+
+
+def split_root_component(
+    ld: LabeledDiagram,
+) -> tuple[LabeledDiagram, list[tuple[LabeledDiagram, LabeledDiagram]]]:
+    """The root component of a nonempty diagram together with, per core
+    chord, the labeled diagrams hanging right of its two ends (after the
+    left end, after the right end), through the token-list split that theta
+    uses.  A plain diagram goes through with_fresh_labels."""
+    tokens = ld.tokens()
+    if not tokens:
+        raise ValueError("the empty diagram has no root component")
+    core, hanging = _split(tokens)
+    return (ld if core is tokens else from_tokens(core)), [
+        (from_tokens(left), from_tokens(right)) for _, left, right in hanging
+    ]
+
+
+def join_root_component(core: LabeledDiagram, danglings) -> LabeledDiagram:
+    """Inverse of split_root_component: hang each pair of diagrams right of
+    the two ends of the matching core chord."""
+    if not any(dl.labels for pair in danglings for dl in pair):
+        return core
+    hanging = {lab: (dl.tokens(), dr.tokens()) for lab, (dl, dr) in zip(core.labels, danglings)}
+    return from_tokens(_join(core.tokens(), hanging))

@@ -33,7 +33,7 @@ from chordlab.bijections import (
     theta_inv,
 )
 from chordlab.chord import enumerate_diagrams
-from chordlab.diffeo import Diffeomorphism
+from chordlab.diffeo import Diffeomorphism, b_inverse_list
 from chordlab.gfseries import (
     connected_series,
     connectivity_one_series,
@@ -279,11 +279,12 @@ def test_criterion_8_diffeomorphism_cancellation():
     rng = random.Random(987)
     for trial in range(20):
         mapping = checks.diffeo_mapping(rng, rng.randint(1, 6))
+        values = b_inverse_list(mapping, 12)
         assert_checks(
-            checks.diffeo_closed_form(mapping, 12),
-            checks.diffeo_recurrences(mapping, 12),
+            checks.diffeo_closed_form(mapping, values),
+            checks.diffeo_recurrences(mapping, values),
             checks.diffeo_ode(mapping, 12),
-            checks.diffeo_amplitudes(mapping, 12, rng, samples=3),
+            checks.diffeo_amplitudes(mapping, values, rng, samples=3),
         )
     assert_checks(checks.diffeo_negative_control(Diffeomorphism.from_values([1, 1])))
     elapsed = time.time() - start

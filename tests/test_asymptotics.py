@@ -17,7 +17,6 @@ from chordlab.asymptotics import (
     chain_rule_check,
     connectivity_probability,
     exact_two_connected_count,
-    fit_trend,
     leading_probability_estimate,
     square_image_consistency,
     two_connected_exponent_argument,
@@ -116,7 +115,7 @@ def test_fit_spot_check_n40_R4():
 @pytest.mark.parametrize("series", ["C", "C2"])
 @pytest.mark.parametrize("terms", [1, 2, 3])
 def test_fit_trend_converges(series, terms):
-    reports = fit_trend(series, [20, 30, 40, 60], terms)
+    reports = [asymptotic_fit(series, n, terms) for n in [20, 30, 40, 60]]
     deviations = [abs(r.tracking_ratio - 1) for r in reports]
     assert all(d2 < d1 for d1, d2 in zip(deviations, deviations[1:])), deviations
 

@@ -17,7 +17,6 @@ from chordlab.bell import (
     lift_resummation,
     lift_solve,
     nested_convolution,
-    nested_convolution_literal,
     verify_bell_identity,
 )
 from chordlab.fps import FormalPowerSeries
@@ -26,6 +25,7 @@ from chordlab.gfseries import (
     nonempty_indecomposable_series,
     stack_tree_series,
 )
+from oracles import nested_convolution_literal
 
 
 def random_values(rng, count):

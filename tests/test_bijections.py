@@ -14,14 +14,12 @@ from chordlab.bijections import (
     ZTreeVertex,
     all_seeds,
     from_tokens,
-    join_root_component,
     nabla,
     nabla_inv,
     parse_ztree,
     phi,
     phi_inv,
     serialize_ztree,
-    split_root_component,
     theta,
     theta_inv,
     with_fresh_labels,
@@ -30,9 +28,14 @@ from chordlab.chord import (
     ChordDiagram,
     enumerate_diagrams,
     first_block_end,
-    intersection_components,
 )
 from chordlab.gfseries import connected_counts, stack_tree_series
+from oracles import (
+    intersection_adjacency,
+    intersection_components,
+    join_root_component,
+    split_root_component,
+)
 
 CROSSING = ChordDiagram.from_literal("2: 3 4 1 2")
 NESTED = ChordDiagram.from_literal("2: 4 3 2 1")
@@ -261,7 +264,7 @@ def test_ztree_validate_rejects_malformed():
 
 
 def oracle_components(d):
-    return intersection_components(d.intersection_adjacency(), range(d.n))
+    return intersection_components(intersection_adjacency(d), range(d.n))
 
 
 def oracle_tokens(ld):
@@ -291,7 +294,7 @@ def oracle_nabla(ld):
     assert d.n >= 2 and len(oracle_components(d)) == 1
     toks = oracle_tokens(ld)
     cs = d.chords()
-    comp = intersection_components(d.intersection_adjacency(), range(1, d.n))[0]
+    comp = intersection_components(intersection_adjacency(d), range(1, d.n))[0]
     c2_positions = sorted(pos for i in comp for pos in cs[i])
     k = sum(1 for pos in c2_positions if pos < d.partners[0])
     c1 = [toks[pos] for pos in range(2 * d.n) if pos not in c2_positions]

@@ -6,24 +6,26 @@ from itertools import combinations
 import pytest
 
 from chordlab import checks, chord
-from chordlab.bijections import (
-    join_root_component,
-    split_root_component,
-    with_fresh_labels,
-)
+from chordlab.bijections import with_fresh_labels
 from chordlab.chord import (
     ChordDiagram,
     Census,
     census,
     enumerate_diagrams,
     indecomposable_completions,
-    intersection_components,
-    labelled_intersection_graph,
     maximal_reasons,
     minimal_reasons,
     reasons_and_cuts,
 )
 from chordlab.cli import FILTERS
+from oracles import (
+    intersection_adjacency,
+    intersection_components,
+    join_root_component,
+    labelled_intersection_graph,
+    split_root_component,
+    subdiagram,
+)
 
 DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
 CONNECTED = {1: 1, 2: 1, 3: 4, 4: 27, 5: 248, 6: 2830}
@@ -42,7 +44,7 @@ def deletion_connectivity(d: ChordDiagram) -> int:
     disconnected intersection graph (n if no deletion ever disconnects)."""
     if d.n == 0:
         return 0
-    adj = d.intersection_adjacency()
+    adj = intersection_adjacency(d)
 
     def component_count(vertices):
         vs = set(vertices)
@@ -373,12 +375,12 @@ def test_reasons_match_the_open_chord_scan(n):
 
 
 def test_root_component_and_dangling():
-    assert SINGLE.root_component() == frozenset({0})
+    assert SINGLE.components()[0] == frozenset({0})
     core, [(left, right)] = split_root_component(with_fresh_labels(SINGLE))
     assert core.diagram == SINGLE
     assert left.n == 0 and right.n == 0
     # root chord of a concatenation keeps its trailing partner diagram
-    assert CONCAT.root_component() == frozenset({0})
+    assert CONCAT.components()[0] == frozenset({0})
     core, [(left, right)] = split_root_component(with_fresh_labels(CONCAT))
     assert core.diagram == SINGLE
     assert left.n == 0
@@ -390,7 +392,7 @@ def test_root_component_roundtrip(n):
     for d in enumerate_diagrams(n):
         ld = with_fresh_labels(d)
         core, danglings = split_root_component(ld)
-        assert core.diagram == d.subdiagram(d.root_component())
+        assert core.diagram == subdiagram(d, d.components()[0])
         assert join_root_component(core, danglings) == ld
 
 
@@ -403,7 +405,7 @@ def test_reasons_vacuous_and_flagging():
 
 def test_reasons_on_explicit_diagram():
     # {1,4},{2,6},{3,5}: the only reason is the window {3,4,5} cut by {1,4}
-    d = ChordDiagram.from_pairs([(1, 4), (2, 6), (3, 5)])
+    d = ChordDiagram.from_literal("3: 4 6 5 1 3 2")
     assert d.connectivity() == 1
     report = reasons_and_cuts(d)
     assert report.connectivity_one
@@ -445,7 +447,7 @@ def test_reason_cuts_are_exactly_the_disconnecting_chords(n):
         cuts_by_deletion = {
             c
             for c in range(d.n)
-            if not d.subdiagram([i for i in range(d.n) if i != c]).is_connected()
+            if not subdiagram(d, [i for i in range(d.n) if i != c]).is_connected()
         }
         assert cuts_by_reason == cuts_by_deletion, d
 
@@ -457,7 +459,7 @@ def test_reason_cuts_disconnect():
                 continue
             for reason in reasons_and_cuts(d).reasons:
                 rest = [i for i in range(d.n) if i != reason.cut_chord]
-                assert not d.subdiagram(rest).is_connected() or len(rest) == 0
+                assert not subdiagram(d, rest).is_connected() or len(rest) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -475,15 +477,9 @@ def test_labelled_intersection_graph_injective_on_connected(n):
         seen[key] = d
 
 
-def test_root_chord_accessor():
-    assert CROSSING.root_chord() == (0, 2)
-    with pytest.raises(ValueError):
-        ChordDiagram(()).root_chord()
-
-
 def test_intersection_graph_adjacency_is_crossing():
-    d = ChordDiagram.from_pairs([(1, 4), (2, 6), (3, 5)])
-    adj = d.intersection_adjacency()
+    d = ChordDiagram.from_literal("3: 4 6 5 1 3 2")
+    adj = intersection_adjacency(d)
     assert adj[0] == {1, 2}
     assert adj[1] == {0}
     assert adj[2] == {0}
@@ -492,7 +488,7 @@ def test_intersection_graph_adjacency_is_crossing():
 @pytest.mark.parametrize("n", range(7))
 def test_crossing_scan_matches_adjacency_oracle(n):
     for d in enumerate_diagrams(n):
-        adj = d.intersection_adjacency()
+        adj = intersection_adjacency(d)
         openers = [a for a, _ in d.chords()]
 
         def oracle(left_out):  # the blocks the scan should yield, sorted
@@ -504,7 +500,5 @@ def test_crossing_scan_matches_adjacency_oracle(n):
         assert sorted(chord.crossing_blocks(d.partners)) == everything
         assert d.components() == intersection_components(adj, range(n))
         assert d.is_connected() == (len(everything) == 1)
-        if n:
-            assert d.root_component() == intersection_components(adj, range(n))[0]
         for i, a in enumerate(openers):  # each chord left out, the root (i = 0) first
             assert sorted(chord.crossing_blocks(d.partners, skip=a)) == oracle(i)

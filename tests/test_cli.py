@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,13 @@ def test_bell_command(capsys):
     assert out.strip() == "B(4,2) = 7"
 
 
+def test_bell_command_with_more_blocks_than_the_recursion_limit(capsys):
+    # S(n, n-2): one block of three, or two blocks of two
+    code, out = run_cli(capsys, "bell", "--n", "1102", "--k", "1100", "--xs", "1,1,1")
+    assert code == 0
+    assert out.strip() == f"B(1102,1100) = {comb(1102, 3) + 3 * comb(1102, 4)}"
+
+
 def test_asym_command(capsys):
     code, out = run_cli(capsys, "asym", "C", "--n", "20", "--terms", "1")
     assert code == 0
@@ -199,6 +207,25 @@ def test_diffeo_command_deterministic(capsys):
     assert first == second
     assert "closed_form_agrees True" in first
     assert "amplitude_matches True" in first
+
+
+@pytest.mark.parametrize("argv,reversions", [
+    (("diffeo", "--a", "1,1/2,1/3", "--n", "8"), 1),
+    (("verify", "diffeo", "--order", "12"), 3),
+])
+def test_diffeo_requests_revert_f_once_per_b_list(capsys, monkeypatch, argv, reversions):
+    # verify diffeo adds the ODE check's inverse and the negative control's b
+    calls = []
+    reversion = fps.FormalPowerSeries.reversion
+
+    def counted(self):
+        calls.append(self.order)
+        return reversion(self)
+
+    monkeypatch.setattr(fps.FormalPowerSeries, "reversion", counted)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == reversions
 
 
 def test_verify_suite_passes(capsys):
@@ -498,6 +525,8 @@ NOT_AN_INVOLUTION = "partner array is not a fixed-point-free involution"
         (("bell", "--n", "1", "--k", "-1", "--xs", "1"), "--k must be at least 0, got -1"),
         (("oeis-compare", "C", "missing-bfile.txt", "--order", "-1"),
          "--order must be at least 0, got -1"),
+        (("oeis-compare", "C", "missing-bfile.txt", "--order", "300"),
+         "--order must be at most 256, got 300"),
     ],
 )
 def test_error_names_the_option(capsys, argv, message):

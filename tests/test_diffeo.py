@@ -14,7 +14,6 @@ from chordlab.diffeo import (
     KinematicSample,
     amplitude_recursion,
     b_closed_form,
-    b_inverse,
     b_inverse_list,
     mass_recurrence_residual,
     ode_residuals,
@@ -32,9 +31,7 @@ def test_first_values_symbolic():
     # b_1 = 1, b_2 = -2 a_1, b_3 = 12 a_1^2 - 6 a_2 at sample rationals
     a1, a2 = Fraction(2, 3), Fraction(-1, 4)
     diffeo = Diffeomorphism.from_values([1, a1, a2])
-    assert b_inverse(diffeo, 1) == 1
-    assert b_inverse(diffeo, 2) == -2 * a1
-    assert b_inverse(diffeo, 3) == 12 * a1**2 - 6 * a2
+    assert b_inverse_list(diffeo, 3) == [1, -2 * a1, 12 * a1**2 - 6 * a2]
     assert b_closed_form(diffeo, 2) == -2 * a1
     assert b_closed_form(diffeo, 3) == 12 * a1**2 - 6 * a2
 
@@ -43,13 +40,13 @@ def test_first_values_symbolic():
 def test_closed_form_equals_inverse(seed):
     rng = random.Random(seed)
     diffeo = checks.diffeo_mapping(rng, rng.randint(1, 6))
-    assert checks.diffeo_closed_form(diffeo, 12)[1]
+    assert checks.diffeo_closed_form(diffeo, b_inverse_list(diffeo, 12))[1]
 
 
 def test_identity_diffeo_is_fixed():
     ident = Diffeomorphism.from_values([1])
     assert b_inverse_list(ident, 8) == [1] + [0] * 7
-    assert verify_recurrences(ident, 8)
+    assert verify_recurrences(ident, b_inverse_list(ident, 8))
     assert verify_ode(ident, 10)
 
 
@@ -57,11 +54,12 @@ def test_identity_diffeo_is_fixed():
 def test_recurrences_hold(seed):
     rng = random.Random(100 + seed)
     diffeo = checks.diffeo_mapping(rng, rng.randint(1, 6))
-    assert verify_recurrences(diffeo, 10)
+    assert verify_recurrences(diffeo, b_inverse_list(diffeo, 10))
 
 
 def test_recurrences_all_ones():
-    assert verify_recurrences(Diffeomorphism.from_values([1, 1]), 10)
+    diffeo = Diffeomorphism.from_values([1, 1])
+    assert verify_recurrences(diffeo, b_inverse_list(diffeo, 10))
 
 
 def test_perturbed_b_fails_recurrence():
@@ -69,7 +67,7 @@ def test_perturbed_b_fails_recurrence():
     b = b_inverse_list(diffeo, 6)
     b[2] += 1  # perturb b_3
     assert mass_recurrence_residual(diffeo, b, 3) != 0
-    assert not verify_recurrences(diffeo, 6, b=b)
+    assert not verify_recurrences(diffeo, b)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -112,7 +110,7 @@ def test_amplitude_three_points_momentum_independent():
 def test_amplitude_equals_inverse_coefficients(seed):
     rng = random.Random(300 + seed)
     diffeo = checks.diffeo_mapping(rng, rng.randint(1, 4))
-    assert checks.diffeo_amplitudes(diffeo, 5, rng, samples=3)[1]
+    assert checks.diffeo_amplitudes(diffeo, b_inverse_list(diffeo, 5), rng, samples=3)[1]
 
 
 def test_amplitude_guard_and_denominator():
@@ -213,7 +211,7 @@ def test_subset_recursion_matches_the_set_partition_oracle(n):
 def test_amplitude_beyond_the_old_guard(n, samples):
     rng = random.Random(500 + n)
     diffeo = checks.diffeo_mapping(rng, 3)
-    expected = b_inverse(diffeo, n)
+    expected = b_inverse_list(diffeo, n)[n - 1]
     assert b_closed_form(diffeo, n) == expected
     for _ in range(samples):
         kin = KinematicSample.random_nondegenerate(n, rng)

@@ -16,14 +16,12 @@ from hypothesis import strategies as st
 
 from chordlab.bijections import (
     TreeSeed,
-    join_root_component,
     nabla,
     nabla_inv,
     parse_ztree,
     phi,
     phi_inv,
     serialize_ztree,
-    split_root_component,
     theta,
     theta_inv,
     with_fresh_labels,
@@ -34,11 +32,17 @@ from chordlab.chord import (
     ChordDiagram,
     crossing_blocks,
     first_block_end,
-    intersection_components,
     reasons_and_cuts,
 )
 from chordlab.fps import FormalPowerSeries
 from chordlab.yukawa import TadpoleGraph, diagram_to_tadpole, tadpole_to_diagram
+from oracles import (
+    intersection_adjacency,
+    intersection_components,
+    join_root_component,
+    split_root_component,
+    subdiagram,
+)
 from test_chord import deletion_connectivity, scanned_reasons
 from test_diffeo import subset_square
 
@@ -97,7 +101,7 @@ def test_split_join_root_component_roundtrip(d):
     ld = with_fresh_labels(d)
     core, danglings = split_root_component(ld)
     assert core.diagram.is_connected()
-    assert core.diagram == d.subdiagram(d.root_component())
+    assert core.diagram == subdiagram(d, d.components()[0])
     assert join_root_component(core, danglings) == ld
 
 
@@ -168,7 +172,7 @@ def test_first_block_end_is_the_first_self_paired_proper_prefix(d):
 @PROPERTY
 @given(matchings(), SEEDS)
 def test_intersection_components_partition_without_crossings(d, seed):
-    adj = d.intersection_adjacency()
+    adj = intersection_adjacency(d)
     rng = random.Random(seed)
     allowed = {i for i in range(d.n) if rng.random() < 0.7}
     comps = intersection_components(adj, allowed)
@@ -215,7 +219,7 @@ def test_ladder_connectivity_against_deletions(n):
         if k:
             assert (k == 1) == bool(cut_openers(d.partners))
         if k >= 2 and n <= 60:
-            pairs = any(cut_openers(d.subdiagram(set(range(n)) - {c}).partners)
+            pairs = any(cut_openers(subdiagram(d, set(range(n)) - {c}).partners)
                         for c in range(n))
             assert (k == 2) == pairs
 
@@ -238,7 +242,7 @@ def test_ladder_reasons(n):
 @pytest.mark.parametrize("n", LADDER)
 def test_ladder_crossing_scan(n):
     d = ladder_matching(n)
-    adj = d.intersection_adjacency()
+    adj = intersection_adjacency(d)
     comps = intersection_components(adj, range(n))
     assert d.components() == comps
     assert d.is_connected() == (len(comps) == 1)

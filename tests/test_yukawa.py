@@ -431,22 +431,8 @@ def test_marked_count_identity():
 def test_vertex_graph_construction_and_chords():
     g = QQEDVertexGraph(3, ((1, 3),), 2)
     d = vertex_graph_to_diagram(g)
-    assert d == ChordDiagram.from_pairs([(1, 3), (2, 4)])
+    assert d == ChordDiagram.from_literal("2: 3 4 1 2")
     assert qqed_primitive(g)
-
-
-def test_vertex_graph_rejects_fermion_loop():
-    with pytest.raises(ValueError):
-        QQEDVertexGraph.from_fermion_edges(
-            [(1, 2), (2, 1)], [], leg_at=1
-        )
-
-
-def test_from_fermion_edges_straightens():
-    g = QQEDVertexGraph.from_fermion_edges(
-        [(10, 20), (20, 30)], [(10, 30)], leg_at=20
-    )
-    assert g == QQEDVertexGraph(3, ((1, 3),), 2)
 
 
 def test_vertex_graph_subdivergence_classification():
