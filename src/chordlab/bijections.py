@@ -8,14 +8,20 @@
   diagram) triple into a rooted tree of label stacks whose vertices carry an
   at-most-two-component diagram over their children (and back).
 
-nabla and phi rearrange endpoints: they list the input's endpoints in the
-new order and build each output's partner array in one pass.  theta and its
+nabla and phi read the root share decomposition off one crossing scan,
+which leaves c1 between the first k and the other endpoints of c2.  So phi
+is one endpoint move, the root's opener to slot k, and phi_inv moves the
+inner component's first opener to the front; nabla and its inverse write
+their arrays through one table of new positions.  Their outputs relabel
+validated diagrams, so like the lists of `enumerate_diagrams` they skip the
+checks `ChordDiagram(...)` runs on arrays from outside.  theta and its
 inverse work on token lists, the label at each endpoint, which track chord
-identity through the queue.  Every run of endpoints between two ends of a
-root component is one dangling diagram, so splitting off the root component
-slices the list, and joining writes each core token followed by the run
-hanging after it.  A LabeledDiagram (a diagram plus one label per chord) is
-built only for a vertex structure and the rebuilt seed.
+identity through the queue; phi is the same move there.  Every run of
+endpoints between two ends of a root component is one dangling diagram, so
+splitting off the root component slices the list, and joining writes each
+core token followed by the run hanging after it.  A LabeledDiagram (a
+diagram plus one label per chord) is built only for a vertex structure and
+the rebuilt seed.
 
 Worked example, in the "n: p1 ... p2n" partner-list encoding: the connected
 diagram "3: 4 6 5 1 3 2" (chords {1,4},{2,6},{3,5}) has the root share
@@ -32,14 +38,15 @@ indecomposable two-component diagram {1,6},{2,4},{3,5}:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .chord import (
     ChordDiagram,
+    _trusted,
     crossing_blocks,
+    crossing_scan,
     enumerate_diagrams,
     first_block_end,
 )
@@ -105,14 +112,17 @@ def with_fresh_labels(d: ChordDiagram, start: int = 0) -> LabeledDiagram:
     return LabeledDiagram(d, tuple(range(start, start + d.n)))
 
 
-def _reordered(partners: Sequence[int], orders) -> list[list[int]]:
-    """Per order, the partner array whose endpoint i is endpoint order[i];
-    an order holds both ends of its chords, and orders share no endpoint."""
-    rank = [0] * len(partners)
-    for order in orders:
-        for i, pos in enumerate(order):
-            rank[pos] = i
-    return [[rank[partners[pos]] for pos in order] for order in orders]
+def _move(items: Iterable, a: int, s: int) -> list:
+    """The items with the one at index a moved to slot s."""
+    out = list(items)
+    out.insert(s, out.pop(a))
+    return out
+
+
+def _moved(d: ChordDiagram, a: int, s: int) -> ChordDiagram:
+    """d with its endpoint a moved to slot s; rank[old position] is the new."""
+    rank = _move(range(len(d.partners)), s, a)
+    return _trusted(tuple(_move(map(rank.__getitem__, d.partners), a, s)))
 
 
 # -- root share decomposition -----------------------------------------------
@@ -130,29 +140,34 @@ class RootShareTriple:
     k: int
 
 
-def _shareable(d: ChordDiagram) -> tuple[int, ...]:
-    """The partners of d, which must be connected on >= 2 chords."""
-    if not d.is_connected() or d.n < 2:
-        raise ValueError("root share decomposition needs a connected diagram on >= 2 chords")
-    return d.partners
-
-
-def _root_share(p: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """The endpoints of c1 and of c2, in order, and the interval k of the
-    root share decomposition of the connected partner array p."""
-    # first component after root removal: the one of chord 1, at position 1
-    inside = [False] * len(p)
-    for a in next(b for b in crossing_blocks(p, skip=0) if b[0] == 1):
-        inside[a] = inside[p[a]] = True
-    c2 = [pos for pos in range(len(p)) if inside[pos]]
-    c1 = [pos for pos in range(len(p)) if not inside[pos]]
-    return c1, c2, bisect_left(c2, p[0])
+def _root_share(p: Sequence[int]) -> tuple[int, int]:
+    """(k, h) for a partner array p connected on >= 2 chords: with the root
+    removed, the component c2 of the chord at endpoint 1 holds the endpoints
+    1..k and h+1..2n-1, and c1 is the root with k+1..h.  p is connected when
+    every such component straddles the root's closer, and straddling ones
+    nest: c2 finishes last, just after the outermost of the others."""
+    r = p[0] if len(p) > 3 else 0  # 0: fewer than two chords
+    lo = hi = r  # the span of c1 without its root: r alone until a block ends
+    for low, j, _, _ in crossing_scan(p, skip=0):
+        if not low < r < j:
+            break
+        if low > 1:
+            lo, hi = low, j
+    else:
+        if r:
+            return lo - 1, hi
+    raise ValueError("root share decomposition needs a connected diagram on >= 2 chords")
 
 
 def nabla(d: ChordDiagram) -> RootShareTriple:
-    c1, c2, k = _root_share(_shareable(d))
-    p1, p2 = _reordered(d.partners, [c1, c2])
-    return RootShareTriple(ChordDiagram(p1), ChordDiagram(p2), k)
+    p = d.partners
+    k, h = _root_share(p)
+    g = h - k  # endpoints of c1 after its root
+    rank = [0, *range(k), *range(1, g + 1), *range(k, len(p) - 1 - g)]
+    at = rank.__getitem__
+    c1 = (rank[p[0]], *map(at, p[k + 1:h + 1]))
+    c2 = (*map(at, p[1:k + 1]), *map(at, p[h + 1:]))
+    return RootShareTriple(_trusted(c1), _trusted(c2), k)
 
 
 def nabla_inv(t: RootShareTriple) -> ChordDiagram:
@@ -165,41 +180,36 @@ def nabla_inv(t: RootShareTriple) -> ChordDiagram:
 
 def _root_share_join(c1: ChordDiagram, c2: ChordDiagram, k: int) -> ChordDiagram:
     """nabla_inv of (c1, c2, k) without its checks, for parts the caller
-    built itself."""
-    m1, m2 = 2 * c1.n, 2 * c2.n
-    order = [0, *range(m1, m1 + k), *range(1, m1), *range(m1 + k, m1 + m2)]
-    partners = c1.partners + tuple(q + m1 for q in c2.partners)
-    return ChordDiagram(_reordered(partners, [order])[0])
+    built itself: rank[i] is the new place of endpoint i of c1 then c2."""
+    p1, p2 = c1.partners, c2.partners
+    m1, m = len(p1), len(p1) + len(p2)
+    rank = [0, *range(k + 1, k + m1), *range(1, k + 1), *range(k + m1, m)]
+    at1, at2 = rank.__getitem__, rank[m1:].__getitem__
+    return _trusted((at1(p1[0]), *map(at2, p2[:k]), *map(at1, p1[1:]), *map(at2, p2[k:])))
 
 
 # -- phi ----------------------------------------------------------------------
 
 
-def _phi_order(p: Sequence[int]) -> list[int]:
-    c1, c2, k = _root_share(p)
-    return c2[:k] + c1 + c2[k:]
-
-
-def _phi_inv_order(d: ChordDiagram) -> list[int]:
-    blocks = list(crossing_blocks(d.partners))
-    if len(blocks) != 2 or not d.is_indecomposable():
+def _inner_opener(p: Sequence[int]) -> int:
+    """The first opener of the inner component of p, which must be an
+    indecomposable partner array with exactly two components: the first of
+    two blocks to finish, nested in the other (which then ends last)."""
+    ends = list(crossing_scan(p))
+    if len(ends) != 2 or not ends[0][2]:
         raise ValueError("inverse needs an indecomposable diagram with exactly two components")
-    inner = blocks[0] if blocks[0][0] else blocks[1]
-    inner_positions = sorted(inner + [d.partners[a] for a in inner])
-    lo, hi = inner_positions[0], inner_positions[-1]
-    if inner_positions != list(range(lo, hi + 1)):
-        raise AssertionError("inner component is not a contiguous block")
-    return [lo, *range(lo), *range(lo + 1, 2 * d.n)]
+    return ends[0][0]
 
 
 def phi(d: ChordDiagram) -> ChordDiagram:
-    """Connected on >= 2 chords -> indecomposable with two components."""
-    return ChordDiagram(_reordered(d.partners, [_phi_order(_shareable(d))])[0])
+    """Connected on >= 2 chords -> indecomposable with two components: the
+    root's opener moves to slot k of the root share decomposition."""
+    return _moved(d, 0, _root_share(d.partners)[0])
 
 
 def phi_inv(d: ChordDiagram) -> ChordDiagram:
-    """Inverse of phi: pull the inner component's root to the front."""
-    return ChordDiagram(_reordered(d.partners, [_phi_inv_order(d)])[0])
+    """Inverse of phi: pull the inner component's first opener to the front."""
+    return _moved(d, _inner_opener(d.partners), 0)
 
 
 # -- the stack-tree bijection ---------------------------------------------------
@@ -267,7 +277,7 @@ class ZTreeVertex:
             else:
                 if v.structure.n != len(v.children):
                     raise ValueError("structure size differs from child count")
-                if sum(1 for _ in crossing_blocks(v.structure.diagram.partners)) > 2:
+                if sum(1 for _ in crossing_scan(v.structure.diagram.partners)) > 2:
                     raise ValueError("structure has more than two components")
                 if set(v.structure.labels) != set(v.children):
                     raise ValueError("structure labels do not match children")
@@ -352,7 +362,7 @@ def theta(seed: TreeSeed) -> ZTreeVertex:
                 v.stack.append(label)
                 queue.append((dl, dr, v))
             else:
-                v.structure = from_tokens([core[pos] for pos in _phi_order(_partners(core))])
+                v.structure = from_tokens(_move(core, 0, _root_share(_partners(core))[0]))
                 attach(v, hanging)
     return root
 
@@ -388,7 +398,7 @@ def _unbuild(root: ZTreeVertex) -> tuple[int, list[Token], list[Token]]:
             elif j is not None:  # a concatenation: split after its first block
                 dl, dr = _join(tokens[:j + 1], hanging), _join(tokens[j + 1:], hanging)
             else:
-                dl = _join([tokens[pos] for pos in _phi_inv_order(sigma.diagram)], hanging)
+                dl = _join(_move(tokens, _inner_opener(sigma.diagram.partners), 0), hanging)
         for label in reversed(v.stack[1:]):
             dl, dr = [label, *dl, label, *dr], []
         done.append((dl, dr))
@@ -483,9 +493,10 @@ def parse_ztree(text: str) -> ZTreeVertex:
 
 
 def all_seeds(total_size: int) -> Iterator[TreeSeed]:
-    """Every TreeSeed with 1 + |left| + |right| = total_size."""
+    """Every TreeSeed with 1 + |left| + |right| = total_size, each size of
+    diagram listed once."""
+    listed = [list(enumerate_diagrams(n)) for n in range(total_size)]
     for left_n in range(total_size):
-        right_n = total_size - 1 - left_n
-        for left in enumerate_diagrams(left_n):
-            for right in enumerate_diagrams(right_n):
+        for left in listed[left_n]:
+            for right in listed[total_size - 1 - left_n]:
                 yield TreeSeed.from_diagrams(left, right)

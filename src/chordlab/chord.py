@@ -8,7 +8,7 @@ the right of each endpoint (2n of them, the last one included).
 
 Intersection-graph components come from one O(n) scan of the endpoints
 with a stack of blocks, each holding its lowest opener and its number of
-open chords (`crossing_blocks`).  An opener pushes a block; a closer crosses
+open chords (`crossing_scan`).  An opener pushes a block; a closer crosses
 every chord open in the blocks above its own, so they merge into its block
 before its count drops by one, and a block whose count reaches 0 is done.
 
@@ -138,7 +138,7 @@ class ChordDiagram:
     # -- connectivity ---------------------------------------------------------
 
     def is_connected(self) -> bool:
-        """True when the first block of the `crossing_blocks` scan to finish holds every chord."""
+        """True when the first block of the `crossing_scan` to finish holds every chord."""
         p = self.partners
         blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
         for j, q in enumerate(p):
@@ -174,33 +174,53 @@ class ChordDiagram:
         return first_block_end(self.partners) is None
 
 
-def crossing_blocks(partners: Sequence[int], skip: int = -1) -> Iterator[list[int]]:
+_set_partners = ChordDiagram.partners.__set__
+
+
+def _trusted(partners: tuple[int, ...]) -> ChordDiagram:
+    """The diagram of a partner tuple the library built as a matching itself,
+    without the endpoint checks (a fifth of the cost of `ChordDiagram(...)`)."""
+    d = object.__new__(ChordDiagram)
+    _set_partners(d, partners)
+    return d
+
+
+def crossing_scan(partners: Sequence[int],
+                  skip: int = -1) -> Iterator[tuple[int, int, bool, list[int]]]:
     """The stack scan of the module docstring over every chord but the one
-    opening at `skip`: yields each component, as the increasing endpoints
-    where its chords open, when it finishes (sorted: chord-index order)."""
-    lows: list[int] = []  # the blocks on the stack, by lowest opener
-    opens = [0] * len(partners)  # open chords of the block named low
-    pending: list[int] = []  # openers of unfinished blocks, increasing
+    opening at `skip`: yields (low, j, nested, pending) when a component
+    finishes at endpoint j.  low is its lowest opener, nested says whether
+    blocks stay open below it, and pending lists, increasing, the openers
+    scanned so far that the caller has not removed: a caller that removes
+    each component's openers, the tail of pending from low on, reads them
+    there (`crossing_blocks`).  `ChordDiagram.is_connected` keeps its own
+    copy of the scan, which stops at the first block to finish without
+    starting a generator."""
+    blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
+    pending: list[int] = []
     for j, q in enumerate(partners):
         if q > j:
             if j != skip:
-                lows.append(j)
-                opens[j] = 1
+                blocks.append((j, 1))
                 pending.append(j)
         elif q != skip:
-            low = lows[-1]
-            count = opens[low] - 1
+            low, count = blocks.pop()
             while low > q:
-                lows.pop()
-                low = lows[-1]
-                count += opens[low]
-            if count:
-                opens[low] = count
+                low, below = blocks.pop()
+                count += below
+            if count > 1:
+                blocks.append((low, count - 1))
             else:
-                lows.pop()
-                i = bisect_left(pending, low)
-                yield pending[i:]
-                del pending[i:]
+                yield low, j, bool(blocks), pending
+
+
+def crossing_blocks(partners: Sequence[int], skip: int = -1) -> Iterator[list[int]]:
+    """Each component of `crossing_scan`, as the increasing endpoints where
+    its chords open, when it finishes (sorted: chord-index order)."""
+    for low, _, _, pending in crossing_scan(partners, skip):
+        i = bisect_left(pending, low)
+        yield pending[i:]
+        del pending[i:]
 
 
 def first_block_end(partners: Sequence[int]) -> int | None:
@@ -312,7 +332,7 @@ def enumerate_diagrams(n: int) -> Iterator[ChordDiagram]:
     i = j = 0  # i is the least free endpoint, tried with the free ones after j
     while True:
         if i == m:
-            yield ChordDiagram(p)
+            yield _trusted(tuple(p))
         else:
             j += 1
             while j < m and p[j] >= 0:
@@ -428,7 +448,7 @@ def connectivity_class(n: int, levels: Collection[int]) -> list[ChordDiagram]:
         return [ChordDiagram(())] * (0 in levels)
     diagrams: list[ChordDiagram] = []
     keep = tuple(c in levels for c in range(3))
-    _census_search(n, 1, keep, lambda p: diagrams.append(ChordDiagram(p)))(0)
+    _census_search(n, 1, keep, lambda p: diagrams.append(_trusted(tuple(p))))(0)
     return diagrams
 
 

@@ -7,9 +7,10 @@ identities for the associated generating functions.
 The pairing is called as psi(t1, (t2, d)).  Its image is the 1PI tadpoles
 with more than one vertex, and psi_inv rejects any other tadpole.  The
 bijection is one recursion per direction over the pairing decomposition,
-each returning its image together with the edge ranks, so an n-loop
-tadpole is split n - 1 times and a map takes O(n^2) steps.  The recursion
-splits and joins the parts it built itself, so it checks only its input.
+run on a work stack and returning each image with its edge ranks, so an
+n-loop tadpole is split n - 1 times and a map takes O(n^2) steps at any
+depth.  The recursion splits and joins the parts it built itself, so it
+checks only its input.
 
 A tadpole is stored as
   succ   -- successor along the (counter-clockwise) fermion loops; a
@@ -471,25 +472,42 @@ SINGLE_CHORD = ChordDiagram((1, 0))
 
 
 def _to_diagram(t: TadpoleGraph) -> tuple[ChordDiagram, dict[int, int]]:
-    if t.is_single_vertex():
-        return SINGLE_CHORD, {t.leg: 1}
-    t1, (t2, d) = _split(t)
-    c1, ranks1 = _to_diagram(t1)
-    c2, ranks2 = _to_diagram(t2)
-    return _root_share_join(c1, c2, ranks2[d]), _joined_ranks(t, d, ranks1, ranks2)
+    """The diagram of t and its edge ranks.  Both directions run on a work
+    stack, not bound by the recursion limit: a node is split when popped,
+    and the join entry left below its parts pops their results."""
+    todo, done = [t], []
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:  # (node, mark) of a split, below its two parts
+            (t, d), (c2, ranks2), (c1, ranks1) = t, done.pop(), done.pop()
+            ranks = _joined_ranks(t, d, ranks1, ranks2)
+            done.append((_root_share_join(c1, c2, ranks2[d]), ranks))
+        elif t.is_single_vertex():
+            done.append((SINGLE_CHORD, {t.leg: 1}))
+        else:
+            t1, (t2, d) = _split(t)
+            todo += [(t, d), t2, t1]
+    return done[0]
 
 
 def _to_tadpole(c: ChordDiagram) -> tuple[TadpoleGraph, dict[int, int]]:
-    if c.n == 1:
-        return X_TADPOLE, {X_TADPOLE.leg: 1}
-    triple = nabla(c)
-    t1, ranks1 = _to_tadpole(triple.c1)
-    t2, ranks2 = _to_tadpole(triple.c2)
-    d = {rank: v for v, rank in ranks2.items()}[triple.k]
-    t = psi(t1, (t2, d))
-    shift = t.leg - t1.leg  # psi shifts t1's names past t2's
-    ranks1 = {v + shift: rank for v, rank in ranks1.items()}
-    return t, _joined_ranks(t, d, ranks1, ranks2)
+    """The tadpole of c and its edge ranks, as `_to_diagram` runs."""
+    todo, done = [c], []
+    while todo:
+        c = todo.pop()
+        if type(c) is int:  # the k of a root share, below its two parts
+            (t2, ranks2), (t1, ranks1) = done.pop(), done.pop()
+            d = {rank: v for v, rank in ranks2.items()}[c]
+            t = psi(t1, (t2, d))
+            shift = t.leg - t1.leg  # psi shifts t1's names past t2's
+            ranks1 = {v + shift: rank for v, rank in ranks1.items()}
+            done.append((t, _joined_ranks(t, d, ranks1, ranks2)))
+        elif c.n == 1:
+            done.append((X_TADPOLE, {X_TADPOLE.leg: 1}))
+        else:
+            triple = nabla(c)
+            todo += [triple.k, triple.c2, triple.c1]
+    return done[0]
 
 
 def tadpole_to_diagram(t: TadpoleGraph) -> ChordDiagram:

@@ -36,6 +36,7 @@ from oracles import (
     join_root_component,
     split_root_component,
 )
+from test_chord import assert_validated
 
 CROSSING = ChordDiagram.from_literal("2: 3 4 1 2")
 NESTED = ChordDiagram.from_literal("2: 4 3 2 1")
@@ -79,6 +80,13 @@ def test_phi_image_is_exactly_two_component_indecomposables(n):
     assert images == target
     # sizes follow C(x) - x: 1, 4, 27, 248 at n = 2..5
     assert len(images) == connected_counts(n)[n]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_map_outputs_pass_the_constructor_checks(n):
+    for d in connected_diagrams(n):
+        image, triple = phi(d), nabla(d)
+        assert_validated([image, phi_inv(image), triple.c1, triple.c2, nabla_inv(triple)])
 
 
 def test_nabla_two_chords():

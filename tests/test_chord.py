@@ -107,6 +107,37 @@ def test_literal_roundtrip():
         ChordDiagram.from_literal("2: 1 2 4 3")
 
 
+@pytest.mark.parametrize(
+    "partners,message",
+    [
+        ((1, 0, 2), "a diagram has an even number of endpoints"),
+        ((0, 1), "partner array is not a fixed-point-free involution"),
+        ((1, 0, 4, 2), "partner array is not a fixed-point-free involution"),
+        ((1, 0, -1, 2), "partner array is not a fixed-point-free involution"),
+        ((1, 2, 3, 0), "partner array is not a fixed-point-free involution"),
+    ],
+    ids=["odd-length", "fixed-point", "out-of-range", "negative", "not-an-involution"],
+)
+def test_constructor_rejects_arrays_that_are_not_matchings(partners, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ChordDiagram(partners)
+
+
+def assert_validated(diagrams):
+    """Diagrams the library built without the constructor's checks equal
+    what the validating constructor builds from their partner arrays."""
+    for d in diagrams:
+        assert type(d.partners) is tuple and d == ChordDiagram(d.partners)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_listed_diagrams_pass_the_constructor_checks(n):
+    assert_validated(enumerate_diagrams(n))
+    for _, _, levels in FILTERS.values():
+        if levels is not None:
+            assert_validated(chord.connectivity_class(n, levels))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_enumeration_counts(n):
     assert sum(1 for _ in enumerate_diagrams(n)) == DOUBLE_FACTORIALS[n]
@@ -162,6 +193,21 @@ def test_enumeration_matches_the_recursive_oracle(n):
 def test_is_connected_matches_the_full_crossing_scan(n):
     for d in enumerate_diagrams(n):
         assert d.is_connected() == (len(list(chord.crossing_blocks(d.partners))) == 1)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_crossing_scan_names_the_crossing_blocks(n):
+    # each component by its lowest opener, where it finishes and whether a
+    # block stays open below it, in the order crossing_blocks yields them
+    for d in enumerate_diagrams(n):
+        p = d.partners
+        for skip in (-1, 0):
+            blocks = list(chord.crossing_blocks(p, skip))
+            finishes = [max(p[a] for a in block) for block in blocks]
+            nested = [any(a < b[0] < f < p[a] for a in range(len(p)) if a != skip)
+                      for b, f in zip(blocks, finishes)]
+            scanned = [(low, j, s) for low, j, s, _ in chord.crossing_scan(p, skip)]
+            assert scanned == [(b[0], f, s) for b, f, s in zip(blocks, finishes, nested)]
 
 
 def test_enumeration_guard(monkeypatch):

@@ -527,6 +527,12 @@ NOT_AN_INVOLUTION = "partner array is not a fixed-point-free involution"
          "--order must be at least 0, got -1"),
         (("oeis-compare", "C", "missing-bfile.txt", "--order", "300"),
          "--order must be at most 256, got 300"),
+        (("bijection", "nabla", "--inverse", "--input", "1: 2 1 | 1: 2 1 | 5"),
+         "interval index 5 out of range 1..1"),
+        (("bijection", "phi", "--input", "2: 2 1 4 3"),
+         "root share decomposition needs a connected diagram on >= 2 chords"),
+        (("bijection", "phi", "--inverse", "--input", "3: 2 1 4 3 6 5"),
+         "inverse needs an indecomposable diagram with exactly two components"),
     ],
 )
 def test_error_names_the_option(capsys, argv, message):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordlab.bijections import (
+    RootShareTriple,
     TreeSeed,
     nabla,
     nabla_inv,
@@ -43,6 +44,7 @@ from oracles import (
     split_root_component,
     subdiagram,
 )
+from test_bijections import oracle_nabla, oracle_phi, oracle_phi_inv
 from test_chord import deletion_connectivity, scanned_reasons
 from test_diffeo import subset_square
 
@@ -119,6 +121,18 @@ def test_nabla_roundtrip(d):
     triple = nabla(d)
     assert triple.c1.n + triple.c2.n == d.n
     assert nabla_inv(triple) == d
+
+
+@PROPERTY
+@given(matchings(st.integers(2, 40), connected=True))
+def test_phi_and_nabla_match_the_token_list_oracles(d):
+    c1, c2, k = oracle_nabla(with_fresh_labels(d))
+    triple = nabla(d)
+    assert triple == RootShareTriple(c1.diagram, c2.diagram, k)
+    assert nabla_inv(triple) == d
+    image = phi(d)
+    assert image == oracle_phi(with_fresh_labels(d)).diagram
+    assert phi_inv(image) == oracle_phi_inv(with_fresh_labels(image)).diagram
 
 
 @PROPERTY

@@ -3,6 +3,7 @@ bijection onto connected diagrams, vertex graphs, and the series identities."""
 
 from fractions import Fraction
 import random
+import sys
 
 import pytest
 
@@ -253,6 +254,33 @@ def test_bijection_roundtrip_at_forty_chords():
     t = diagram_to_tadpole(d)
     assert len(t.vertices) == 2 * 40 - 1
     assert tadpole_to_diagram(t) == d
+
+
+def full_crossing(n):
+    return ChordDiagram([(i + n) % (2 * n) for i in range(2 * n)])
+
+
+def crossing_chain(n):
+    """Chord i crosses chords i - 1 and i + 1 only."""
+    ends = [(0, 2), *((2 * i - 1, 2 * i + 2) for i in range(1, n - 1)), (2 * n - 3, 2 * n - 1)]
+    partners = [0] * (2 * n)
+    for a, b in ends:
+        partners[a], partners[b] = b, a
+    return ChordDiagram(partners)
+
+
+# Both shapes decompose 1199 levels deep, past the default recursion limit.
+# lambda takes 4-6 s CPU at this size on a 2-core Xeon guest (each split
+# looks for bridges in the whole tadpole), so it runs on the cheaper shape.
+@pytest.mark.parametrize("shape", [full_crossing, crossing_chain])
+def test_bijection_at_1200_chords_under_the_default_recursion_limit(shape):
+    assert sys.getrecursionlimit() < 1200
+    d = shape(1200)
+    assert d.is_connected()
+    t = diagram_to_tadpole(d)
+    assert t.boson_count == 1200 and t.is_one_particle_irreducible()
+    if shape is crossing_chain:
+        assert tadpole_to_diagram(t) == d
 
 
 def test_bijection_at_five_loops_behind_flag(monkeypatch):
