@@ -82,12 +82,14 @@ EMPTY = LabeledDiagram(ChordDiagram(()), ())
 
 
 def from_tokens(tokens: Sequence[Token]) -> LabeledDiagram:
-    """The labeled diagram with these endpoint labels; EMPTY for none."""
+    """The labeled diagram with these endpoint labels; EMPTY for none.
+    `_partners` pairs the two positions of each label or raises, so its
+    array is a matching; the labels are checked by `LabeledDiagram`."""
     if not tokens:
         return EMPTY
     p = _partners(tokens)
     labels = tuple([lab for pos, lab in enumerate(tokens) if p[pos] > pos])
-    return LabeledDiagram(ChordDiagram(p), labels)
+    return LabeledDiagram(_trusted(tuple(p)), labels)
 
 
 def _partners(tokens: Sequence[Token], first_block: bool = False) -> list[int]:

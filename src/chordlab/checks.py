@@ -3,7 +3,9 @@
 A check returns ``(name, ok, detail)`` and takes its size plus the data
 drawn for it or the generator to draw from, so each caller keeps its own
 draws.  The diffeo checks take the values b_1..b_nmax they compare against
-in place of nmax, so one reversion serves them all.  A suite returns its checks' results in order; `verify all` passes
+in place of nmax, so one reversion serves them all, and the yukawa checks
+take the tadpoles they count or map, so one listing serves both at 4 loops.
+A suite returns its checks' results in order; `verify all` passes
 one generator through SUITES in order.  Layer functions are called through
 their modules, so tracing wrappers installed on the modules see the calls.
 """
@@ -106,15 +108,17 @@ def diffeo_negative_control(mapping) -> Check:
     return "diffeo:negative_control", ok, ""
 
 
-def tadpole_count(loops: int) -> Check:
-    count = len(yukawa.enumerate_tadpoles(loops))
+def tadpole_count(loops: int, tadpoles) -> Check:
+    """The tadpoles listed with this many loops against the series C."""
+    count = len(tadpoles)
     ok = count == gfseries.connected_series(loops)[loops]
     return f"yukawa:tadpole_count:loops={loops}", ok, str(count)
 
 
-def lambda_image(loops: int) -> Check:
-    """The tadpole bijection maps onto the connected diagrams."""
-    images = {yukawa.tadpole_to_diagram(t) for t in yukawa.enumerate_tadpoles(loops)}
+def lambda_image(loops: int, tadpoles) -> Check:
+    """The tadpole bijection maps the tadpoles listed with this many loops
+    onto the connected diagrams."""
+    images = {yukawa.tadpole_to_diagram(t) for t in tadpoles}
     connected = {d for d in chord.enumerate_diagrams(loops) if d.is_connected()}
     return (
         f"yukawa:lambda_bijective:loops={loops}",
@@ -166,10 +170,11 @@ def yukawa_suite(order: int, rng) -> list[Check]:
         (f"yukawa:{report.name}", report.holds, f"order {report.order}")
         for report in yukawa.green_identities(min(order, 32))
     ]
+    tadpoles = [yukawa.enumerate_tadpoles(loops) for loops in range(1, 5)]
     return (
         green
-        + [tadpole_count(loops) for loops in range(1, 5)]
-        + [lambda_image(4), primitive_vertex_graphs(4)]
+        + [tadpole_count(loops, listed) for loops, listed in enumerate(tadpoles, 1)]
+        + [lambda_image(4, tadpoles[3]), primitive_vertex_graphs(4)]
     )
 
 

@@ -13,7 +13,12 @@ every chord open in the blocks above its own, so they merge into its block
 before its count drops by one, and a block whose count reaches 0 is done.
 
 `census` counts every class in one pruned depth-first search, which also
-lists a class (`connectivity_class`).  For n >= 7
+lists a class (`connectivity_class`).  It visits exactly the connected
+diagrams: a subtree whose free endpoints are consecutive, with every
+pending closer after them, is disconnected in every leaf (they pair among
+themselves, the root outside them), and each disconnected diagram has such
+a subtree or a cut-0 window ending before its last opener, where the scan
+sees it.  So no window of cut 0 ends after the last opener.  For n >= 7
 the search is cut at the nodes that place the third chord, numbered in
 search order; shard w of W takes the nodes numbered w mod W, and shard 0
 alone counts the subtrees settled above them.  The caller runs shard 0 and
@@ -410,15 +415,33 @@ def census(n: int) -> Census:
     visited: it adds (2r-1)!! diagrams for its r chords left, and, when no
     block end has been seen, g[a][b] indecomposable ones from the table of
     `indecomposable_completions`, where b = 2n-1-run_max free endpoints
-    follow the last pending closer and a = 2r-b precede it.  So the only
-    leaves visited are the connected diagrams and the disconnected ones
-    whose separating windows all end in the final run of closers.
+    follow the last pending closer and a = 2r-b precede it.  Two facts make
+    the leaves visited exactly the connected diagrams:
+
+    1. Where a scan stops at the free endpoint i with r chords left and
+       every pending closer lies after the 2r free endpoints, the window
+       i..i+2r-1 pairs internally and the root chord lies outside it, so
+       every leaf below is disconnected.  One test finds it: a bit field
+       of the placed closers has no bit in i..i+2r-1.  Every disconnected
+       diagram meets this or is disconnected before its last chord: a
+       closed separating window either ends before the last opener, at a
+       closer the scan tests, or only closers follow it.  Then it holds
+       every opener from its first endpoint a on, so where the scan stops
+       at a the rest of the window is free and the pending closers follow
+       it; a > 0, as a closed window from 0 followed only by closers would
+       be the whole diagram.
+    2. So once the last chord is placed, the closers after its opener end
+       no window of cut 0 (by 1), and no block, as the closer at 2n-1 is
+       placed and run_max = 2n-1.  A leaf already at connectivity 1 is
+       booked without scanning them; a 2-connected one scans them only for
+       a window of cut 1 (3 or more endpoints outside) and stops at the
+       first.
 
     A node with two chords left settles the last chord in its own loop and
-    books the leaf without a call (58,784 of the 91,175 calls at n = 7 did
-    only that).  Given a leaf sink, the same search lists the classes it
-    keeps (`connectivity_class`), skipping every subtree below the least of
-    them: capped connectivity only falls with depth.
+    books the leaf without a call (at n = 7 the search makes 27,543 calls
+    and visits 38,232 leaves).  Given a leaf sink, the same search lists the
+    classes it keeps (`connectivity_class`), skipping every subtree below
+    the least of them: capped connectivity only falls with depth.
 
     For n >= 7 the search is split into shards run in parallel, one per
     CPU this process may use and at most 2**(n-6) (`_census_shards`).  The
@@ -495,6 +518,7 @@ def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
         ]
         for k in range(m)
     ]
+    spans = [(1 << 2 * r) - 1 for r in range(n)]  # spans[r]: bits 0..2r-1
     chains = [1] * n  # chains[r] = (2r-1)!!
     for r in range(1, n):
         chains[r] = chains[r - 1] * (2 * r - 1)
@@ -522,11 +546,13 @@ def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
 
         # The tables are bound as defaults: a local reads faster than a cell.
         def rec(k: int, cuts: int, run_max: int, block: bool, best: int, r: int,
-                p=p, closers=closers, ones=ones, above0=above0, above1=above1,
-                counts=counts, keep=keep, m=m, split=split, floor=floor) -> None:
-            # Endpoints before k are scanned; k is the smallest free endpoint.
-            # With two chords left the last one is settled here: it opens at
-            # the next free endpoint and closes at the only other one.
+                placed: int, p=p, closers=closers, ones=ones, above0=above0,
+                above1=above1, spans=spans, counts=counts, keep=keep, m=m,
+                split=split, floor=floor) -> None:
+            # Endpoints before k are scanned; k is the smallest free endpoint,
+            # and placed has a bit at each closer placed so far.  With two
+            # chords left the last one is settled here: it opens at the next
+            # free endpoint and closes at the only other one.
             for j in range(k + 1, m):
                 if p[j] >= 0:
                     continue
@@ -538,37 +564,29 @@ def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
                 conn = best
                 i = k + 1
                 last = j  # the closer of the last chord, once settled here
-                while True:
-                    while i < m:
-                        q = p[i]
-                        if q < 0:
-                            break
-                        if top == i and i < m - 1:
-                            has_block = True
-                        if conn:
-                            step, mask0, mask1 = closers[i][q]
-                            c += step
-                            x = c + above1
-                            if x & mask0 != mask0:  # a window in mask0 has cut <= 1
-                                if (c + above0) & mask0 != mask0:
-                                    conn = 0
-                                elif conn == 2 and x & mask1 != mask1:
-                                    conn = 1
-                        i += 1
-                    if i == m:
-                        counts[0] += 1
-                        if not has_block:
-                            counts[4] += 1
-                        if conn:
-                            counts[1] += 1
-                            counts[2 if conn == 2 else 3] += 1
-                        if keep[conn]:
-                            full = p[:]
-                            for a, q in enumerate(p):
-                                if q >= 0:
-                                    full[q] = a
-                            sink(full)
-                    elif r > split and not mine(conn, r):
+                while i < m:
+                    q = p[i]
+                    if q < 0:
+                        break
+                    if top == i and i < m - 1:
+                        has_block = True
+                    if conn:
+                        step, mask0, mask1 = closers[i][q]
+                        c += step
+                        x = c + above1
+                        if x & mask0 != mask0:  # a window in mask0 has cut <= 1
+                            if (c + above0) & mask0 != mask0:
+                                conn = 0
+                            elif conn == 2 and x & mask1 != mask1:
+                                conn = 1
+                    i += 1
+                if i < m:
+                    # Fact 1 of `census`: no placed closer among the 2r - 2
+                    # endpoints from i, so these free ones close a window.
+                    now_placed = placed | 1 << j
+                    if not now_placed >> i & spans[r - 1]:
+                        conn = 0
+                    if r > split and not mine(conn, r):
                         pass
                     elif conn < floor:
                         counts[0] += chains[r - 1]
@@ -576,22 +594,38 @@ def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
                             b = m - 1 - top
                             counts[4] += completions[2 * r - 2 - b][b]
                     elif r > 2:
-                        rec(i, c, top, has_block, conn, r - 1)
+                        rec(i, c, top, has_block, conn, r - 1, now_placed)
                     else:
                         last = i + 1
                         while p[last] >= 0:
                             last += 1
                         p[last] = i
-                        if conn:
+                        if conn == 2:
+                            # Fact 2: the closers after i can end only a cut-1 window.
                             c += ones[i + 1]
-                        if last > top:
-                            top = last
-                        i += 1
-                        continue
-                    break
+                            for t in range(i + 1, m):
+                                step, _, mask1 = closers[t][p[t]]
+                                c += step
+                                if (c + above1) & mask1 != mask1:
+                                    conn = 1
+                                    break
+                        i = m
+                if i == m:
+                    counts[0] += 1
+                    if not has_block:
+                        counts[4] += 1
+                    if conn:
+                        counts[1] += 1
+                        counts[2 if conn == 2 else 3] += 1
+                    if keep[conn]:
+                        full = p[:]
+                        for a, q in enumerate(p):
+                            if q >= 0:
+                                full[q] = a
+                        sink(full)
                 p[last] = p[j] = -1
 
-        rec(0, 0, -1, False, min(n, 2), n)
+        rec(0, 0, -1, False, min(n, 2), n, 0)
         return counts
 
     return run

@@ -232,7 +232,8 @@ def test_criterion_5_bijection_roundtrips():
         assert len(seen) == sum(1 for _ in all_seeds(total))
     image_sizes = [1, 1, 4, 27]
     for loops, size in enumerate(image_sizes, 1):
-        assert checks.lambda_image(loops)[1:] == (True, f"{size} diagrams"), loops
+        tadpoles = enumerate_tadpoles(loops)
+        assert checks.lambda_image(loops, tadpoles)[1:] == (True, f"{size} diagrams"), loops
     from chordlab.yukawa import LEG_END
 
     for total in range(2, 5):

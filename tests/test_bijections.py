@@ -185,6 +185,25 @@ def test_theta_roundtrip_exhaustive(total):
         assert theta_inv(tree) == seed
 
 
+@pytest.mark.parametrize("total", range(1, 7))
+def test_from_tokens_builds_what_the_validating_constructors_build(total):
+    # from_tokens builds its partner arrays without the constructor's checks
+    for seed in all_seeds(total):
+        tree = theta(seed)
+        back = theta_inv(tree)
+        built = [back.left, back.right]
+        stack = [tree]
+        while stack:
+            v = stack.pop()
+            if v.structure is not None:
+                built.append(v.structure)
+            stack.extend(v.children.values())
+        for ld in built:
+            p = ld.diagram.partners
+            assert type(p) is tuple and ld == LabeledDiagram(ChordDiagram(p), ld.labels)
+            assert from_tokens(ld.tokens()) == ld
+
+
 @pytest.mark.parametrize("total", [1, 2, 3, 4, 5])
 def test_theta_shares_the_seed_and_tree_objects(total):
     # what keeps a roundtrip over all seeds from holding extra copies
@@ -242,6 +261,8 @@ def test_labeled_diagram_validation():
         LabeledDiagram(CROSSING, (1, 1))
     with pytest.raises(ValueError):
         from_tokens([1, 2, 1])  # label 2 unpaired
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        from_tokens([1, 1, 1, 1])  # a matching, but one label on two chords
     with pytest.raises(ValueError):
         TreeSeed(0, bijections_fresh(SINGLE, 0), bijections_fresh(SINGLE, 1))
 

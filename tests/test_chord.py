@@ -305,9 +305,17 @@ def test_connectivity_class_equals_filtering_every_diagram(name):
 
 
 def test_connectivity_class_at_seven_chords_equals_filtering_every_diagram():
+    # The search settles 1 against 2 on a leaf's final run of closers
+    # without looking for cut 0 there; every class is checked against the
+    # per-diagram window scan.
+    diagrams = list(enumerate_diagrams(7))
+    levels = [min(d.connectivity(), 2) for d in diagrams]
     listed = chord.connectivity_class(7, (1, 2))
     assert len(listed) == 38232
-    assert listed == [d for d in enumerate_diagrams(7) if d.is_connected()]
+    assert listed == [d for d, c in zip(diagrams, levels) if c]
+    for level in range(3):
+        assert chord.connectivity_class(7, (level,)) == [
+            d for d, c in zip(diagrams, levels) if c == level], level
 
 
 def test_connectivity_class_with_level_zero_visits_every_leaf():

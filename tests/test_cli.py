@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import chordlab
-from chordlab import checks, cli, fps
+from chordlab import checks, cli, fps, yukawa
 from chordlab.cli import COMMANDS, FILTERS, build_parser, main
 from chordlab.oeis import SEQUENCE_MAP, compare_bfile, parse_bfile, write_bfile
 
@@ -226,6 +226,21 @@ def test_diffeo_requests_revert_f_once_per_b_list(capsys, monkeypatch, argv, rev
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == reversions
+
+
+def test_verify_yukawa_lists_each_loop_number_once(capsys, monkeypatch):
+    # the 4-loop listing serves both the count and the image of lambda
+    calls = []
+    listing = yukawa.enumerate_tadpoles
+
+    def counted(loops):
+        calls.append(loops)
+        return listing(loops)
+
+    monkeypatch.setattr(yukawa, "enumerate_tadpoles", counted)
+    code, out = run_cli(capsys, "verify", "yukawa", "--order", "12")
+    assert code == 0 and "yukawa:lambda_bijective:loops=4" in out
+    assert calls == [1, 2, 3, 4]
 
 
 def test_verify_suite_passes(capsys):

@@ -91,6 +91,35 @@ def test_window_scan_matches_its_oracles(d):
     assert reasons_and_cuts(d) == scanned_reasons(d)
 
 
+def closed_windows(partners):
+    """Every window [a, b] of endpoints that pairs internally."""
+    m = len(partners)
+    for a in range(m):
+        out = 0  # endpoints in [a, b] paired outside it
+        for b in range(a, m):
+            out += -1 if a <= partners[b] < b else 1
+            if not out:
+                yield a, b
+
+
+@PROPERTY
+@given(st.one_of(matchings(st.integers(2, 40)), matchings(st.integers(2, 40), connected=True)))
+def test_census_search_sees_every_disconnection_before_the_final_run(d):
+    # The census search books a subtree as disconnected where its free
+    # endpoints close a window without endpoint 0, every pending closer
+    # after them, and past the last opener it looks for no cut-0 window
+    # and no block end.  So a diagram is disconnected exactly when a closed
+    # window (its complement, nonempty, is closed too) ends before the last
+    # opener, or one without endpoint 0 is followed only by closers.
+    p = d.partners
+    last_opener = max(a for a, q in enumerate(p) if q > a)
+    separated = any(b < last_opener or a and all(p[x] < x for x in range(b + 1, len(p)))
+                  for a, b in closed_windows(p))
+    assert separated != d.is_connected()
+    end = first_block_end(p)
+    assert end is None or end < last_opener
+
+
 @PROPERTY
 @given(matchings(st.integers(9, 14)))
 def test_is_connected_matches_the_full_crossing_scan(d):

@@ -183,7 +183,8 @@ def test_bijection_sends_single_vertex_to_single_chord():
 @pytest.mark.parametrize("loops", [1, 2, 3, 4])
 def test_bijection_onto_connected_diagrams(loops):
     # Onto the connected diagrams, from as many tadpoles as there are of them.
-    assert checks.lambda_image(loops)[1] and checks.tadpole_count(loops)[1]
+    tadpoles = enumerate_tadpoles(loops)
+    assert checks.lambda_image(loops, tadpoles)[1] and checks.tadpole_count(loops, tadpoles)[1]
 
 
 @pytest.mark.parametrize("loops", [1, 2, 3, 4])
