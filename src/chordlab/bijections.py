@@ -11,10 +11,14 @@
 nabla and phi read the root share decomposition off one crossing scan,
 which leaves c1 between the first k and the other endpoints of c2.  So phi
 is one endpoint move, the root's opener to slot k, and phi_inv moves the
-inner component's first opener to the front; nabla and its inverse write
-their arrays through one table of new positions.  Their outputs relabel
-validated diagrams, so like the lists of `enumerate_diagrams` they skip the
-checks `ChordDiagram(...)` runs on arrays from outside.  theta and its
+inner component's first opener to the front, found by one more scan; nabla
+and its inverse write their arrays through one table of new positions.
+Their outputs relabel validated diagrams, so like the lists of
+`enumerate_diagrams` they skip the checks `ChordDiagram(...)` runs on
+arrays from outside.  Both scans are inline copies of `crossing_scan` that
+stop once the answer is settled, as a generator costs as much to start as
+the scan of a small diagram; theta_inv reads each structure's shape off the
+scan that `ZTreeVertex.validate` runs on it anyway.  theta and its
 inverse work on token lists, the label at each endpoint, which track chord
 identity through the queue; phi is the same move there.  Every run of
 endpoints between two ends of a root component is one dangling diagram, so
@@ -48,7 +52,6 @@ from .chord import (
     crossing_blocks,
     crossing_scan,
     enumerate_diagrams,
-    first_block_end,
 )
 
 Token = int  # a chord label; each label occurs at exactly two positions
@@ -147,14 +150,26 @@ def _root_share(p: Sequence[int]) -> tuple[int, int]:
     removed, the component c2 of the chord at endpoint 1 holds the endpoints
     1..k and h+1..2n-1, and c1 is the root with k+1..h.  p is connected when
     every such component straddles the root's closer, and straddling ones
-    nest: c2 finishes last, just after the outermost of the others."""
+    nest: c2 finishes last, just after the outermost of the others.  The
+    components come from `crossing_scan(p, skip=0)`, inlined."""
     r = p[0] if len(p) > 3 else 0  # 0: fewer than two chords
     lo = hi = r  # the span of c1 without its root: r alone until a block ends
-    for low, j, _, _ in crossing_scan(p, skip=0):
-        if not low < r < j:
-            break
-        if low > 1:
-            lo, hi = low, j
+    blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
+    for j in range(1, len(p)):  # from past the root's opener
+        q = p[j]
+        if q > j:
+            blocks.append((j, 1))
+        elif q:  # not the root's closer
+            low, count = blocks.pop()
+            while low > q:
+                low, below = blocks.pop()
+                count += below
+            if count > 1:
+                blocks.append((low, count - 1))
+            elif not low < r < j:
+                break
+            elif low > 1:
+                lo, hi = low, j
     else:
         if r:
             return lo - 1, hi
@@ -193,14 +208,33 @@ def _root_share_join(c1: ChordDiagram, c2: ChordDiagram, k: int) -> ChordDiagram
 # -- phi ----------------------------------------------------------------------
 
 
+_NOT_TWO_NESTED = "inverse needs an indecomposable diagram with exactly two components"
+
+
 def _inner_opener(p: Sequence[int]) -> int:
     """The first opener of the inner component of p, which must be an
     indecomposable partner array with exactly two components: the first of
-    two blocks to finish, nested in the other (which then ends last)."""
-    ends = list(crossing_scan(p))
-    if len(ends) != 2 or not ends[0][2]:
-        raise ValueError("inverse needs an indecomposable diagram with exactly two components")
-    return ends[0][0]
+    two blocks to finish, nested in the other (which then ends last).  The
+    blocks come from `crossing_scan(p)`, inlined; it stops at the second."""
+    blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
+    inner = -1
+    for j, q in enumerate(p):
+        if q > j:
+            blocks.append((j, 1))
+            continue
+        low, count = blocks.pop()
+        while low > q:
+            low, below = blocks.pop()
+            count += below
+        if count > 1:
+            blocks.append((low, count - 1))
+        elif inner < 0 and blocks:
+            inner = low
+        elif inner >= 0 and j == len(p) - 1:
+            return inner
+        else:  # a first block not nested, or a third block
+            break
+    raise ValueError(_NOT_TWO_NESTED)
 
 
 def phi(d: ChordDiagram) -> ChordDiagram:
@@ -269,8 +303,12 @@ class ZTreeVertex:
     def size(self) -> int:
         return sum(len(v.stack) for v in self.vertices())
 
-    def validate(self) -> None:
+    def validate(self) -> list[tuple["ZTreeVertex", list[tuple[int, int, bool]]]]:
+        """Check the tree; return its vertices in preorder, each with the
+        (low, j, nested) of its structure's components (`crossing_scan`)."""
+        out = []
         for v in self.vertices():
+            ends = []
             if not v.stack:
                 raise ValueError("empty stack")
             if v.structure is None:
@@ -279,10 +317,13 @@ class ZTreeVertex:
             else:
                 if v.structure.n != len(v.children):
                     raise ValueError("structure size differs from child count")
-                if sum(1 for _ in crossing_scan(v.structure.diagram.partners)) > 2:
+                ends = [scan[:3] for scan in crossing_scan(v.structure.diagram.partners)]
+                if len(ends) > 2:
                     raise ValueError("structure has more than two components")
                 if set(v.structure.labels) != set(v.children):
                     raise ValueError("structure labels do not match children")
+            out.append((v, ends))
+        return out
 
 
 def _split(tokens: list[Token]) -> tuple[list[Token], list[tuple[Token, Sequence, Sequence]]]:
@@ -371,20 +412,24 @@ def theta(seed: TreeSeed) -> ZTreeVertex:
 
 def theta_inv(root: ZTreeVertex) -> TreeSeed:
     """Rebuild the seed by discriminating each vertex's structure shape."""
-    root.validate()
-    label, dl, dr = _unbuild(root)
+    label, dl, dr = _unbuild(root.validate())
     sigma = root.structure
     # a structure with nothing hanging off it is the right side: share it
     right = sigma if sigma is not None and dr == sigma.tokens() else from_tokens(dr)
     return TreeSeed(label, from_tokens(dl), right)
 
 
-def _unbuild(root: ZTreeVertex) -> tuple[int, list[Token], list[Token]]:
-    """The head label of root and the token lists of its two dangling sides.
-    In reversed preorder every vertex comes after its subtree, and the sides
-    of its children are the top entries of `done`, the first child's on top."""
+def _unbuild(vertices: Sequence[tuple[ZTreeVertex, list]]
+             ) -> tuple[int, list[Token], list[Token]]:
+    """The head label of the root and the token lists of its two dangling
+    sides, from the tree's vertices in preorder with their structures'
+    component ends (`ZTreeVertex.validate`).  In reversed preorder every
+    vertex comes after its subtree, and the sides of its children are the
+    top entries of `done`, the first child's on top.  A structure with one
+    component is connected, one whose first is not nested a concatenation
+    split after it, and else an image of phi, undone as in phi_inv."""
     done: list[tuple[list[Token], list[Token]]] = []
-    for v in reversed(root.vertices()):
+    for v, ends in reversed(vertices):
         dl = dr = []
         sigma = v.structure
         if sigma is not None:
@@ -394,17 +439,19 @@ def _unbuild(root: ZTreeVertex) -> tuple[int, list[Token], list[Token]]:
                     raise ValueError("child stack head differs from its structure label")
                 hanging[label] = done.pop()
             tokens = sigma.tokens()
-            j = first_block_end(sigma.diagram.partners)
-            if sigma.diagram.is_connected():
+            if not ends:
+                raise ValueError(_NOT_TWO_NESTED)
+            low, j, nested = ends[0]
+            if len(ends) == 1:
                 dr = _join(tokens, hanging)
-            elif j is not None:  # a concatenation: split after its first block
+            elif not nested:  # a concatenation: split after its first block
                 dl, dr = _join(tokens[:j + 1], hanging), _join(tokens[j + 1:], hanging)
             else:
-                dl = _join(_move(tokens, _inner_opener(sigma.diagram.partners), 0), hanging)
+                dl = _join(_move(tokens, low, 0), hanging)
         for label in reversed(v.stack[1:]):
             dl, dr = [label, *dl, label, *dr], []
         done.append((dl, dr))
-    return root.stack[0], *done.pop()
+    return vertices[0][0].stack[0], *done.pop()
 
 
 # -- serialization ---------------------------------------------------------------

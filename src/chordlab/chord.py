@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, Sequence
 
 DEFAULT_MAX_N = 10
+_NAMES = tuple(map(str, range(1, 257)))  # the 1-based endpoint names of up to 128 chords
 
 
 def size_guard(default: int) -> int:
@@ -123,8 +124,9 @@ class ChordDiagram:
             raise ValueError(f"chord diagram literal {text!r}: {exc}") from None
 
     def to_literal(self) -> str:
-        body = " ".join([str(q + 1) for q in self.partners])
-        return f"{self.n}: {body}" if body else f"{self.n}:"
+        p = self.partners
+        names = _NAMES if len(p) <= len(_NAMES) else tuple(map(str, range(1, len(p) + 1)))
+        return f"{len(p) // 2}: {' '.join([names[q] for q in p])}" if p else "0:"
 
     # -- chords and crossings -------------------------------------------------
 
@@ -198,9 +200,14 @@ def crossing_scan(partners: Sequence[int],
     blocks stay open below it, and pending lists, increasing, the openers
     scanned so far that the caller has not removed: a caller that removes
     each component's openers, the tail of pending from low on, reads them
-    there (`crossing_blocks`).  `ChordDiagram.is_connected` keeps its own
-    copy of the scan, which stops at the first block to finish without
-    starting a generator."""
+    there (`crossing_blocks`).
+
+    Three callers on the bijection roundtrips keep their own copy of the
+    scan, as starting a generator costs about 0.5 us, as much as scanning
+    a diagram on six chords: `ChordDiagram.is_connected`, which stops at
+    the first block to finish, and `bijections._root_share` (skipping the
+    root) and `bijections._inner_opener`, which stop at the first block
+    that settles the answer."""
     blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
     pending: list[int] = []
     for j, q in enumerate(partners):
@@ -329,15 +336,41 @@ def maximal_reasons(report: ReasonReport) -> tuple[Reason, ...]:
 
 def enumerate_diagrams(n: int) -> Iterator[ChordDiagram]:
     """All (2n-1)!! diagrams on n chords, in the deterministic order given by
-    always matching the smallest free endpoint with its partner increasing."""
+    always matching the smallest free endpoint with its partner increasing.
+
+    The last two chords are settled in place: at the four free endpoints
+    a < b < c < d left, ab|cd, ac|bd and ad|bc are written in turn, the
+    order in which a takes its partners, and the last pair is forced.
+
+    >>> [d.to_literal() for d in enumerate_diagrams(2)]
+    ['2: 2 1 4 3', '2: 3 4 1 2', '2: 4 3 2 1']
+    """
     check_size(n)
+    if n <= 1:
+        yield _trusted((1, 0) if n else ())
+        return
     m = 2 * n
     p = [-1] * m
     placed: list[int] = []  # openers of the placed chords, in placing order
     i = j = 0  # i is the least free endpoint, tried with the free ones after j
     while True:
-        if i == m:
+        if len(placed) == n - 2:  # four free endpoints left, i the least
+            b = i + 1
+            while p[b] >= 0:
+                b += 1
+            c = b + 1
+            while p[c] >= 0:
+                c += 1
+            d = c + 1
+            while p[d] >= 0:
+                d += 1
+            p[i], p[b], p[c], p[d] = b, i, d, c
             yield _trusted(tuple(p))
+            p[i], p[b], p[c], p[d] = c, d, i, b
+            yield _trusted(tuple(p))
+            p[i], p[b], p[c], p[d] = d, c, b, i
+            yield _trusted(tuple(p))
+            p[i] = p[b] = p[c] = p[d] = -1
         else:
             j += 1
             while j < m and p[j] >= 0:
@@ -345,7 +378,7 @@ def enumerate_diagrams(n: int) -> Iterator[ChordDiagram]:
             if j < m:
                 p[i], p[j] = j, i
                 placed.append(i)
-                while i < m and p[i] >= 0:
+                while p[i] >= 0:
                     i += 1
                 j = i
                 continue

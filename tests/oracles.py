@@ -4,7 +4,9 @@ Nothing in chordlab calls these.  The intersection graph comes from the
 O(n^2) pairwise crossing test and its components from a breadth-first
 search, and the nested Bell expansion has one loop per block boundary.
 The root-component split and join put theta's token-list steps in
-labeled-diagram form, for the tests to compare with their own oracles."""
+labeled-diagram form, for the tests to compare with their own oracles.
+The root-share and inner-opener finders are the library's as they were
+before their scans were inlined: driven by the `crossing_scan` generator."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,7 +15,7 @@ from typing import Sequence
 
 from chordlab.bell import _key
 from chordlab.bijections import LabeledDiagram, _join, _split, from_tokens
-from chordlab.chord import ChordDiagram
+from chordlab.chord import ChordDiagram, crossing_scan
 
 
 def intersection_adjacency(d: ChordDiagram) -> list[set[int]]:
@@ -150,3 +152,26 @@ def join_root_component(core: LabeledDiagram, danglings) -> LabeledDiagram:
         return core
     hanging = {lab: (dl.tokens(), dr.tokens()) for lab, (dl, dr) in zip(core.labels, danglings)}
     return from_tokens(_join(core.tokens(), hanging))
+
+
+def root_share_by_scan(p: Sequence[int]) -> tuple[int, int]:
+    """bijections._root_share read off `crossing_scan(p, skip=0)`."""
+    r = p[0] if len(p) > 3 else 0
+    lo = hi = r
+    for low, j, _, _ in crossing_scan(p, skip=0):
+        if not low < r < j:
+            break
+        if low > 1:
+            lo, hi = low, j
+    else:
+        if r:
+            return lo - 1, hi
+    raise ValueError("root share decomposition needs a connected diagram on >= 2 chords")
+
+
+def inner_opener_by_scan(p: Sequence[int]) -> int:
+    """bijections._inner_opener read off every block of `crossing_scan(p)`."""
+    ends = list(crossing_scan(p))
+    if len(ends) != 2 or not ends[0][2]:
+        raise ValueError("inverse needs an indecomposable diagram with exactly two components")
+    return ends[0][0]

@@ -8,6 +8,8 @@ import pytest
 
 from chordlab.bijections import (
     EMPTY,
+    _inner_opener,
+    _root_share,
     LabeledDiagram,
     RootShareTriple,
     TreeSeed,
@@ -29,11 +31,14 @@ from chordlab.chord import (
     enumerate_diagrams,
     first_block_end,
 )
+from chordlab.cli import main
 from chordlab.gfseries import connected_counts, stack_tree_series
 from oracles import (
+    inner_opener_by_scan,
     intersection_adjacency,
     intersection_components,
     join_root_component,
+    root_share_by_scan,
     split_root_component,
 )
 from test_chord import assert_validated
@@ -273,18 +278,89 @@ def bijections_fresh(d, start):
     return with_fresh_labels(d, start=start)
 
 
-def test_ztree_validate_rejects_malformed():
+def test_ztree_validate_rejects_malformed(capsys):
     from chordlab.bijections import ZTreeVertex, with_fresh_labels
 
-    with pytest.raises(ValueError):
-        ZTreeVertex([]).validate()
     leafy = ZTreeVertex([0])
     leafy.children = {1: ZTreeVertex([1])}
-    with pytest.raises(ValueError):
-        leafy.validate()
-    mismatched = ZTreeVertex([0], with_fresh_labels(SINGLE, start=5), {})
-    with pytest.raises(ValueError):
-        mismatched.validate()
+    three = "(0;3: 2 1 4 3 6 5;(1;-;) (2;-;) (3;-;))"
+    relabeled = ZTreeVertex([0], with_fresh_labels(SINGLE, start=5), {6: ZTreeVertex([6])})
+    # each tree, its message, and the literal nearest to it with the one
+    # line `bijection theta --inverse` prints for that literal
+    cases = [
+        (ZTreeVertex([]), "empty stack",
+         "(;-;)", "tree literal '(;-;)': a stack is integer labels joined by '.', got ''"),
+        (leafy, "children without a structure",
+         "(0;-;(1;-;))", "tree literal '(0;-;(1;-;))': children listed without a structure"),
+        (ZTreeVertex([0], with_fresh_labels(SINGLE, start=5), {}),
+         "structure size differs from child count",
+         "(0;1: 2 1;)", "tree literal '(0;1: 2 1;)': one label per chord is required"),
+        (parse_ztree(three), "structure has more than two components",
+         three, "structure has more than two components"),
+        (relabeled, "structure labels do not match children", None, None),
+    ]
+    for tree, message, literal, line in cases:
+        for reject in (tree.validate, lambda: theta_inv(tree)):
+            with pytest.raises(ValueError) as exc:
+                reject()
+            assert str(exc.value) == message
+        if literal is not None:
+            assert main(["bijection", "theta", "--inverse", "--input", literal]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"chordlab: error: {line}\n"
+    # validate passes a structure without chords; theta_inv finds no shape for it
+    empty = parse_ztree("(0;0:;)")
+    empty.validate()
+    with pytest.raises(ValueError, match="^inverse needs an indecomposable diagram"):
+        theta_inv(empty)
+
+
+INLINE_SCANS = {"root": (_root_share, root_share_by_scan),
+                "inner": (_inner_opener, inner_opener_by_scan)}
+
+
+def assert_inline_scans_match(p):
+    """_root_share and _inner_opener return, or raise with the message, what
+    their forms driven by `crossing_scan` do."""
+    def outcome(find):
+        try:
+            return find(p)
+        except ValueError as exc:
+            return str(exc)
+
+    for fast, slow in INLINE_SCANS.values():
+        assert outcome(fast) == outcome(slow)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_inline_scans_match_the_crossing_scan_forms(n):
+    for d in enumerate_diagrams(n):
+        assert_inline_scans_match(d.partners)
+
+
+@pytest.mark.parametrize(
+    "literal,rejecting",
+    [
+        ("0:", "root inner"),
+        ("1: 2 1", "root inner"),
+        ("2: 2 1 4 3", "root inner"),
+        ("3: 4 3 2 1 6 5", "root inner"),
+        ("2: 3 4 1 2", "inner"),
+        ("3: 6 3 2 5 4 1", "root inner"),
+        ("3: 6 4 5 2 3 1", "root"),
+    ],
+    ids=["empty", "one-chord", "disconnected", "decomposable", "connected",
+         "three-components", "two-nested"],
+)
+def test_inline_scans_raise_where_the_crossing_scan_forms_do(literal, rejecting):
+    p = ChordDiagram.from_literal(literal).partners
+    for name in rejecting.split():
+        fast, slow = INLINE_SCANS[name]
+        with pytest.raises(ValueError) as expected:
+            slow(p)
+        with pytest.raises(ValueError) as raised:
+            fast(p)
+        assert str(raised.value) == str(expected.value)
 
 
 # -- token-list oracles ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Brute-force diagram enumeration and structural predicates."""
 
 import os
+import random
 from itertools import combinations
 
 import pytest
@@ -105,6 +106,32 @@ def test_literal_roundtrip():
         assert ChordDiagram.from_literal(text).to_literal() == text
     with pytest.raises(ValueError):
         ChordDiagram.from_literal("2: 1 2 4 3")
+
+
+def formatted_literal(d):
+    """The literal as `ChordDiagram.to_literal` formatted it before it read
+    the endpoint names from a table."""
+    body = " ".join([str(q + 1) for q in d.partners])
+    return f"{d.n}: {body}" if body else f"{d.n}:"
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_to_literal_matches_the_formatted_partners(n):
+    for d in enumerate_diagrams(n):
+        assert d.to_literal() == formatted_literal(d)
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 1200])
+def test_to_literal_past_the_name_table(n):
+    # the table names the endpoints of up to 128 chords; past it, each call does
+    ends = list(range(2 * n))
+    random.Random(n).shuffle(ends)
+    p = [0] * (2 * n)
+    for a, b in zip(ends[::2], ends[1::2]):
+        p[a], p[b] = b, a
+    d = ChordDiagram(p)
+    assert d.to_literal() == formatted_literal(d)
+    assert ChordDiagram.from_literal(d.to_literal()) == d
 
 
 @pytest.mark.parametrize(
@@ -225,6 +252,17 @@ def test_enumeration_guard(monkeypatch):
         list(enumerate_diagrams(-1))
     with pytest.raises(ValueError, match="n must be nonnegative"):
         census(-1)
+
+
+@pytest.mark.parametrize("n,limit", [(1, 0), (2, 1), (3, 2), (7, 6)])
+def test_enumeration_guard_raises_before_the_first_diagram(monkeypatch, n, limit):
+    # n <= 1 is yielded directly and n = 2 goes straight to the completions
+    monkeypatch.setenv("CHORDLAB_MAX_N", str(limit))
+    listing = enumerate_diagrams(n)
+    with pytest.raises(ValueError, match=f"n={n} exceeds the enumeration guard"):
+        next(listing)
+    monkeypatch.setenv("CHORDLAB_MAX_N", str(n))
+    assert next(enumerate_diagrams(n)).partners == tuple(a ^ 1 for a in range(2 * n))
 
 
 def test_connectivity_small_cases():

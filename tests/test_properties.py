@@ -44,7 +44,12 @@ from oracles import (
     split_root_component,
     subdiagram,
 )
-from test_bijections import oracle_nabla, oracle_phi, oracle_phi_inv
+from test_bijections import (
+    assert_inline_scans_match,
+    oracle_nabla,
+    oracle_phi,
+    oracle_phi_inv,
+)
 from test_chord import deletion_connectivity, scanned_reasons
 from test_diffeo import subset_square
 
@@ -162,6 +167,15 @@ def test_phi_and_nabla_match_the_token_list_oracles(d):
     image = phi(d)
     assert image == oracle_phi(with_fresh_labels(d)).diagram
     assert phi_inv(image) == oracle_phi_inv(with_fresh_labels(image)).diagram
+
+
+@PROPERTY
+@given(st.one_of(matchings(st.integers(1, 40)), matchings(st.integers(2, 40), connected=True)))
+def test_inline_scans_match_the_crossing_scan_forms(d):
+    assert_inline_scans_match(d.partners)
+    if d.is_connected() and d.n > 1:
+        # phi's image has the two nested components _inner_opener looks for
+        assert_inline_scans_match(phi(d).partners)
 
 
 @PROPERTY
