@@ -1,26 +1,26 @@
-"""Closed forms for the asymptotic-expansion generating functions (alien
-derivatives) of the connected and 2-connected counting series, the chain
-rule consistency check, and numeric fits of the resulting expansions.
+"""Alien derivatives of the connected and 2-connected series: the paper's
+closed forms, the same images derived from its relations, and fits.
 
-Both closed forms are exact rational series times a symbolically tracked
-exponential prefactor e^q and a 1/sqrt(2*pi) flag; floating point enters
-only in the final fit step, at a fixed 60-digit working precision.
-
-The expansions assert, for the count a_n of either class,
+An image is an exact body times a prefactor e^q and a 1/sqrt(2*pi) flag,
+and asserts for the count a_n of its class
 
     a_n = e^q ( c_0 (2n-1)!! + c_1 (2n-3)!! + ... )        (divergent tail)
 
-with q = -1 for connected and q = -2 for 2-connected diagrams.  The scale
-(2n-1)!! is alpha^(n+beta) Gamma(n+beta) / sqrt(2*pi) for alpha = 2,
-beta = 1/2, so the 1/sqrt(2*pi) flag of the coefficient series cancels
-against it and the fits work with the plain double factorials of series D.
-The first two coefficients give the leading probabilities e^(-1)(1 - 5/(4n))
-and e^(-2)(1 - 3/n):
+with q = -1 for C and q = -2 for C2.  Floats enter only in the fits, at 60
+digits; the flag cancels against (2n-1)!! = alpha^(n+beta) Gamma(n+beta) /
+sqrt(2*pi), alpha = 2, beta = 1/2.  Borinsky's map A (arXiv:1603.01236)
+has A D = 1 and, for g = x + O(x^2), the chain rule
+
+    A(f o g) = f'(g) A g + (x/g)^beta e^((1/x - 1/g)/alpha) (A f)(g).
+
+Solved for A f on D = 1 + C(xD^2) and on C = u - C2(u), u = C^2/x, it
+derives both closed forms; their first coefficients give the leading
+probabilities e^(-1)(1 - 5/(4n)) and e^(-2)(1 - 3/n):
 
 >>> alien_connected(4).body.coeffs
 (1, Fraction(-5, 2), Fraction(-43, 8), Fraction(-579, 16), Fraction(-44477, 128))
->>> alien_two_connected(1).body.coeffs
-(1, -6)
+>>> _two_connected_image(1).body.coeffs, alien_two_connected(1).body.coeffs
+((1, -6), (1, -6))
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from . import fps
+from . import fps, gfseries
 from .fps import FormalPowerSeries
 from .gfseries import (
     connected_counts,
@@ -101,61 +101,54 @@ def two_connected_exponent_argument(order: int) -> FormalPowerSeries:
     return fps.divide_by_power(square - fps.one(order + 1), 1) / 2
 
 
-def chain_rule_check(order: int, drop_composition_term: bool = False) -> bool:
-    """Exact verification that the two expansion images are consistent with
-    the all-diagrams series having the constant image 1 (times 1/sqrt(2*pi)).
-
-    Evaluates 2xD C'(xD^2) + D^(-1) exp((D^2-1)/(2xD^2) - 1) body_C(xD^2)
-    and compares with the constant series 1; the +1 and -1 exponential
-    offsets cancel, which is why the bodies can be combined directly.
-    `drop_composition_term` omits the first summand (negative control)."""
-    if order > 32:
-        raise ValueError("supported through order 32")
-    n = order
-    d = double_factorial_series(n + 1)
-    xd2 = fps.multiply_by_power((d * d).truncate(n), 1).truncate(n + 1)
-    c = connected_series(n + 1)
-    term1 = 2 * fps.multiply_by_power(
-        d.truncate(n) * c.derivative().compose(xd2.truncate(n)), 1
-    ).truncate(n)
-    ratio = fps.divide(d * d - fps.one(n + 1), 2 * fps.multiply_by_power((d * d).truncate(n), 1))
-    chain_factor = (ratio - fps.one(n)).exp()  # constant term 1 split off
-    body = alien_connected(n).body
-    term2 = fps.reciprocal(d.truncate(n)) * chain_factor * body.compose(xd2.truncate(n))
-    total = term2 if drop_composition_term else term1 + term2
-    return total == fps.one(n)
+def _solve_chain_rule(front: FormalPowerSeries, g: FormalPowerSeries, offset) -> ScaledSeries:
+    """A f from the chain rule, given front = (A(f o g) - f'(g) A g) (g/x)^(1/2)
+    with prefactor e^offset; the constant of (1/x - 1/g)/2 joins the offset."""
+    q = fps.divide_by_power(g, 1)  # g/x, constant term 1
+    exponent = fps.divide_by_power(q - 1, 1) / (2 * q)
+    at_g = front * (exponent[0] - exponent).exp()
+    return ScaledSeries(at_g.compose(g.reversion()), offset - exponent[0], True)
 
 
-def square_image_consistency(order: int) -> bool:
-    """Product-rule spot check: the expansion image of C^2, taken as
-    2C * image(C), agrees with the value forced by the 2-connected relation
-    C = C^2/x - C2(C^2/x) and the chain/shift rules:
+def _connected_image(order: int, drop_composition_term: bool) -> ScaledSeries:
+    """(A C)(g) = (1 - 2xD C'(g)) D e^(-(D^2-1)/(2xD^2)), g = xD^2, from
+    A D = 1; `drop_composition_term` drops C'(g) A g = 2xD C'(g)."""
+    d = double_factorial_series(order + 1)
+    g = fps.multiply_by_power(d * d, 1)
+    c_prime = connected_series(order + 1).derivative().compose(g)
+    rest = 1 - 2 * fps.multiply_by_power(d * c_prime, 1).truncate(order)
+    return _solve_chain_rule(d if drop_composition_term else rest * d, g, Fraction(0))
 
-        2C image(C) (1 - C2'(u)) = x image(C) + (x/C)^3 e^((u-x)/(2xu) - 1) u image(C2)(u)
 
-    with u = C^2/x; all offsets combine to e^(-1) on both sides."""
-    n = order
-    pad = n + 3
-    c = connected_series(pad + 1)
-    u = fps.divide_by_power(c * c, 1)  # order pad
-    body_c = alien_connected(pad).body
-    lhs_core = 2 * c.truncate(pad) * body_c
-    c2 = two_connected_series(pad + 1)
-    c2prime_u = c2.derivative().compose(u.truncate(pad))
-    lhs = lhs_core * (fps.one(pad) - c2prime_u)
+def _two_connected_image(order: int) -> ScaledSeries:
+    """(A C2)(u) = ((2C/x)(1 - C2'(u)) - 1) (C/x) A C e^(-(u-x)/(2xu)),
+    u = C^2/x, from A u = 2C A C/x."""
+    root = fps.divide_by_power(connected_series(order + 2), 1)  # C/x
+    u = fps.multiply_by_power(root * root, 1)
+    c2_prime = two_connected_series(order + 1).derivative().compose(u)
+    image_c = alien_connected(order)
+    front = (2 * root * (1 - c2_prime) - 1) * root * image_c.body
+    return _solve_chain_rule(front, u, image_c.exp_offset)
 
-    term_a = fps.multiply_by_power(body_c, 1).truncate(pad)
-    x_over_c = fps.divide(fps.x(pad + 1), c)
-    cubed = x_over_c**3
-    ratio = fps.divide(
-        (u - fps.x(pad)).truncate(pad),
-        2 * fps.multiply_by_power(u.truncate(pad - 1), 1),
-    )  # (u - x)/(2xu), constant term 1
-    exp_part = (ratio - fps.one(ratio.order)).exp()  # order pad - 2, enough
-    body_c2_at_u = alien_two_connected(pad).body.compose(u.truncate(pad))
-    term_b = cubed * exp_part * u.truncate(pad) * body_c2_at_u
-    rhs = term_a + term_b
-    return lhs.agrees_with(rhs, n)
+
+def _relation_check(name: str, order: int, derive, closed, *args) -> gfseries.IdentityReport:
+    if not 0 <= order <= 32:
+        raise ValueError(f"the relation checks run at orders 0 to 32, not {order}")
+    derived, expected = derive(order, *args), closed(order)
+    if derived.exp_offset != expected.exp_offset:  # a prefactor differs at x^0
+        return gfseries.IdentityReport(name, order, False, 0)
+    return gfseries._compare(name, order, derived.body, expected.body)
+
+
+def chain_rule_check(order: int, drop_composition_term: bool = False) -> gfseries.IdentityReport:
+    """The image of C derived from D = 1 + C(xD^2) against `alien_connected`."""
+    return _relation_check("connected_image", order, _connected_image, alien_connected,
+                           drop_composition_term)
+
+
+def square_image_consistency(order: int) -> gfseries.IdentityReport:
+    """The image of C2 derived from C = u - C2(u) against `alien_two_connected`."""
+    return _relation_check("two_connected_image", order, _two_connected_image, alien_two_connected)
 
 
 # -- numeric fits -------------------------------------------------------------

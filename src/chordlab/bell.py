@@ -21,16 +21,8 @@ from . import fps
 from .fps import FormalPowerSeries, Rational
 
 
-def _exact(v: Rational) -> Fraction:
-    """v as a Fraction; a float is refused, since it would become an
-    inexact one."""
-    if isinstance(v, float):
-        raise TypeError(f"Bell polynomial arguments must be exact, not the float {v!r}")
-    return Fraction(v)
-
-
 def _key(xs: Sequence[Rational]) -> tuple[Fraction, ...]:
-    return tuple(map(_exact, xs))
+    return tuple(map(fps._exact, xs))
 
 
 def _values(n: int, k: int, xs: Sequence[Rational]) -> tuple[Fraction, ...]:

@@ -119,7 +119,7 @@ def lambda_image(loops: int, tadpoles) -> Check:
     """The tadpole bijection maps the tadpoles listed with this many loops
     onto the connected diagrams."""
     images = {yukawa.tadpole_to_diagram(t) for t in tadpoles}
-    connected = {d for d in chord.enumerate_diagrams(loops) if d.is_connected()}
+    connected = set(chord.connectivity_class(loops, (1, 2)))
     return (
         f"yukawa:lambda_bijective:loops={loops}",
         images == connected,

@@ -47,7 +47,7 @@ class Diffeomorphism:
 
     @classmethod
     def from_values(cls, values: Sequence[Rational]) -> "Diffeomorphism":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(tuple(map(fps._exact, values)))
 
     def a(self, j: int) -> Fraction:
         if j < 0:
@@ -111,7 +111,7 @@ def b_closed_form(diffeo: Diffeomorphism, n: int) -> Fraction:
 def mass_recurrence_residual(diffeo: Diffeomorphism, b: Sequence[Rational], n: int) -> Fraction:
     """sum_k B(n,k; b) ((k-1)!/2) sum_j a_j a_(k-1-j) [2n(j+1)(k-j) - k(k+1)];
     zero exactly when the mass-term part of the momentum recursion holds."""
-    bs = [Fraction(v) for v in b]
+    bs = list(map(fps._exact, b))
     total = Fraction(0)
     for k in range(1, n + 1):
         bell = bell_partial(n, k, bs)
@@ -129,7 +129,7 @@ def mass_recurrence_residual(diffeo: Diffeomorphism, b: Sequence[Rational], n: i
 
 def dot_recurrence_residual(diffeo: Diffeomorphism, b: Sequence[Rational], n: int) -> Fraction:
     """The dot-product part: a doubly indexed sum that must also vanish."""
-    bs = [Fraction(v) for v in b]
+    bs = list(map(fps._exact, b))
     total = Fraction(0)
     for k in range(1, n + 1):
         weight = sum(
@@ -204,9 +204,9 @@ class KinematicSample:
 
     def __init__(self, n: int, mass_squared: Rational, dots: dict[tuple[int, int], Rational]):
         self.n = n
-        self.mass_squared = Fraction(mass_squared)
+        self.mass_squared = fps._exact(mass_squared)
         self.dots = {
-            (min(i, j), max(i, j)): Fraction(v) for (i, j), v in dots.items()
+            (min(i, j), max(i, j)): fps._exact(v) for (i, j), v in dots.items()
         }
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):

@@ -29,13 +29,19 @@ from typing import Iterable, Sequence, Union
 Rational = Union[int, Fraction]
 
 
+def _exact(v: Rational) -> Fraction:
+    """v as a Fraction; a float is refused, since it would become an inexact
+    one.  Every layer that takes rational input checks it here."""
+    if isinstance(v, float):
+        raise TypeError(f"values must be exact, not the float {v!r}")
+    return Fraction(v)
+
+
 def _frac(v: Rational) -> Rational:
     """v as an exact coefficient: an int if its denominator is 1, else a Fraction."""
     if type(v) is int:
         return v
-    if isinstance(v, float):
-        raise TypeError(f"series coefficients must be exact, not the float {v!r}")
-    q = v if isinstance(v, Fraction) else Fraction(v)
+    q = v if isinstance(v, Fraction) else _exact(v)
     return q.numerator if q.denominator == 1 else q
 
 

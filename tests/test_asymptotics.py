@@ -1,11 +1,14 @@
-"""Expansion-image closed forms against their known coefficient fractions, chain
-rule consistency, and numeric fit behaviour."""
+"""Expansion-image closed forms against their known coefficient fractions and
+against the images the chain rule derives from the series relations, and
+numeric fit behaviour."""
 
 from decimal import Decimal
 from fractions import Fraction
 from math import lgamma, log, pi
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordlab import fps
 from chordlab.asymptotics import (
@@ -90,6 +93,22 @@ def test_chain_rule_exact():
 
 def test_square_image_consistency():
     assert square_image_consistency(10)
+
+
+@settings(max_examples=32, deadline=None, database=None)
+@given(st.integers(1, 32))
+def test_derived_images_equal_the_closed_forms(order):
+    assert chain_rule_check(order) and square_image_consistency(order)
+    control = chain_rule_check(order, drop_composition_term=True)
+    assert not control and control.first_failure == 1
+
+
+def test_relation_checks_accept_orders_0_to_32_only():
+    for check in (chain_rule_check, square_image_consistency):
+        assert check(0) and check(32)
+        for order in (-1, 33):
+            with pytest.raises(ValueError, match=f"orders 0 to 32, not {order}$"):
+                check(order)
 
 
 def test_fit_connected_tracks_first_coefficient():

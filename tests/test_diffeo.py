@@ -133,6 +133,30 @@ def test_kinematic_sample_validation():
     assert kin.squares == [0, 3, 3, 2 * 3 + 2 * 7]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Diffeomorphism.from_values([1, 0.1]),
+        lambda: KinematicSample(2, 0.1, {(1, 2): Fraction(7, 10)}),
+        lambda: KinematicSample(2, Fraction(3, 10), {(1, 2): 0.1}),
+        lambda: mass_recurrence_residual(Diffeomorphism.from_values([1, 1]), [1, 0.1], 2),
+    ],
+    ids=["from_values", "mass_squared", "dots", "recurrence_values"],
+)
+def test_float_arguments_are_refused(call):
+    # 0.1 would become the inexact 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match=r"not the float 0\.1"):
+        call()
+
+
+def test_exact_arguments_are_stored_as_fractions():
+    diffeo = Diffeomorphism.from_values([1, 2, Fraction(1, 2)])
+    assert [type(a) for a in diffeo.coefficients] == [Fraction] * 3
+    kin = KinematicSample(2, 3, {(2, 1): Fraction(7, 10)})
+    assert type(kin.mass_squared) is Fraction
+    assert [type(v) for v in kin.dots.values()] == [Fraction]
+
+
 def test_feynman_constants():
     diffeo = Diffeomorphism.from_values([1, 1])
     # d_0 = 1, d_1 = 4 a_1, d_2 = 2 (4 a_1^2 + 6 a_2)/2 ... spot values
