@@ -436,7 +436,8 @@ def census(n: int) -> Census:
     ends at the first closer j < 2n-1 with run_max == j); `best` is the
     connectivity so far, capped at 2; and `block` says whether a block end
     has been seen.  A node scans only the endpoints it fixes: its opener and
-    the closers that follow it.
+    the closers that follow it, those before its next free endpoint once for
+    all its partners.
 
     Only windows that end at a closer whose partner lies inside can be
     minimal separating windows (those `_window_cuts` minimises over):
@@ -483,10 +484,11 @@ def census(n: int) -> Census:
     the subtrees counted above them without a visit are counted by shard 0
     alone.  The caller runs shard 0 and forks a worker for each other
     shard (`_sum_over_forks`).  At n <= 6 a fork (~1.8 ms on a 2-core Xeon
-    guest) costs more than it saves: census(6) took 20-23 ms over two
-    shards against 19-20 ms whole.  So there the search runs whole in this
-    process, as it does with one CPU or where `os.fork` or
-    `os.sched_getaffinity` is missing.
+    guest) costs more than it saves: census(6) took 6-11 ms whole, and over
+    two shards 1.35 times as long in four runs of 101 alternated pairs
+    (0.81 times in a fifth, when the second core was free).  So there the
+    search runs whole in this process, as it does with one CPU or where
+    `os.fork` or `os.sched_getaffinity` is missing.
     """
     check_size(n)
     if n == 0:
@@ -557,7 +559,9 @@ def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
         chains[r] = chains[r - 1] * (2 * r - 1)
     completions = indecomposable_completions(m - 2)
     floor = keep.index(True) if True in keep else 1
-    p = [-1] * m  # p[j] = partner of a fixed closer j; openers are not stored
+    # p[j] = partner of a fixed closer j; openers are not stored, and p[m]
+    # stays -1 to end every scan.
+    p = [-1] * (m + 1)
     # A node placing a chord with r chords left, itself included, lies
     # above the split when r > split: the first three chords.
     split = n - 3 if shards > 1 else n
@@ -583,36 +587,47 @@ def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
                 above1=above1, spans=spans, counts=counts, keep=keep, m=m,
                 split=split, floor=floor) -> None:
             # Endpoints before k are scanned; k is the smallest free endpoint,
-            # and placed has a bit at each closer placed so far.  With two
-            # chords left the last one is settled here: it opens at the next
-            # free endpoint and closes at the only other one.
+            # and placed has a bit at each closer placed so far.  The closers
+            # between k and the next free endpoint f are the same for every
+            # partner j >= f, so they are scanned once per node: the first
+            # partner, j = f, stops at f to keep the counts there (c0, conn0)
+            # and then scans on past f, now k's closer; every later partner
+            # starts at f, where its scan ends.  With two chords left the
+            # last one is settled here: it opens at the next free endpoint
+            # and closes at the only other one.
+            f = 0  # until the first partner has scanned up to f
             for j in range(k + 1, m):
                 if p[j] >= 0:
                     continue
-                p[j] = k
-                # The opener at k adds 1 to every window and starts field k at 1.
-                c = cuts + ones[k + 1] if best else cuts
                 top = j if j > run_max else run_max
-                has_block = block
-                conn = best
-                i = k + 1
+                if f:
+                    p[j] = k
+                    c, conn, i, has_block = c0, conn0, f, block
+                else:
+                    # The opener at k adds 1 to every window and starts field k at 1.
+                    c = cuts + ones[k + 1] if best else cuts
+                    conn = best
+                    i = k + 1
+                    while True:  # up to f with f free, then on with f closing k
+                        while (q := p[i]) >= 0:
+                            if conn:
+                                step, mask0, mask1 = closers[i][q]
+                                c += step
+                                x = c + above1
+                                if x & mask0 != mask0:  # a window in mask0 has cut <= 1
+                                    if (c + above0) & mask0 != mask0:
+                                        conn = 0
+                                    elif conn == 2 and x & mask1 != mask1:
+                                        conn = 1
+                            i += 1
+                        if f:
+                            break
+                        f, c0, conn0 = i, c, conn
+                        p[j] = k
+                    # A block ends at top if the scan passed it (top > k);
+                    # a later partner's scan stops at f <= j <= top.
+                    has_block = block or top < i and top < m - 1
                 last = j  # the closer of the last chord, once settled here
-                while i < m:
-                    q = p[i]
-                    if q < 0:
-                        break
-                    if top == i and i < m - 1:
-                        has_block = True
-                    if conn:
-                        step, mask0, mask1 = closers[i][q]
-                        c += step
-                        x = c + above1
-                        if x & mask0 != mask0:  # a window in mask0 has cut <= 1
-                            if (c + above0) & mask0 != mask0:
-                                conn = 0
-                            elif conn == 2 and x & mask1 != mask1:
-                                conn = 1
-                    i += 1
                 if i < m:
                     # Fact 1 of `census`: no placed closer among the 2r - 2
                     # endpoints from i, so these free ones close a window.
@@ -651,7 +666,7 @@ def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
                         counts[1] += 1
                         counts[2 if conn == 2 else 3] += 1
                     if keep[conn]:
-                        full = p[:]
+                        full = p[:m]
                         for a, q in enumerate(p):
                             if q >= 0:
                                 full[q] = a

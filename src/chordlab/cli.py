@@ -11,13 +11,15 @@ generator (--seed, default printed with the output); enumeration sizes are
 guarded by CHORDLAB_MAX_N.  Invalid input (a ValueError or ZeroDivisionError
 from a handler, or an OSError for a file it cannot read) prints "chordlab:
 error: ..." on stderr and exits with status 2, as argparse does for
-malformed arguments.
+malformed arguments.  A reader that closes the pipe early ends the output
+quietly, with status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -444,7 +446,16 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"chordlab: error: {exc}", file=sys.stderr)
         return 2
-    print(OutputRecord(args.command, parameters, payload, args.format, lines).render())
+    try:
+        print(OutputRecord(args.command, parameters, payload, args.format, lines).render())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone: stdout points at /dev/null from here on, so
+        # the flush at exit stays quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     if args.command == "verify" and not payload["all_ok"]:
         return 1
     if args.command == "oeis-compare" and not payload["ok"]:

@@ -100,15 +100,6 @@ class FormalPowerSeries:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return FormalPowerSeries(self.coeffs[: order + 1])
 
-    def agrees_with(self, other: "FormalPowerSeries", order: int | None = None) -> bool:
-        """Coefficient-wise equality up to the common (or given) order."""
-        n = min(self.order, other.order)
-        if order is not None:
-            if order > n:
-                raise ValueError("comparison order exceeds known coefficients")
-            n = order
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FormalPowerSeries) and self.coeffs == other.coeffs

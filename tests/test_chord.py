@@ -29,7 +29,7 @@ from oracles import (
 )
 
 DOUBLE_FACTORIALS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
-CONNECTED = {1: 1, 2: 1, 3: 4, 4: 27, 5: 248, 6: 2830}
+CONNECTED = {1: 1, 2: 1, 3: 4, 4: 27, 5: 248, 6: 2830, 7: 38232}
 TWO_CONNECTED = {1: 0, 2: 1, 3: 1, 4: 7, 5: 63, 6: 729}
 CONNECTIVITY_ONE = {1: 1, 2: 0, 3: 3, 4: 20, 5: 185, 6: 2101}
 INDECOMPOSABLE = {1: 1, 2: 2, 3: 10, 4: 74, 5: 706, 6: 8162}
@@ -366,8 +366,9 @@ def test_connectivity_class_with_level_zero_visits_every_leaf():
 
 def test_listing_search_counts_the_leaves_it_visits():
     # Counting and listing run through one kernel: with every connected
-    # leaf kept, the sink sees exactly the counted connected diagrams.
-    for n in range(1, 7):
+    # leaf kept, the sink sees exactly the counted connected diagrams, up to
+    # n = 7, the size of the benchmark's largest census.
+    for n in range(1, 8):
         leaves = []
         counts = chord._census_search(n, 1, (False, True, True), leaves.append)(0)
         assert counts == chord._census_search(n, 1)(0)

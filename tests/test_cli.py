@@ -406,6 +406,20 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch, argv, code):
     assert done.returncode == code
 
 
+def test_a_closed_pipe_ends_the_output_quietly():
+    # The listing (~450 kB) outgrows the pipe's buffer, so the CLI is still
+    # writing when the reader closes its end.
+    env = dict(os.environ, PYTHONPATH=str(Path(chordlab.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "chordlab", "enumerate", "--n", "6"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"count 10395\n"
+        proc.stdout.close()
+        errors = proc.stderr.read().decode()
+        code = proc.wait()
+    assert code != 0
+    assert errors == ""  # no traceback, nor one from the flush at exit
+
+
 def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
     monkeypatch.setitem(
         checks.SUITES, "bell", lambda order, rng: [("forced", False, "")]

@@ -132,8 +132,8 @@ def test_reversion_generic_cubic():
     f = from_coeffs([0, 1, 1, 1], order=6)
     g = f.reversion()
     assert g.coeffs[:4] == (Fraction(0), Fraction(1), Fraction(-1), Fraction(1))
-    assert f.compose(g).agrees_with(fps.x(6))
-    assert g.compose(f).agrees_with(fps.x(6))
+    assert f.compose(g) == fps.x(6)
+    assert g.compose(f) == fps.x(6)
 
 
 def test_reversion_non_unit_linear_term():
@@ -142,8 +142,8 @@ def test_reversion_non_unit_linear_term():
     while not f[1]:
         f = random_series(rng, 8, valuation=1)
     g = f.reversion()
-    assert f.compose(g).agrees_with(fps.x(8))
-    assert g.compose(f).agrees_with(fps.x(8))
+    assert f.compose(g) == fps.x(8)
+    assert g.compose(f) == fps.x(8)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -182,8 +182,8 @@ def test_lagrange_reversion_consistency():
     c = connected_series(order + 1)
     u = fps.divide_by_power(c * c, 1)
     rev = u.reversion()
-    assert u.compose(rev).agrees_with(fps.x(order))
-    assert rev.compose(u).agrees_with(fps.x(order))
+    assert u.compose(rev) == fps.x(order)
+    assert rev.compose(u) == fps.x(order)
 
 
 def insert_root(d, interval):
