@@ -189,7 +189,7 @@ def asymptotic_fit(series: str, n: int, terms: int) -> FitReport:
     `terms` coefficients; the remainder is rescaled by (2(n-terms)-1)!! so
     that it should approach e^offset * c_terms for large n."""
     if series not in MODELS:
-        raise KeyError(f"unknown series {series!r}; known: C, C2")
+        raise KeyError(f"unknown series {series!r}; known: {', '.join(sorted(MODELS))}")
     if terms < 1 or n < terms + 2:
         raise ValueError("need terms >= 1 and n >= terms + 2")
     if n > MAX_FIT_N:
@@ -230,11 +230,12 @@ def connectivity_probability(series: str, n: int) -> Decimal:
 
 
 def leading_probability_estimate(series: str, n: int) -> Decimal:
-    """First-order probability: e^(-1)(1 - 5/(4n)) or e^(-2)(1 - 3/n)."""
+    """First-order probability e^q (c_0 + c_1/(2n)) from the first two
+    coefficients of the image: e^(-1)(1 - 5/(4n)) or e^(-2)(1 - 3/n)."""
+    image = MODELS[series][0](1)
+    c0, c1 = image.body.coeffs
     with localcontext() as ctx:
         ctx.prec = FIT_PRECISION
-        if series == "C":
-            return (-Decimal(1)).exp() * (1 - Decimal(5) / (4 * n))
-        if series == "C2":
-            return (-Decimal(2)).exp() * (1 - Decimal(3) / n)
-    raise KeyError(series)
+        # c_1/(2n) is rounded before c_0 is added, as 5/(4n) is in 1 - 5/(4n)
+        first_order = _to_decimal(c0) + _to_decimal(Fraction(c1, 2 * n))
+        return _to_decimal(image.exp_offset).exp() * first_order

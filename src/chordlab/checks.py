@@ -168,7 +168,7 @@ def diffeo_suite(order: int, rng) -> list[Check]:
 def yukawa_suite(order: int, rng) -> list[Check]:
     green = [
         (f"yukawa:{report.name}", report.holds, f"order {report.order}")
-        for report in yukawa.green_identities(min(order, 32))
+        for report in yukawa.green_identities(min(order, yukawa.MAX_GREEN_ORDER))
     ]
     tadpoles = [yukawa.enumerate_tadpoles(loops) for loops in range(1, 5)]
     return (

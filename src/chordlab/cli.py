@@ -354,7 +354,7 @@ COMMANDS = {
         FORMAT_ARG,
     ]),
     "asym": ("asymptotic fit of a counting sequence", cmd_asym, [
-        ("series", {"choices": ["C", "C2"]}),
+        ("series", {"choices": sorted(asymptotics.MODELS)}),
         N_ARG,
         ("--terms", {"type": int, "default": 1}),
         FORMAT_ARG,
@@ -367,7 +367,7 @@ COMMANDS = {
         FORMAT_ARG,
     ]),
     "verify": ("run a verification suite", cmd_verify, [
-        ("suite", {"choices": ["chord", "bell", "diffeo", "yukawa", "all"]}),
+        ("suite", {"choices": [*checks.SUITES, "all"]}),
         ("--order", {"type": int, "default": 12}),
         SEED_ARG,
         FORMAT_ARG,

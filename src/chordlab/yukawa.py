@@ -49,6 +49,7 @@ from .chord import ChordDiagram, enumerate_diagrams, size_guard
 from .fps import FormalPowerSeries
 from .gfseries import (
     IdentityReport,
+    _check_order,
     _compare,
     connected_series,
     two_connected_series,
@@ -610,17 +611,10 @@ def vacuum_series(order: int) -> FormalPowerSeries:
     return fps.divide_by_power(c * c, 1) / 2
 
 
-def tadpole_series(order: int) -> FormalPowerSeries:
-    """T = C: tadpoles by boson edge count."""
-    return connected_series(order)
-
-
 def two_leg_series(order: int) -> FormalPowerSeries:
     """U20 = x(2xC' - C): tadpoles with a second marked boson leg."""
-    c = connected_series(order + 1)
-    return fps.multiply_by_power(
-        (2 * c.x_derivative() - c).truncate(order - 1) if order else fps.zero(0), 1
-    )
+    c = connected_series(order)
+    return fps.multiply_by_power(2 * c.x_derivative() - c, 1).truncate(order)
 
 
 def fermion_pair_series(order: int) -> FormalPowerSeries:
@@ -651,7 +645,7 @@ def proper_green_function_table(order: int) -> dict[str, list[Fraction]]:
     rows: dict[str, list[Fraction]] = {}
     v = vacuum_series(order)
     rows["vacuum"] = [Fraction(0)] + [v[n - 1] for n in range(1, order + 1)]
-    c = tadpole_series(order)
+    c = connected_series(order)
     rows["tadpole"] = [c[n] for n in range(order + 1)]
     u = fermion_pair_series(order)
     two_point = [TWO_POINT_CLASSICAL_TERM] + [u[n] for n in range(1, order + 1)]
@@ -662,54 +656,49 @@ def proper_green_function_table(order: int) -> dict[str, list[Fraction]]:
     return rows
 
 
+def _id_vacuum(order):
+    """C - x = 2x^2 V' for V = C^2/(2x)."""
+    v = vacuum_series(order + 1)
+    lhs = connected_series(order + 1) - fps.x(order + 1)
+    return lhs, 2 * fps.multiply_by_power(v.derivative(), 2)
+
+
+def _id_two_leg_kernel(order):
+    """x(2xC' - C) = C^2 [C2(t)/t^2]|_{t=C^2/x}."""
+    c = connected_series(order)
+    return two_leg_series(order), c * c * composed_two_connected_kernel(order)
+
+
+def _id_tadpoles_from_fermion_pair(order):
+    """T = x/(1 - U01) reproduces C."""
+    u01 = fermion_pair_series(order)
+    return connected_series(order), fps.multiply_by_power(fps.reciprocal(1 - u01), 1)
+
+
+def _id_vertex_residue(order):
+    """U11 C^2 = x U20."""
+    c = connected_series(order)
+    lhs = vertex_residue_series(order) * c * c
+    return lhs, fps.multiply_by_power(two_leg_series(order), 1)
+
+
+def _id_fermion_pair_unmarked(order):
+    """The no-boson-leg series is the two-leg series with the mark removed."""
+    return fermion_pair_series(order), fps.divide_by_power(two_leg_series(order + 1), 1)
+
+
+MAX_GREEN_ORDER = 32  # cap for the Green-function identities
+
+GREEN_IDENTITIES = {
+    "vacuum_from_marked_tadpoles": _id_vacuum,
+    "two_leg_kernel_route": _id_two_leg_kernel,
+    "tadpoles_from_fermion_pair_insertions": _id_tadpoles_from_fermion_pair,
+    "vertex_residue_exchange": _id_vertex_residue,
+    "fermion_pair_equals_two_leg_unmarked": _id_fermion_pair_unmarked,
+}
+
+
 def green_identities(order: int) -> list[IdentityReport]:
     """Exact checks of the series identities behind the table above."""
-    if order > 32:
-        raise ValueError("supported through order 32")
-    reports = []
-    c = connected_series(order + 1)
-    # vacuum: C - x = 2x^2 V' for V = C^2/(2x)
-    v = vacuum_series(order + 1)
-    reports.append(_compare(
-        "vacuum_from_marked_tadpoles",
-        order,
-        (c - fps.x(order + 1)).truncate(order),
-        2 * fps.multiply_by_power(v.derivative(), 2).truncate(order),
-    ))
-    # two-leg: x(2xC' - C) equals C^2 [C2(t)/t^2]|
-    reports.append(_compare(
-        "two_leg_kernel_route",
-        order,
-        two_leg_series(order),
-        (c.truncate(order) * c.truncate(order))
-        * composed_two_connected_kernel(order),
-    ))
-    # fermion pair: T = x/(1 - U01) reproduces C
-    u01 = fermion_pair_series(order)
-    reports.append(_compare(
-        "tadpoles_from_fermion_pair_insertions",
-        order,
-        tadpole_series(order),
-        fps.multiply_by_power(
-            fps.reciprocal((fps.one(order) - u01).truncate(order - 1)), 1
-        )
-        if order
-        else fps.zero(0),
-    ))
-    # vertex residue: U11 * C^2 = x * U20
-    reports.append(_compare(
-        "vertex_residue_exchange",
-        order,
-        vertex_residue_series(order) * (c * c).truncate(order),
-        fps.multiply_by_power(two_leg_series(order - 1), 1)
-        if order
-        else fps.zero(0),
-    ))
-    # the no-boson-leg series is the two-leg series with the mark removed
-    reports.append(_compare(
-        "fermion_pair_equals_two_leg_unmarked",
-        order,
-        fermion_pair_series(order),
-        fps.divide_by_power(two_leg_series(order + 1), 1).truncate(order),
-    ))
-    return reports
+    _check_order(order, cap=MAX_GREEN_ORDER)
+    return [_compare(name, order, *sides(order)) for name, sides in GREEN_IDENTITIES.items()]

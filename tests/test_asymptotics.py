@@ -2,7 +2,7 @@
 against the images the chain rule derives from the series relations, and
 numeric fit behaviour."""
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lgamma, log, pi
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chordlab import fps
 from chordlab.asymptotics import (
+    FIT_PRECISION,
     TOLERANCES,
     alien_connected,
     alien_connected_alternative,
@@ -124,6 +125,19 @@ def test_fit_two_connected_tracks_first_coefficient():
     prob = connectivity_probability("C2", 30)
     estimate = leading_probability_estimate("C2", 30)
     assert abs(prob / estimate - 1) < Decimal("0.004")
+
+
+@pytest.mark.parametrize("n", [1, 3, 20, 30, 40, 200])
+def test_leading_estimate_is_the_closed_form(n):
+    # read from the images' first two coefficients, rounded as the closed forms
+    with localcontext() as ctx:
+        ctx.prec = FIT_PRECISION
+        connected = (-Decimal(1)).exp() * (1 - Decimal(5) / (4 * n))
+        two_connected = (-Decimal(2)).exp() * (1 - Decimal(3) / n)
+    assert leading_probability_estimate("C", n) == connected
+    assert leading_probability_estimate("C2", n) == two_connected
+    with pytest.raises(KeyError):
+        leading_probability_estimate("C3", n)
 
 
 def test_fit_spot_check_n40_R4():

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import chordlab
-from chordlab import checks, chord, fps, gfseries
+from chordlab import checks, chord, fps, gfseries, yukawa
 from chordlab.gfseries import (
     IDENTITIES,
+    MAX_ORDER,
     connected_counts,
     connected_pair_series,
     connected_series,
@@ -148,6 +149,20 @@ def test_cold_processes_miss_the_memo_tables_equally():
 def test_identities_hold_at_order_10(name):
     report = verify_identity(name, 10)
     assert report.holds, report
+
+
+def test_identities_hold_through_the_whole_order_range():
+    # every side reaches the requested order, x^0 included
+    for order in range(MAX_ORDER + 1):
+        for report in verify_all_identities(order):
+            assert report.holds and report.order == order, report
+
+
+def test_identity_tables_hold_module_level_functions():
+    # the traced benchmark finds each table entry by name on its module
+    for module, table in ((gfseries, IDENTITIES), (yukawa, yukawa.GREEN_IDENTITIES)):
+        for sides in table.values():
+            assert getattr(module, sides.__name__) is sides
 
 
 def test_identity_report_flags_failures():

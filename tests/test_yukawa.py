@@ -496,6 +496,23 @@ def test_green_identities_hold():
         assert report.holds, report
 
 
+def test_green_identities_hold_at_every_supported_order():
+    for order in range(yukawa.MAX_GREEN_ORDER + 1):
+        reports = green_identities(order)
+        assert [r.name for r in reports] == list(yukawa.GREEN_IDENTITIES)
+        for report in reports:
+            assert report.holds and report.order == order, report
+
+
+@pytest.mark.parametrize("order, message", [
+    (-1, "order must be nonnegative"),
+    (yukawa.MAX_GREEN_ORDER + 1, f"exceeds the supported cap {yukawa.MAX_GREEN_ORDER}"),
+])
+def test_green_identities_reject_orders_out_of_range(order, message):
+    with pytest.raises(ValueError, match=message):
+        green_identities(order)
+
+
 def test_vacuum_series_values():
     v = vacuum_series(6)
     assert v.coeffs[1:] == (
