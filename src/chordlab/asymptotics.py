@@ -61,23 +61,28 @@ class ScaledSeries:
     inv_sqrt_2pi: bool = False
 
 
+def _split_prefactor(front, exponent, offset=Fraction(0)) -> ScaledSeries:
+    """front e^(offset - exponent) as the body front e^(E_0 - exponent) and
+    the prefactor e^(offset - E_0), E_0 the constant of the exponent."""
+    return ScaledSeries(front * (exponent[0] - exponent).exp(), offset - exponent[0], True)
+
+
+def _connected_form(front: FormalPowerSeries, c: FormalPowerSeries) -> ScaledSeries:
+    """front exp(-(2C + C^2)/(2x)), the exponent's constant 1 split off as the
+    prefactor e^(-1); the 1/sqrt(2*pi) flag is set."""
+    return _split_prefactor(front, fps.divide_by_power(2 * c + c * c, 1) / 2)
+
+
 def alien_connected(order: int) -> ScaledSeries:
-    """(x/C) exp(-(2C + C^2)/(2x)) with the constant 1 of the exponent split
-    off as the prefactor e^(-1); the 1/sqrt(2*pi) flag is set."""
+    """(x/C) exp(-(2C + C^2)/(2x)), by `_connected_form`."""
     c = connected_series(order + 1)
-    quotient = fps.divide(fps.x(order + 1), c)
-    exponent = fps.divide_by_power(2 * c + c * c, 1) / 2  # constant term 1
-    body = quotient * (-(exponent - fps.one(order))).exp()
-    return ScaledSeries(body, Fraction(-1), True)
+    return _connected_form(fps.divide(fps.x(order + 1), c), c)
 
 
 def alien_connected_alternative(order: int) -> ScaledSeries:
     """(1 + C - 2xC') exp(...): same value via the root-removal relation."""
     c = connected_series(order + 1)
-    front = (fps.one(order + 1) + c - 2 * c.x_derivative()).truncate(order)
-    exponent = fps.divide_by_power(2 * c + c * c, 1) / 2
-    body = front * (-(exponent - fps.one(order))).exp()
-    return ScaledSeries(body, Fraction(-1), True)
+    return _connected_form(1 + c - 2 * c.x_derivative(), c)
 
 
 def alien_two_connected(order: int) -> ScaledSeries:
@@ -87,11 +92,7 @@ def alien_two_connected(order: int) -> ScaledSeries:
     s = two_connected_sequence_series(order + 2)
     x_squared = fps.from_coeffs([0, 0, 1], order=order + 2)
     front = fps.divide(x_squared, c2 * s)  # valuation-2 cancellation
-    exponent = two_connected_exponent_argument(order)  # constant term 2
-    body = front.truncate(order) * (
-        -(exponent - 2 * fps.one(order))
-    ).exp().truncate(order)
-    return ScaledSeries(body, Fraction(-2), True)
+    return _split_prefactor(front, two_connected_exponent_argument(order))
 
 
 def two_connected_exponent_argument(order: int) -> FormalPowerSeries:
@@ -105,9 +106,8 @@ def _solve_chain_rule(front: FormalPowerSeries, g: FormalPowerSeries, offset) ->
     """A f from the chain rule, given front = (A(f o g) - f'(g) A g) (g/x)^(1/2)
     with prefactor e^offset; the constant of (1/x - 1/g)/2 joins the offset."""
     q = fps.divide_by_power(g, 1)  # g/x, constant term 1
-    exponent = fps.divide_by_power(q - 1, 1) / (2 * q)
-    at_g = front * (exponent[0] - exponent).exp()
-    return ScaledSeries(at_g.compose(g.reversion()), offset - exponent[0], True)
+    at_g = _split_prefactor(front, fps.divide_by_power(q - 1, 1) / (2 * q), offset)
+    return ScaledSeries(at_g.body.compose(g.reversion()), at_g.exp_offset, True)
 
 
 def _connected_image(order: int, drop_composition_term: bool) -> ScaledSeries:

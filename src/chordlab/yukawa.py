@@ -7,10 +7,9 @@ identities for the associated generating functions.
 The pairing is called as psi(t1, (t2, d)).  Its image is the 1PI tadpoles
 with more than one vertex, and psi_inv rejects any other tadpole.  The
 bijection is one recursion per direction over the pairing decomposition,
-run on a work stack and returning each image with its edge ranks, so an
-n-loop tadpole is split n - 1 times and a map takes O(n^2) steps at any
-depth.  The recursion splits and joins the parts it built itself, so it
-checks only its input.
+run on a work stack, so an n-loop tadpole is split n - 1 times and a map
+takes O(n^2) steps at any depth.  The recursion splits and joins the parts
+it built itself, so it checks only its input.
 
 A tadpole is stored as
   succ   -- successor along the (counter-clockwise) fermion loops; a
@@ -26,11 +25,16 @@ here; algorithms that treat it as one use the LEG_END marker instead).
 
 The bijection lambda (tadpole_to_diagram, inverse diagram_to_tadpole)
 maps the 1PI tadpoles with n loops onto the connected diagrams with n
-chords, 27 of each at n = 4:
+chords, 27 of each at n = 4.  A vertex's place in lambda(t) is the psi
+rank of the fermion edge into it; the root chord runs from place 0 to the
+leg vertex and each boson is a chord.  So lambda straightens the loops in
+the psi order, as `vertex_graph_to_diagram` straightens a fermion path:
 
 >>> len(enumerate_tadpoles(4))
 27
 >>> t = TadpoleGraph.from_literal("loops: (0 1 2) ; bosons: 1-2 ; leg: 0")
+>>> sorted(_places(t).items())  # (vertex, place): root 0-2, boson 1-3
+[(0, 2), (1, 1), (2, 3)]
 >>> tadpole_to_diagram(t)
 ChordDiagram('2: 3 4 1 2')
 >>> diagram_to_tadpole(ChordDiagram.from_literal("2: 3 4 1 2")) == t
@@ -44,8 +48,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import fps
-from .bijections import _root_share_join, nabla
-from .chord import ChordDiagram, enumerate_diagrams, size_guard
+from .bijections import _root_share_places, nabla
+from .chord import ChordDiagram, _trusted, enumerate_diagrams, size_guard
 from .fps import FormalPowerSeries
 from .gfseries import (
     IdentityReport,
@@ -354,21 +358,19 @@ def psi(t1: TadpoleGraph, marked: tuple[TadpoleGraph, int | str]):
     boson.update((v + offset, w + offset) for v, w in t1.boson.items())
     u2 = max(t1.succ) + offset + 1
     v1 = t1.leg + offset
-    v2 = t2.leg
-    w = succ[v1]
-    if w == v1:
-        # single-vertex case: subdivide the marked edge by v1 then u2
-        succ[d] = v1
-        succ[v1] = u2
-        succ[u2] = t2.succ[d]
-    else:
-        succ[v1] = u2
-        succ[u2] = succ[w]
-        succ[d] = w
-        succ[w] = t2.succ[d]
-    boson[u2] = v2
-    boson[v2] = u2
+    _psi_move(succ, v1, u2, d)
+    boson[u2], boson[t2.leg] = t2.leg, u2
     return TadpoleGraph(succ, boson, v1)
+
+
+def _psi_move(succ, v1: int, u2: int, d: int) -> None:
+    """psi's move on the successors of both parts: u2 replaces v1's successor
+    w, which moves after d, or v1 then u2 go after d if v1 is alone."""
+    e, w = succ[d], succ[v1]
+    if w == v1:
+        succ[d], succ[v1], succ[u2] = v1, u2, e
+    else:
+        succ[v1], succ[u2], succ[d], succ[w] = u2, succ[w], w, e
 
 
 def psi_inv(obj):
@@ -437,78 +439,76 @@ def _split(t: TadpoleGraph):
 # -- the edge order and the explicit bijection onto connected diagrams ---------------
 
 
-def psi_order(t: TadpoleGraph) -> dict[int, int]:
-    """Rank of every fermion edge, keyed by its source vertex, in the order
-    induced by the recursive decomposition (the leg vertex's outgoing edge
-    always comes first).  A bijection onto 1..(2*loops - 1).  It is the
-    ranks half of the tadpole -> diagram recursion, which splits each node
-    of the decomposition once: n - 1 splits, O(n^2) in all."""
-    return _to_diagram(t)[1]
-
-
-def _joined_ranks(
-    t: TadpoleGraph, d: int, ranks1: dict[int, int], ranks2: dict[int, int]
-) -> dict[int, int]:
-    """The edge ranks of t = psi(t1, (t2, d)) from those of its parts, with
-    ranks1 keyed by t1's vertex names in t.  The leg vertex's edge comes
-    first, then t2's edges ranked below d's, d's edge, t1's other edges,
-    the edge closing the join, and t2's remaining edges."""
-    q, m = ranks2[d], len(ranks1)
-    v_t = t.leg
-    a = t.succ[v_t]  # the reinstated leg end of t2
-    # the join closes at the vertex that psi put after d: t1's second
-    # vertex, whose edge a takes over, or a itself if t1 is one vertex
-    last = t.succ[d] if m > 1 else a
-    order = {v_t: 1}
-    for s, rank in ranks1.items():
-        if rank > 1:
-            order[a if s == last else s] = rank + q
-    for s, rank in ranks2.items():
-        order[s] = q + 1 if s == d else rank + 1 if rank < q else rank + m + 1
-    order[last] = m + q + 1
-    return order
-
-
-SINGLE_CHORD = ChordDiagram((1, 0))
-
-
-def _to_diagram(t: TadpoleGraph) -> tuple[ChordDiagram, dict[int, int]]:
-    """The diagram of t and its edge ranks.  Both directions run on a work
-    stack, not bound by the recursion limit: a node is split when popped,
-    and the join entry left below its parts pops their results."""
+def _places(t: TadpoleGraph) -> dict[int, int]:
+    """The place of every vertex of t in lambda(t).  t = psi(t1, (t2, d))
+    places its parts by the root share table at k, the place of d's
+    successor in t2, t2's leg end becoming the vertex a after t's leg.  A
+    node is split when popped; the join entry below its parts pops them."""
     todo, done = [t], []
     while todo:
         t = todo.pop()
-        if type(t) is tuple:  # (node, mark) of a split, below its two parts
-            (t, d), (c2, ranks2), (c1, ranks1) = t, done.pop(), done.pop()
-            ranks = _joined_ranks(t, d, ranks1, ranks2)
-            done.append((_root_share_join(c1, c2, ranks2[d]), ranks))
+        if type(t) is tuple:  # (leg, a, d's successor) of a split, below its parts
+            (leg, a, e), place2, place1 = t, done.pop(), done.pop()
+            m1 = len(place1) + 1
+            at = _root_share_places(m1, len(place2) + 1, place2[e])
+            if m1 == 2:  # t1 is X_TADPOLE: its vertex is t's leg vertex
+                place1 = {leg: 1}
+            place = dict(zip(place1, map(at.__getitem__, place1.values())))
+            place.update(zip(place2, map(at[m1:].__getitem__, place2.values())))
+            place[a] = 1
+            done.append(place)
         elif t.is_single_vertex():
-            done.append((SINGLE_CHORD, {t.leg: 1}))
+            done.append({t.leg: 1})
         else:
             t1, (t2, d) = _split(t)
-            todo += [(t, d), t2, t1]
+            todo += [(t.leg, t.succ[t.leg], t2.succ[d]), t2, t1]
     return done[0]
 
 
-def _to_tadpole(c: ChordDiagram) -> tuple[TadpoleGraph, dict[int, int]]:
-    """The tadpole of c and its edge ranks, as `_to_diagram` runs."""
-    todo, done = [c], []
+def psi_order(t: TadpoleGraph) -> dict[int, int]:
+    """Rank of every fermion edge, keyed by its source vertex, in the order
+    induced by the recursive decomposition, from 1 for the leg vertex's edge
+    to 2*loops - 1: the place in lambda(t) of the vertex the edge enters."""
+    place = _places(t)
+    return {v: place[w] for v, w in t.succ.items()}
+
+
+def _chord_form(m: int, leg: int, pairs) -> ChordDiagram:
+    """The diagram on m endpoints with the root chord from 0 to leg and one
+    chord per pair, the pairs and the leg covering 1..m-1 once."""
+    p = [0] * m
+    p[0], p[leg] = leg, 0
+    for a, b in pairs:
+        p[a], p[b] = b, a
+    return _trusted(tuple(p))
+
+
+def _to_tadpole(c: ChordDiagram) -> TadpoleGraph:
+    """lambda^-1 of a connected diagram, unchecked.  A part is its leg and
+    its successor and place arrays over psi's names: t2's, t1's, then a.
+    A join places them as `_places` does and makes psi's move; the bosons
+    are c's chords, so one tadpole is built, at the end."""
+    partners, todo, done = c.partners, [c], []
     while todo:
         c = todo.pop()
         if type(c) is int:  # the k of a root share, below its two parts
-            (t2, ranks2), (t1, ranks1) = done.pop(), done.pop()
-            d = {rank: v for v, rank in ranks2.items()}[c]
-            t = psi(t1, (t2, d))
-            shift = t.leg - t1.leg  # psi shifts t1's names past t2's
-            ranks1 = {v + shift: rank for v, rank in ranks1.items()}
-            done.append((t, _joined_ranks(t, d, ranks1, ranks2)))
+            (succ2, place2, _), (succ1, place1, leg1) = done.pop(), done.pop()
+            shift, m1 = len(place2), len(place1) + 1
+            at = _root_share_places(m1, shift + 1, c)
+            a = shift + m1 - 1
+            succ = [*succ2, *map(shift.__add__, succ1), a]
+            place = [*map(at[m1:].__getitem__, place2), *map(at.__getitem__, place1), 1]
+            _psi_move(succ, leg1 + shift, a, succ2.index(place2.index(c)))
+            done.append((succ, place, leg1 + shift))
         elif c.n == 1:
-            done.append((X_TADPOLE, {X_TADPOLE.leg: 1}))
+            done.append(([0], [1], 0))
         else:
             triple = nabla(c)
             todo += [triple.k, triple.c2, triple.c1]
-    return done[0]
+    succ, place, leg = done[0]
+    name = [LEG_END, *sorted(range(len(place)), key=place.__getitem__)]  # at each place
+    boson = {v: name[partners[p]] for v, p in enumerate(place) if v != leg}
+    return TadpoleGraph(dict(enumerate(succ)), boson, leg)
 
 
 def tadpole_to_diagram(t: TadpoleGraph) -> ChordDiagram:
@@ -518,14 +518,16 @@ def tadpole_to_diagram(t: TadpoleGraph) -> ChordDiagram:
     composition at the interval given by the marked vertex's edge rank."""
     if not t.is_one_particle_irreducible():
         raise ValueError("only connected 1PI tadpoles correspond to connected diagrams")
-    return _to_diagram(t)[0]
+    place = _places(t)
+    pairs = ((place[v], place[w]) for v, w in t.boson.items() if v < w)
+    return _chord_form(len(place) + 1, place[t.leg], pairs)
 
 
 def diagram_to_tadpole(d: ChordDiagram) -> TadpoleGraph:
     """Inverse of tadpole_to_diagram."""
     if not d.is_connected():
         raise ValueError("only connected diagrams correspond to tadpoles")
-    return _to_tadpole(d)[0]
+    return _to_tadpole(d)
 
 
 lambda_bij = tadpole_to_diagram
@@ -568,14 +570,7 @@ def vertex_graph_to_diagram(g: QQEDVertexGraph) -> ChordDiagram:
     """Straighten the fermion path and pull the photon leg to the front as
     the root: position 0 is the root's near end, path vertex i sits at
     position i, and photons become the remaining chords."""
-    m = g.path_length + 1
-    p = [0] * m
-    p[0] = g.leg_at
-    p[g.leg_at] = 0
-    for a, b in g.photons:
-        p[a] = b
-        p[b] = a
-    return ChordDiagram(p)
+    return _chord_form(g.path_length + 1, g.leg_at, g.photons)
 
 
 def qqed_primitive(g: QQEDVertexGraph) -> bool:

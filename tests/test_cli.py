@@ -612,6 +612,19 @@ def test_oeis_compare_roundtrip(tmp_path, capsys):
         assert "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("name", [name for name, (_, shift) in SEQUENCE_MAP.items() if not shift])
+def test_series_bfile_passes_oeis_compare_at_shift_zero(tmp_path, capsys, name):
+    # `series --format bfile` indexes by the power of x and `oeis-compare` by
+    # the catalogue index, which agree where the declared shift is 0
+    code, out = run_cli(capsys, "series", name, "--order", "12", "--format", "bfile")
+    assert code == 0
+    path = tmp_path / f"b_{name}.txt"
+    path.write_text(out)
+    code, out = run_cli(capsys, "oeis-compare", name, str(path), "--order", "12")
+    assert code == 0
+    assert "MISMATCH" not in out
+
+
 def test_oeis_compare_detects_mismatch(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     write_bfile("C", str(path), order=8)

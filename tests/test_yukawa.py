@@ -365,6 +365,14 @@ def test_maps_match_the_oracle(loops, monkeypatch):
         assert psi_order(t) == oracle_psi_order(t)
         d = tadpole_to_diagram(t)
         assert d == oracle_tadpole_to_diagram(t)
+        # the chord form in the psi order: each vertex at the rank of the
+        # edge into it, the root chord at the leg and a chord per boson
+        place = {t.succ[v]: rank for v, rank in oracle_psi_order(t).items()}
+        partners = [0] * (2 * loops)
+        partners[0], partners[place[t.leg]] = place[t.leg], 0
+        for v, w in t.boson.items():
+            partners[place[v]] = place[w]
+        assert d == ChordDiagram(partners)
         back, expected = diagram_to_tadpole(d), oracle_diagram_to_tadpole(d)
         # vertex names are part of the output (the CLI prints them)
         assert (back.succ, back.boson, back.leg) == (expected.succ, expected.boson, expected.leg)
@@ -424,8 +432,8 @@ def test_lambda_does_not_recheck_its_own_parts(monkeypatch):
 
 
 def test_lambda_inverse_builds_one_tadpole_per_level(monkeypatch):
-    # psi shifts t1's vertex names itself, so each of the 3 joins behind a
-    # 4-chord diagram validates only the tadpole it builds
+    # the 3 joins behind a 4-chord diagram carry only successors and places,
+    # so each inverse validates one tadpole, the one it returns
     diagrams = connected_diagrams(4)
     calls = []
     init = TadpoleGraph.__init__
@@ -437,7 +445,7 @@ def test_lambda_inverse_builds_one_tadpole_per_level(monkeypatch):
     monkeypatch.setattr(TadpoleGraph, "__init__", counted)
     tadpoles = {diagram_to_tadpole(d) for d in diagrams}
     assert len(tadpoles) == 27
-    assert len(calls) == 81
+    assert len(calls) == 27
 
 
 def test_diagram_to_tadpole_rejects_disconnected():
