@@ -5,11 +5,13 @@ representation of the no-fermion-loop vertex graphs, and the series-level
 identities for the associated generating functions.
 
 The pairing is called as psi(t1, (t2, d)).  Its image is the 1PI tadpoles
-with more than one vertex, and psi_inv rejects any other tadpole.  The
-bijection is one recursion per direction over the pairing decomposition,
-run on a work stack, so an n-loop tadpole is split n - 1 times and a map
-takes O(n^2) steps at any depth.  The recursion splits and joins the parts
-it built itself, so it checks only its input.
+with more than one vertex, and psi_inv rejects any other tadpole.  Both
+the 1PI test and psi_inv read one block search (`_block`): the vertices a
+root reaches without crossing a bridge.  The bijection is one recursion
+per direction over the pairing decomposition, run on a work stack, so an
+n-loop tadpole is split n - 1 times, each split searches its whole part,
+and a map takes O(n^2) steps at any depth.  The recursion splits and
+joins the parts it built itself, so it checks only its input.
 
 A tadpole is stored as
   succ   -- successor along the (counter-clockwise) fermion loops; a
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import fps
 from .bijections import _root_share_places, nabla
@@ -120,11 +122,11 @@ class TadpoleGraph:
         return len(self._traversal()[0]) == len(self.succ)
 
     def is_one_particle_irreducible(self) -> bool:
-        """Bridgeless on the internal (fermion + boson) edges; the external
-        leg is not an internal edge and is ignored."""
-        return self.is_connected() and not _bridges(
-            _edges(self.succ, self.boson), self.vertices
-        )
+        """Connected and bridgeless on the internal (fermion + boson) edges:
+        the leg's block holds every vertex.  The external leg is not an
+        internal edge and is ignored."""
+        pred = {w: v for v, w in self.succ.items()}
+        return len(_block(self.succ, pred, self.boson, self.leg)) == len(self.succ)
 
     # -- identity ------------------------------------------------------------
 
@@ -219,7 +221,9 @@ class TadpoleGraph:
                 succ.update(zip(loop, loop[1:] + loop[:1]))
                 listed += len(loop)
             for pair in bosons.split(",") if bosons.strip() else ():
-                a, b = (int(v) for v in pair.split("-"))
+                pair = pair.strip()  # a sign may lead either end: "-2--1"
+                head, _, tail = pair[1:].partition("-")
+                a, b = int(pair[:1] + head), int(tail)
                 boson[a], boson[b] = b, a
             leg_vertex = int(leg)
         except ValueError:
@@ -235,50 +239,41 @@ class TadpoleGraph:
             raise ValueError(f"tadpole literal {text!r}: {exc}") from None
 
 
-def _edges(succ: dict[int, int], boson: dict[int, int]) -> list[tuple[int, int]]:
-    """The fermion edges, then each boson edge once."""
-    return [*succ.items(), *((v, w) for v, w in boson.items() if v < w)]
-
-
-def _bridges(edges: Sequence[tuple[int, int]], vertices: set[int]) -> list[int]:
-    """Indices of bridge edges (multigraph-aware; self-loops never qualify)."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
-    for idx, (a, b) in enumerate(edges):
-        if a == b:
-            continue
-        adj[a].append((b, idx))
-        adj[b].append((a, idx))
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    out: list[int] = []
-    counter = [0]
-    for root in vertices:
-        if root in disc:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for w, idx in it:
-                if idx == in_edge:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append((w, idx, iter(adj[w])))
-                    advanced = True
+def _block(succ: dict[int, int], pred: dict[int, int], boson: dict[int, int], root: int) -> set[int]:
+    """The vertices root reaches without crossing a bridge, over the fermion
+    edges v -> succ[v] and the boson edges.  One depth-first search with
+    lowpoints (Tarjan, Inf. Proc. Lett. 2 (1974) 160) on a work stack, so it
+    runs at any depth; a child whose subtree has no edge back above its
+    parent is cut off.  A self-loop, or a missing boson read as one, lowers
+    no lowpoint.  A vertex takes its edges in the order (succ, pred, boson),
+    and an edge followed as the i-th edge of its tail is the (1, 0, 2)[i]-th
+    edge of its head, so the edge the search came in by is not mistaken for
+    a parallel one."""
+    number, low, kept = {root: 0}, [0], [root]
+    stack = [(root, 0, 0, 3, 0)]  # (vertex, number, next edge, edge in, place in kept)
+    while stack:
+        v, n, i, came, mark = stack.pop()
+        while i < 3:
+            if i != came:
+                w = succ[v] if i == 0 else pred[v] if i == 1 else boson.get(v, v)
+                if w not in number:
+                    stack.append((v, n, i + 1, came, mark))
+                    m = number[w] = len(low)
+                    low.append(m)
+                    stack.append((w, m, 0, (1, 0, 2)[i], len(kept)))
+                    kept.append(w)
                     break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        out.append(in_edge)
-    return out
+                if number[w] < low[n]:
+                    low[n] = number[w]
+            i += 1
+        else:
+            if stack:
+                p = stack[-1][1]
+                if low[n] > p:  # the edge in is a bridge
+                    del kept[mark:]
+                elif low[n] < low[p]:
+                    low[p] = low[n]
+    return set(kept)
 
 
 X_TADPOLE = TadpoleGraph({0: 0}, {}, 0)
@@ -349,9 +344,9 @@ def psi(t1: TadpoleGraph, marked: tuple[TadpoleGraph, int | str]):
     t2, d = marked
     if d == LEG_END:
         return (t1, t2)
-    if d not in t2.vertices:
+    if d not in t2.succ:
         raise ValueError("the marked vertex is not in the second tadpole")
-    offset = max(t2.succ) + 1
+    offset = max(t2.succ) + 1 - min(0, *t1.succ)  # t1's names land above t2's
     succ = dict(t2.succ)
     succ.update((v + offset, w + offset) for v, w in t1.succ.items())
     boson = dict(t2.boson)
@@ -389,7 +384,11 @@ def psi_inv(obj):
 
 
 def _split(t: TadpoleGraph):
-    """psi_inv of a 1PI tadpole with more than one vertex, unchecked."""
+    """psi_inv of a 1PI tadpole with more than one vertex, unchecked.  Cut
+    the leg end a of t2 out of t, leaving Gamma; one block search from v2,
+    a's boson partner, gives t2's part: all of Gamma when t1 is the single
+    vertex, and otherwise everything but t1's part, joined to it by the
+    boson of the vertex w that psi moved from t1 onto the marked edge."""
     v_t = t.leg
     a = t.succ[v_t]  # the leg end of t2, inserted after the leg vertex
     v2 = t.boson[a]
@@ -399,29 +398,11 @@ def _split(t: TadpoleGraph):
     succ[before], pred[after] = after, before
     boson = dict(t.boson)
     del boson[a], boson[v2]
-    # t2 is what v2 reaches in Gamma without crossing a bridge
-    edges = _edges(succ, boson)
-    bridges = set(_bridges(edges, set(succ)))
-    adj: dict[int, list[int]] = {v: [] for v in succ}
-    for i, (x, y) in enumerate(edges):
-        if i not in bridges:
-            adj[x].append(y)
-            adj[y].append(x)
-    block, stack = {v2}, [v2]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in block:
-                block.add(y)
-                stack.append(y)
-    if len(block) == len(succ):
-        # Gamma is connected and bridgeless: t1 was the single vertex, and
-        # the leg vertex sits on the marked edge of t2
+    block = _block(succ, pred, boson, v2)
+    if len(block) == len(succ):  # the leg vertex sits on the marked edge
         w, t1 = v_t, X_TADPOLE
-    else:
-        # the one edge leaving t2 is the bridge to w, the vertex of t1 that
-        # moved onto the marked edge
-        [(x, y)] = [(x, y) for x, y in edges if (x in block) != (y in block)]
-        w = x if x in block else y
+    else:  # v2 has no boson in Gamma
+        [w] = [v for v in block if boson.get(v, v) not in block]
         t1_succ = {v: u for v, u in succ.items() if v not in block}
         t1_succ[w], t1_succ[v_t] = t1_succ[v_t], w
         t1 = TadpoleGraph(

@@ -6,7 +6,8 @@ search, and the nested Bell expansion has one loop per block boundary.
 The root-component split and join put theta's token-list steps in
 labeled-diagram form, for the tests to compare with their own oracles.
 The root-share and inner-opener finders are the library's as they were
-before their scans were inlined: driven by the `crossing_scan` generator."""
+before their scans were inlined: driven by the `crossing_scan` generator.
+A tadpole is 1PI when no single edge deletion disconnects it."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,3 +176,23 @@ def inner_opener_by_scan(p: Sequence[int]) -> int:
     if len(ends) != 2 or not ends[0][2]:
         raise ValueError("inverse needs an indecomposable diagram with exactly two components")
     return ends[0][0]
+
+
+def tadpole_is_1pi(succ: dict[int, int], boson: dict[int, int]) -> bool:
+    """Connected, and still connected after deleting any one fermion edge
+    v -> succ[v] or boson edge; the external leg is no edge."""
+    edges = [*succ.items(), *((v, w) for v, w in boson.items() if v < w)]
+    for skip in range(-1, len(edges)):
+        adj: dict[int, list[int]] = {v: [] for v in succ}
+        for i, (v, w) in enumerate(edges):
+            if i != skip:
+                adj[v].append(w)
+                adj[w].append(v)
+        seen = [next(iter(succ))]
+        for v in seen:  # grows while it is walked: a breadth-first search
+            for w in adj[v]:
+                if w not in seen:
+                    seen.append(w)
+        if len(seen) < len(succ):
+            return False
+    return True

@@ -30,6 +30,7 @@ from chordlab.yukawa import (
     vacuum_series,
     vertex_graph_to_diagram,
 )
+from oracles import tadpole_is_1pi
 
 TADPOLE_COUNTS = {1: 1, 2: 1, 3: 4, 4: 27}
 
@@ -76,6 +77,13 @@ def test_literal_roundtrip():
     assert X_TADPOLE.to_literal() == "loops: (0) ; bosons:  ; leg: 0"
 
 
+def test_literal_roundtrip_with_negative_vertex_names():
+    t = TadpoleGraph({0: -1, -1: -2, -2: 0}, {-1: -2, -2: -1}, 0)
+    assert t.to_literal() == "loops: (0 -1 -2) ; bosons: -2--1 ; leg: 0"
+    back = TadpoleGraph.from_literal(t.to_literal())
+    assert (back.succ, back.boson, back.leg) == (t.succ, t.boson, t.leg)
+
+
 def test_tadpole_validation():
     with pytest.raises(ValueError):
         TadpoleGraph({0: 0}, {}, 7)  # leg is not a vertex
@@ -120,6 +128,14 @@ def test_psi_grows_size():
     assert combined.is_one_particle_irreducible()
 
 
+def test_psi_keeps_parts_with_negative_vertex_names_apart():
+    t1 = TadpoleGraph.from_literal("loops: (-12 0 1) ; bosons: 0-1 ; leg: -12")
+    t2 = TadpoleGraph.from_literal("loops: (-10 0 1) ; bosons: 0-1 ; leg: -10")
+    r = enumerate_tadpoles(2)[0]
+    assert t1 == t2 == r
+    assert psi(t1, (t2, 0)) == psi(r, (r, 1))
+
+
 def test_psi_rejects_foreign_mark():
     t2 = enumerate_tadpoles(2)[0]
     with pytest.raises(ValueError):
@@ -144,11 +160,31 @@ def test_psi_roundtrip_total_loops_up_to_4():
                     assert t1_back == t1
 
 
-def test_psi_inv_then_psi_is_identity():
-    for loops in (2, 3, 4):
+def test_psi_inv_then_psi_is_identity(monkeypatch):
+    # 1 of the 27 tadpoles at 4 loops and 10 of the 248 at 5 split a Gamma
+    # with more than one bridge
+    monkeypatch.setenv("CHORDLAB_MAX_N", "5")
+    for loops in (2, 3, 4, 5):
         for t in enumerate_tadpoles(loops):
             t1, (t2, d) = psi_inv(t)
             assert psi(t1, (t2, d)) == t
+
+
+@pytest.mark.parametrize("n", [40, 120, 200])
+def test_psi_inv_then_psi_is_identity_at_every_split_of_a_large_tadpole(n):
+    # parts this large run the block search deep; at 40 chords one of the
+    # splits meets a Gamma with more than one bridge
+    todo, splits = [diagram_to_tadpole(random_connected_diagram(n, seed=n))], 0
+    while todo:
+        t = todo.pop()
+        if t.is_single_vertex():
+            continue
+        t1, (t2, d) = psi_inv(t)
+        assert t1.is_one_particle_irreducible() and t2.is_one_particle_irreducible()
+        assert psi(t1, (t2, d)) == t
+        todo += [t1, t2]
+        splits += 1
+    assert splits == n - 1
 
 
 def test_psi_is_injective_across_inputs():
@@ -271,8 +307,8 @@ def crossing_chain(n):
 
 
 # Both shapes decompose 1199 levels deep, past the default recursion limit.
-# lambda takes 4-6 s CPU at this size on a 2-core Xeon guest (each split
-# looks for bridges in the whole tadpole), so it runs on the cheaper shape.
+# lambda takes 1.6-2.8 s CPU on either shape at this size on a 2-core Xeon
+# guest: each split searches its whole part.
 @pytest.mark.parametrize("shape", [full_crossing, crossing_chain])
 def test_bijection_at_1200_chords_under_the_default_recursion_limit(shape):
     assert sys.getrecursionlimit() < 1200
@@ -280,8 +316,7 @@ def test_bijection_at_1200_chords_under_the_default_recursion_limit(shape):
     assert d.is_connected()
     t = diagram_to_tadpole(d)
     assert t.boson_count == 1200 and t.is_one_particle_irreducible()
-    if shape is crossing_chain:
-        assert tadpole_to_diagram(t) == d
+    assert tadpole_to_diagram(t) == d
 
 
 def test_bijection_at_five_loops_behind_flag(monkeypatch):
@@ -390,6 +425,13 @@ def raw_tadpoles(loops):
                 start += length
             for d in enumerate_diagrams(loops - 1):
                 yield TadpoleGraph(succ, {a + 1: b + 1 for a, b in enumerate(d.partners)}, 0)
+
+
+def test_one_particle_irreducible_matches_the_edge_deletion_oracle():
+    candidates = [t for loops in range(1, 6) for t in raw_tadpoles(loops)]
+    verdicts = [t.is_one_particle_irreducible() for t in candidates]
+    assert (len(candidates), sum(verdicts)) == (7526, 825)
+    assert verdicts == [tadpole_is_1pi(t.succ, t.boson) for t in candidates]
 
 
 def test_tadpole_to_diagram_rejects_tadpoles_that_are_not_1pi():
