@@ -13,7 +13,7 @@ number S(4, 2) = 7 here, by the recurrence and by listing the partitions:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, lcm, prod
 from typing import Sequence
 
@@ -118,28 +118,19 @@ def faa_di_bruno(
 # -- identity suite -------------------------------------------------------------
 
 
-def _identity_lemma_split(n, k, xs):
-    lhs = k * bell_partial(n, k, xs)
+def _block_rooting(n, k, xs, k2, rooted):
+    """lemma1a, k B(n,k) = sum_s C(n,s) x_s B(n-s, k-1), or rooted,
+    lemma1b, n B(n,k) = sum_s C(n,s) s x_s B(n-s, k-1)."""
+    lhs = (n if rooted else k) * bell_partial(n, k, xs)
     rhs = sum(
-        comb(n, s) * Fraction(xs[s - 1]) * bell_partial(n - s, k - 1, xs)
-        for s in range(1, n + 1)
-        if s - 1 < len(xs)
+        comb(n, s) * (s if rooted else 1) * Fraction(xs[s - 1]) * bell_partial(n - s, k - 1, xs)
+        for s in range(1, min(n, len(xs)) + 1)
     )
-    return lhs == rhs
+    return lhs, rhs
 
 
-def _identity_lemma_rooted(n, k, xs):
-    lhs = n * bell_partial(n, k, xs)
-    rhs = sum(
-        comb(n, s) * s * Fraction(xs[s - 1]) * bell_partial(n - s, k - 1, xs)
-        for s in range(1, n + 1)
-        if s - 1 < len(xs)
-    )
-    return lhs == rhs
-
-
-def _identity_shift(n, k, xs):
-    # B(n,k) expressed through B(n-a, k) with the first variable inverted
+def _id_shift(n, k, xs, k2):
+    """B(n,k) through B(n-a, k) with the first variable inverted."""
     if n <= k:
         raise ValueError("this identity needs n > k")
     x1 = Fraction(xs[0])
@@ -152,16 +143,18 @@ def _identity_shift(n, k, xs):
         * bell_partial(n - a, k, xs)
         for a in range(1, n - k + 1)
     )
-    return bell_partial(n, k, xs) == rhs / (x1 * (n - k))
+    return bell_partial(n, k, xs), rhs / (x1 * (n - k))
 
 
-def _identity_convolution(n, k1, k2, xs):
-    lhs = bell_partial(n, k1 + k2, xs)
+def _id_convolution(n, k, xs, k2):
+    """B(n, k + k2) as the two-part convolution, k2 defaulting to k."""
+    k2 = k if k2 is None else k2
     rhs = sum(
-        comb(n, a) * bell_partial(a, k1, xs) * bell_partial(n - a, k2, xs)
+        comb(n, a) * bell_partial(a, k, xs) * bell_partial(n - a, k2, xs)
         for a in range(n + 1)
     )
-    return lhs == Fraction(factorial(k1) * factorial(k2), factorial(k1 + k2)) * rhs
+    scale = Fraction(factorial(k) * factorial(k2), factorial(k + k2))
+    return bell_partial(n, k + k2, xs), scale * rhs
 
 
 def nested_convolution(n: int, blocks: int, xs: Sequence[Rational]) -> Fraction:
@@ -194,11 +187,18 @@ def nested_convolution(n: int, blocks: int, xs: Sequence[Rational]) -> Fraction:
     return peel(n, k) / factorial(blocks)
 
 
-def _identity_nested(n, blocks, xs):
-    return bell_partial(n, blocks, xs) == nested_convolution(n, blocks, xs)
+def _id_nested(n, k, xs, k2):
+    """B(n, k) against its fully nested expansion."""
+    return bell_partial(n, k, xs), nested_convolution(n, k, xs)
 
 
-BELL_IDENTITIES = ("lemma1a", "lemma1b", "id1", "id2", "id3")
+BELL_IDENTITIES = {  # name -> (n, k, xs, k2) -> (lhs, rhs)
+    "lemma1a": partial(_block_rooting, rooted=False),
+    "lemma1b": partial(_block_rooting, rooted=True),
+    "id1": _id_shift,
+    "id2": _id_convolution,
+    "id3": _id_nested,
+}
 
 
 def verify_bell_identity(which: str, n: int, k: int, xs: Sequence[Rational], k2: int | None = None) -> bool:
@@ -207,19 +207,12 @@ def verify_bell_identity(which: str, n: int, k: int, xs: Sequence[Rational], k2:
     lemma1a / lemma1b: the two block-rooting recurrences.
     id1: the shifted expansion (needs n > k and x_1 != 0).
     id2: the two-part convolution B(n, k + k2) (k2 defaults to k).
-    id3: the fully nested expansion of B(n, k+1).
+    id3: the fully nested expansion of B(n, k).
     """
-    if which == "lemma1a":
-        return _identity_lemma_split(n, k, xs)
-    if which == "lemma1b":
-        return _identity_lemma_rooted(n, k, xs)
-    if which == "id1":
-        return _identity_shift(n, k, xs)
-    if which == "id2":
-        return _identity_convolution(n, k, k if k2 is None else k2, xs)
-    if which == "id3":
-        return _identity_nested(n, k, xs)
-    raise KeyError(f"unknown identity {which!r}; known: {', '.join(BELL_IDENTITIES)}")
+    if which not in BELL_IDENTITIES:
+        raise KeyError(f"unknown identity {which!r}; known: {', '.join(BELL_IDENTITIES)}")
+    lhs, rhs = BELL_IDENTITIES[which](n, k, xs, k2)
+    return lhs == rhs
 
 
 # -- Lagrange fixed point ---------------------------------------------------------

@@ -10,8 +10,10 @@ the 1PI test and psi_inv read one block search (`_block`): the vertices a
 root reaches without crossing a bridge.  The bijection is one recursion
 per direction over the pairing decomposition, run on a work stack, so an
 n-loop tadpole is split n - 1 times, each split searches its whole part,
-and a map takes O(n^2) steps at any depth.  The recursion splits and
-joins the parts it built itself, so it checks only its input.
+and a map takes O(n^2) steps at any depth.  lambda cuts one copy of the
+tadpole's maps in place, so a part is its leg vertex, not a tadpole.  The
+recursion splits and joins the parts it built itself, so it checks only
+its input.
 
 A tadpole is stored as
   succ   -- successor along the (counter-clockwise) fermion loops; a
@@ -380,41 +382,41 @@ def psi_inv(obj):
         raise ValueError("the one-vertex tadpole is not in the image")
     if not obj.is_one_particle_irreducible():
         raise ValueError("only 1PI tadpoles are in the image of psi")
-    return _split(obj)
-
-
-def _split(t: TadpoleGraph):
-    """psi_inv of a 1PI tadpole with more than one vertex, unchecked.  Cut
-    the leg end a of t2 out of t, leaving Gamma; one block search from v2,
-    a's boson partner, gives t2's part: all of Gamma when t1 is the single
-    vertex, and otherwise everything but t1's part, joined to it by the
-    boson of the vertex w that psi moved from t1 onto the marked edge."""
-    v_t = t.leg
-    a = t.succ[v_t]  # the leg end of t2, inserted after the leg vertex
-    v2 = t.boson[a]
-    # Gamma: t with a taken off its loop and its boson edge dropped
-    succ, pred = dict(t.succ), {w: v for v, w in t.succ.items()}
-    before, after = pred.pop(a), succ.pop(a)
-    succ[before], pred[after] = after, before
-    boson = dict(t.boson)
-    del boson[a], boson[v2]
-    block = _block(succ, pred, boson, v2)
-    if len(block) == len(succ):  # the leg vertex sits on the marked edge
-        w, t1 = v_t, X_TADPOLE
-    else:  # v2 has no boson in Gamma
-        [w] = [v for v in block if boson.get(v, v) not in block]
-        t1_succ = {v: u for v, u in succ.items() if v not in block}
-        t1_succ[w], t1_succ[v_t] = t1_succ[v_t], w
-        t1 = TadpoleGraph(
-            t1_succ, {v: u for v, u in boson.items() if v in t1_succ}, v_t
+    succ, boson, leg = dict(obj.succ), dict(obj.boson), obj.leg
+    d, v2, part2 = _split(succ, {w: v for v, w in succ.items()}, boson, leg)
+    w = succ[leg]
+    succ[w] = succ.pop(w)  # t1 lists w, the vertex psi moved, last
+    t1, t2 = (
+        TadpoleGraph(
+            {v: u for v, u in succ.items() if v in part},
+            {v: u for v, u in boson.items() if v in part},
+            root,
         )
-    d = pred[w]
-    t2_succ = {v: u for v, u in succ.items() if v in block and v != w}
-    t2_succ[d] = succ[w]
-    t2 = TadpoleGraph(
-        t2_succ, {v: u for v, u in boson.items() if v in t2_succ}, v2
+        for part, root in ((succ.keys() - part2, leg), (part2, v2))
     )
-    return (t1, (t2, d))
+    return (X_TADPOLE if w == leg else t1, (t2, d))
+
+
+def _split(succ, pred, boson, leg):
+    """psi_inv of the 1PI part at leg with more than one vertex, unchecked
+    and in place.  Cut t2's leg end a out from after leg, leaving Gamma.
+    The block of v2, a's boson partner, in Gamma is t2's part and the
+    vertex w that psi moved onto the marked edge: leg when t1 is the single
+    vertex, else the one whose boson leaves the block.  Close the marked
+    edge d -> e over w, then put w back after leg, or leave leg a one-vertex
+    loop, so the parts share no edge.  Returns d, v2 and t2's vertices."""
+    a = succ[leg]
+    succ[leg], v2 = succ.pop(a), boson.pop(a)
+    pred[succ[leg]] = leg
+    del pred[a], boson[v2]
+    block = _block(succ, pred, boson, v2)
+    [w] = [leg] if leg in block else [v for v in block if boson.get(v, v) not in block]
+    d, e = pred[w], succ[w]
+    succ[d], pred[e] = e, d
+    f = leg if w == leg else succ[leg]
+    succ[leg], pred[w], succ[w], pred[f] = w, leg, f, w
+    block.remove(w)
+    return d, v2, block
 
 
 # -- the edge order and the explicit bijection onto connected diagrams ---------------
@@ -423,26 +425,29 @@ def _split(t: TadpoleGraph):
 def _places(t: TadpoleGraph) -> dict[int, int]:
     """The place of every vertex of t in lambda(t).  t = psi(t1, (t2, d))
     places its parts by the root share table at k, the place of d's
-    successor in t2, t2's leg end becoming the vertex a after t's leg.  A
-    node is split when popped; the join entry below its parts pops them."""
-    todo, done = [t], []
+    successor in t2, t2's leg end becoming the vertex a after t's leg.  One
+    copy of t's maps is split in place, so a part is its leg, and a leaf
+    is a one-vertex loop.  A part is split when popped; the join entry
+    below its parts pops them."""
+    succ, boson = dict(t.succ), dict(t.boson)
+    pred = {w: v for v, w in succ.items()}
+    todo, done = [t.leg], []
     while todo:
-        t = todo.pop()
-        if type(t) is tuple:  # (leg, a, d's successor) of a split, below its parts
-            (leg, a, e), place2, place1 = t, done.pop(), done.pop()
+        leg = todo.pop()
+        if type(leg) is tuple:  # (a, d's successor) of a split, below its parts
+            (a, e), place2, place1 = leg, done.pop(), done.pop()
             m1 = len(place1) + 1
             at = _root_share_places(m1, len(place2) + 1, place2[e])
-            if m1 == 2:  # t1 is X_TADPOLE: its vertex is t's leg vertex
-                place1 = {leg: 1}
             place = dict(zip(place1, map(at.__getitem__, place1.values())))
             place.update(zip(place2, map(at[m1:].__getitem__, place2.values())))
             place[a] = 1
             done.append(place)
-        elif t.is_single_vertex():
-            done.append({t.leg: 1})
+        elif succ[leg] == leg:
+            done.append({leg: 1})
         else:
-            t1, (t2, d) = _split(t)
-            todo += [(t.leg, t.succ[t.leg], t2.succ[d]), t2, t1]
+            a = succ[leg]
+            d, v2, _ = _split(succ, pred, boson, leg)
+            todo += [(a, succ[d]), v2, leg]
     return done[0]
 
 

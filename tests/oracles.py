@@ -7,7 +7,9 @@ The root-component split and join put theta's token-list steps in
 labeled-diagram form, for the tests to compare with their own oracles.
 The root-share and inner-opener finders are the library's as they were
 before their scans were inlined: driven by the `crossing_scan` generator.
-A tadpole is 1PI when no single edge deletion disconnects it."""
+A tadpole is 1PI when no single edge deletion disconnects it, and psi's
+inverse is the library's as it was before it cut one copy of the maps in
+place: it copies the tadpole and validates both parts it returns."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +19,7 @@ from typing import Sequence
 from chordlab.bell import _key
 from chordlab.bijections import LabeledDiagram, _join, _split, from_tokens
 from chordlab.chord import ChordDiagram, crossing_scan
+from chordlab.yukawa import X_TADPOLE, TadpoleGraph, _block
 
 
 def intersection_adjacency(d: ChordDiagram) -> list[set[int]]:
@@ -196,3 +199,37 @@ def tadpole_is_1pi(succ: dict[int, int], boson: dict[int, int]) -> bool:
         if len(seen) < len(succ):
             return False
     return True
+
+
+def split_tadpole(t: TadpoleGraph):
+    """psi_inv of a 1PI tadpole with more than one vertex, unchecked.  Cut
+    the leg end a of t2 out of t, leaving Gamma; one block search from v2,
+    a's boson partner, gives t2's part: all of Gamma when t1 is the single
+    vertex, and otherwise everything but t1's part, joined to it by the
+    boson of the vertex w that psi moved from t1 onto the marked edge."""
+    v_t = t.leg
+    a = t.succ[v_t]  # the leg end of t2, inserted after the leg vertex
+    v2 = t.boson[a]
+    # Gamma: t with a taken off its loop and its boson edge dropped
+    succ, pred = dict(t.succ), {w: v for v, w in t.succ.items()}
+    before, after = pred.pop(a), succ.pop(a)
+    succ[before], pred[after] = after, before
+    boson = dict(t.boson)
+    del boson[a], boson[v2]
+    block = _block(succ, pred, boson, v2)
+    if len(block) == len(succ):  # the leg vertex sits on the marked edge
+        w, t1 = v_t, X_TADPOLE
+    else:  # v2 has no boson in Gamma
+        [w] = [v for v in block if boson.get(v, v) not in block]
+        t1_succ = {v: u for v, u in succ.items() if v not in block}
+        t1_succ[w], t1_succ[v_t] = t1_succ[v_t], w
+        t1 = TadpoleGraph(
+            t1_succ, {v: u for v, u in boson.items() if v in t1_succ}, v_t
+        )
+    d = pred[w]
+    t2_succ = {v: u for v, u in succ.items() if v in block and v != w}
+    t2_succ[d] = succ[w]
+    t2 = TadpoleGraph(
+        t2_succ, {v: u for v, u in boson.items() if v in t2_succ}, v2
+    )
+    return (t1, (t2, d))

@@ -52,6 +52,7 @@ from test_bijections import (
 )
 from test_chord import deletion_connectivity, scanned_reasons
 from test_diffeo import subset_square
+from test_yukawa import assert_split_matches_the_oracle
 
 SIZES = st.integers(9, 12)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -184,6 +185,16 @@ def test_lambda_roundtrip(d):
     t = diagram_to_tadpole(d)
     assert t.boson_count == d.n
     assert tadpole_to_diagram(t) == d
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(matchings(st.integers(2, 200), connected=True))
+def test_psi_inv_matches_the_copying_split_at_every_split(d):
+    todo = [diagram_to_tadpole(d)]
+    while todo:
+        t = todo.pop()
+        if not t.is_single_vertex():
+            todo += assert_split_matches_the_oracle(t)
 
 
 @PROPERTY

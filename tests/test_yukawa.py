@@ -30,7 +30,7 @@ from chordlab.yukawa import (
     vacuum_series,
     vertex_graph_to_diagram,
 )
-from oracles import tadpole_is_1pi
+from oracles import split_tadpole, tadpole_is_1pi
 
 TADPOLE_COUNTS = {1: 1, 2: 1, 3: 4, 4: 27}
 
@@ -187,6 +187,42 @@ def test_psi_inv_then_psi_is_identity_at_every_split_of_a_large_tadpole(n):
     assert splits == n - 1
 
 
+def assert_split_matches_the_oracle(t):
+    """psi_inv(t) against the split that copies t: d, and both parts' maps
+    and literals (a literal lists the loops in the order of the map)."""
+    (t1, (t2, d)), (o1, (o2, od)) = psi_inv(t), split_tadpole(t)
+    assert d == od
+    for part, expected in ((t1, o1), (t2, o2)):
+        assert (part.succ, part.boson, part.leg) == (expected.succ, expected.boson, expected.leg)
+        assert part.to_literal() == expected.to_literal()
+    return t1, t2
+
+
+def test_psi_inv_matches_the_copying_split(monkeypatch):
+    monkeypatch.setenv("CHORDLAB_MAX_N", "5")
+    for loops in (2, 3, 4, 5):
+        for t in enumerate_tadpoles(loops):
+            assert_split_matches_the_oracle(t)
+
+
+def test_psi_inv_matches_the_copying_split_on_lambda_inverse_images():
+    # the first split of lambda^-1 of each of the 41,342 connected diagrams
+    # with 2 <= n <= 7, whose vertex names are psi's: about 7.5 s
+    for n in range(2, 8):
+        for d in connected_diagrams(n):
+            assert_split_matches_the_oracle(diagram_to_tadpole(d))
+
+
+def test_psi_inv_and_lambda_leave_their_input_unchanged():
+    # both cut a copy of the maps in place, and a tadpole's dicts are mutable
+    large = diagram_to_tadpole(random_connected_diagram(40, seed=40))
+    for t in [*enumerate_tadpoles(4), large]:
+        before = dict(t.succ), dict(t.boson), t.to_literal()
+        psi_inv(t)
+        tadpole_to_diagram(t)
+        assert (t.succ, t.boson, t.to_literal()) == before
+
+
 def test_psi_is_injective_across_inputs():
     # all (t1, (t2, d)) with total loops 4 give distinct single tadpoles
     images = set()
@@ -256,9 +292,9 @@ def test_psi_order_splits_each_node_once(loops, monkeypatch):
 
     split = yukawa._split
 
-    def counted(t):
-        calls.append(t)
-        return split(t)
+    def counted(*maps):
+        calls.append(maps)
+        return split(*maps)
 
     monkeypatch.setattr(yukawa, "_split", counted)
     psi_order(t)
@@ -274,9 +310,9 @@ def test_roundtrip_splits_each_node_once(loops, monkeypatch):
 
     split = yukawa._split
 
-    def counted(t):
-        calls.append(t)
-        return split(t)
+    def counted(*maps):
+        calls.append(maps)
+        return split(*maps)
 
     monkeypatch.setattr(yukawa, "_split", counted)
     t = diagram_to_tadpole(d)
@@ -307,7 +343,7 @@ def crossing_chain(n):
 
 
 # Both shapes decompose 1199 levels deep, past the default recursion limit.
-# lambda takes 1.6-2.8 s CPU on either shape at this size on a 2-core Xeon
+# lambda takes 1.1-1.8 s CPU on either shape at this size on a 2-core Xeon
 # guest: each split searches its whole part.
 @pytest.mark.parametrize("shape", [full_crossing, crossing_chain])
 def test_bijection_at_1200_chords_under_the_default_recursion_limit(shape):
@@ -468,6 +504,22 @@ def test_lambda_does_not_recheck_its_own_parts(monkeypatch):
         return is_connected(d)
 
     monkeypatch.setattr(ChordDiagram, "is_connected", counted)
+    images = {tadpole_to_diagram(t) for t in tadpoles}
+    assert len(images) == 27
+    assert calls == []
+
+
+def test_lambda_builds_no_tadpole(monkeypatch):
+    # the splits cut one copy of the maps in place, so a part is its leg
+    tadpoles = enumerate_tadpoles(4)
+    calls = []
+    init = TadpoleGraph.__init__
+
+    def counted(t, *args):
+        calls.append(args)
+        init(t, *args)
+
+    monkeypatch.setattr(TadpoleGraph, "__init__", counted)
     images = {tadpole_to_diagram(t) for t in tadpoles}
     assert len(images) == 27
     assert calls == []
