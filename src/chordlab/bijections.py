@@ -17,15 +17,23 @@ Their outputs relabel validated diagrams, so like the lists of
 `enumerate_diagrams` they skip the checks `ChordDiagram(...)` runs on
 arrays from outside.  Both scans are inline copies of `crossing_scan` that
 stop once the answer is settled, as a generator costs as much to start as
-the scan of a small diagram; theta_inv reads each structure's shape off the
-scan that `ZTreeVertex.validate` runs on it anyway.  theta and its
-inverse work on token lists, the label at each endpoint, which track chord
-identity through the queue; phi is the same move there.  Every run of
-endpoints between two ends of a root component is one dangling diagram, so
-splitting off the root component slices the list, and joining writes each
-core token followed by the run hanging after it.  A LabeledDiagram (a
-diagram plus one label per chord) is built only for a vertex structure and
-the rebuilt seed.
+the scan of a small diagram.
+
+theta works on runs lo..hi-1 of endpoints of the seed's two partner
+arrays; the label at each endpoint (its token) tracks chord identity.  A
+chord in a run crosses no chord outside it, so a run is a union of
+components, and its root component is the one whose lowest opener is the
+run's first endpoint.  `_components`, a third inline copy of the scan,
+lists where each component of a side ends, and `_split` reads a root
+component off from its first endpoint, skipping each component nested in
+one of its gaps; the runs between its ends are the dangling diagrams.
+Only a vertex structure is built as a new array, with its labels, and
+like the seeds of `TreeSeed.from_diagrams` it skips the checks of
+`LabeledDiagram(...)`.  theta_inv reads each structure's shape off the
+components `ZTreeVertex.validate` lists, hangs the sides of each child into
+its parent's by reference, and writes the labels of the two sides once
+(`_flatten`) before `from_tokens` pairs them, checking the labels it is
+given.  So both directions take time linear in the number of chords.
 
 Worked example, in the "n: p1 ... p2n" partner-list encoding: the connected
 diagram "3: 4 6 5 1 3 2" (chords {1,4},{2,6},{3,5}) has the root share
@@ -42,15 +50,12 @@ indecomposable two-component diagram {1,6},{2,4},{3,5}:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .chord import (
     ChordDiagram,
     _trusted,
-    crossing_blocks,
-    crossing_scan,
     enumerate_diagrams,
 )
 
@@ -84,37 +89,43 @@ class LabeledDiagram:
 EMPTY = LabeledDiagram(ChordDiagram(()), ())
 
 
+_set = object.__setattr__  # sets a field of a frozen dataclass
+
+
+def _labeled(d: ChordDiagram, labels: tuple[int, ...]) -> LabeledDiagram:
+    """The LabeledDiagram of distinct labels, one per chord, that the library
+    picked itself, without the checks of `LabeledDiagram(...)`."""
+    ld = object.__new__(LabeledDiagram)
+    _set(ld, "diagram", d)
+    _set(ld, "labels", labels)
+    return ld
+
+
 def from_tokens(tokens: Sequence[Token]) -> LabeledDiagram:
-    """The labeled diagram with these endpoint labels; EMPTY for none.
-    `_partners` pairs the two positions of each label or raises, so its
-    array is a matching; the labels are checked by `LabeledDiagram`."""
+    """The labeled diagram with these endpoint labels; EMPTY for none.  One
+    pass pairs the two positions of each label, so the array is a matching
+    once no label is left unpaired; a label on two chords is rejected."""
     if not tokens:
         return EMPTY
-    p = _partners(tokens)
-    labels = tuple([lab for pos, lab in enumerate(tokens) if p[pos] > pos])
-    return LabeledDiagram(_trusted(tuple(p)), labels)
-
-
-def _partners(tokens: Sequence[Token], first_block: bool = False) -> list[int]:
-    """The partner array that pairs the two positions of each label; with
-    first_block, that of the shortest prefix pairing them all, read no further."""
     first: dict[Token, int] = {}
     p = [0] * len(tokens)
+    labels = []
     for pos, lab in enumerate(tokens):
         if lab in first:
             a = first.pop(lab)
             p[a], p[pos] = pos, a
-            if first_block and not first:
-                return p[:pos + 1]
         else:
             first[lab] = pos
+            labels.append(lab)
     if first:
         raise ValueError(f"unpaired labels: {sorted(first)}")
-    return p
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct")
+    return _labeled(_trusted(tuple(p)), tuple(labels))
 
 
 def with_fresh_labels(d: ChordDiagram, start: int = 0) -> LabeledDiagram:
-    return LabeledDiagram(d, tuple(range(start, start + d.n)))
+    return _labeled(d, tuple(range(start, start + d.n)))
 
 
 def _move(items: Iterable, a: int, s: int) -> list:
@@ -276,11 +287,18 @@ class TreeSeed:
 
     @classmethod
     def from_diagrams(cls, left: ChordDiagram, right: ChordDiagram) -> "TreeSeed":
-        return cls(
-            0,
-            with_fresh_labels(left, start=1),
-            with_fresh_labels(right, start=1 + left.n),
-        )
+        return _fresh_seed(with_fresh_labels(left, start=1),
+                           with_fresh_labels(right, start=1 + left.n))
+
+
+def _fresh_seed(left: LabeledDiagram, right: LabeledDiagram) -> TreeSeed:
+    """The seed of root label 0 over sides labeled 1, 2, ... from the left
+    side's first chord on: distinct labels, so unchecked."""
+    seed = object.__new__(TreeSeed)
+    _set(seed, "root_label", 0)
+    _set(seed, "left", left)
+    _set(seed, "right", right)
+    return seed
 
 
 @dataclass
@@ -322,7 +340,7 @@ class ZTreeVertex:
             else:
                 if v.structure.n != len(v.children):
                     raise ValueError("structure size differs from child count")
-                ends = [scan[:3] for scan in crossing_scan(v.structure.diagram.partners)]
+                ends = _components(v.structure.diagram.partners)
                 if len(ends) > 2:
                     raise ValueError("structure has more than two components")
                 if set(v.structure.labels) != set(v.children):
@@ -331,111 +349,164 @@ class ZTreeVertex:
         return out
 
 
-def _split(tokens: list[Token]) -> tuple[list[Token], list[tuple[Token, Sequence, Sequence]]]:
-    """The root component of a nonempty token list and, per core chord in
-    first-endpoint order, its label with the runs hanging after its two
-    ends.  A chord in one run crossing into another would cross the core,
-    so each run is a slice.  The core ends with the first block, so only it is
-    scanned and the rest is the last run.  A connected list is its own core."""
-    p = _partners(tokens, first_block=True)
-    root = next(b for b in crossing_blocks(p) if not b[0])
-    if 2 * len(root) == len(tokens):
-        return tokens, [(tokens[a], (), ()) for a in root]
-    ends = sorted(root + [p[a] for a in root])
-    run = {pos: tokens[pos + 1:end] for pos, end in zip(ends, ends[1:] + [len(tokens)])}
-    return [tokens[pos] for pos in ends], [(tokens[a], run[a], run[p[a]]) for a in root]
-
-
-def _join(core: Sequence[Token], hanging: dict) -> list[Token]:
-    """Inverse of _split: each core token followed by the run hanging after
-    it, hanging[label] holding the runs after the label's two ends."""
-    out: list[Token] = []
-    seen: set[Token] = set()
-    for lab in core:
-        out.append(lab)
-        out += hanging[lab][lab in seen]
-        seen.add(lab)
+def _components(p: Sequence[int]) -> list[tuple[int, int, bool]]:
+    """(low, j, nested) for each component of the partner array p, as
+    `crossing_scan(p)` yields them, inlined."""
+    blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
+    out = []
+    for j, q in enumerate(p):
+        if q > j:
+            blocks.append((j, 1))
+            continue
+        low, count = blocks.pop()
+        while low > q:
+            low, below = blocks.pop()
+            count += below
+        if count > 1:
+            blocks.append((low, count - 1))
+        else:
+            out.append((low, j, bool(blocks)))
     return out
 
 
-def theta(seed: TreeSeed) -> ZTreeVertex:
-    """Grow the stack tree by working through a queue of chords with the
-    token lists of their dangling diagram pairs.
+def _split(p: Sequence[int], end_of: dict[int, int], lo: int, hi: int
+           ) -> tuple[list[int], list[int], list[tuple[int, int, int, int]]]:
+    """The root component of the run lo..hi-1 of p, a union of components
+    that end_of maps from their lowest openers to their ends: its openers,
+    its partner array and, per opener a, the runs after a and after p[a]
+    (start, end, start, end), each ending at the component's next endpoint
+    or at hi; none when the component fills the run.  The walk from lo to
+    the component's end skips every other component, nested in a gap."""
+    ends = [lo]
+    x, last = lo + 1, end_of[lo]
+    while x <= last:
+        nested_end = end_of.get(x)
+        if nested_end is None:
+            ends.append(x)
+            x += 1
+        else:
+            x = nested_end + 1
+    openers = [a for a in ends if p[a] > a]
+    if len(ends) == hi - lo:
+        return openers, [q - lo for q in p[lo:hi]], []
+    at = dict(zip(ends, range(len(ends))))
+    core = [at[p[e]] for e in ends]
+    ends.append(hi)
+    return openers, core, [(a + 1, ends[at[a] + 1], p[a] + 1, ends[at[p[a]] + 1])
+                           for a in openers]
 
-    Case split per popped chord: nothing hangs off it (leaf); only the right
+
+def _side(ld: LabeledDiagram) -> tuple[Sequence[int], list[Token], dict[int, int]]:
+    """A side of a seed as theta reads it: its partner array, the label at
+    each endpoint, and the end of each component by its lowest opener."""
+    p = ld.diagram.partners
+    if not p:
+        return p, [], {}
+    return p, ld.tokens(), {low: j for low, j, _ in _components(p)}
+
+
+def theta(seed: TreeSeed) -> ZTreeVertex:
+    """Grow the stack tree by working through the chords with their pairs
+    of dangling diagrams, each a run lo..hi-1 of endpoints of one side of
+    the seed.
+
+    Case split per chord: nothing hangs off it (leaf); only the right
     diagram is nonempty (its root component becomes the structure); both are
     nonempty (the two root components are concatenated); only the left is
     nonempty with a single-chord root component (the vertex absorbs that
-    label into its stack, a whole nest of chords spanning the list at once);
+    label into its stack, a whole nest of chords spanning the run at once);
     only the left with a larger root component (phi of it becomes the
     structure, which is how the four shapes stay distinguishable when
     inverting).
+
+    A chord of a run crosses no chord outside it, so every run is a union of
+    components of its side, and the root component of a run is the one with
+    the run's first endpoint as its lowest opener: one scan of each side
+    finds where each component ends.
     """
     root = ZTreeVertex([seed.root_label])
-    right = seed.right.tokens()
-    queue: deque[tuple[Sequence[Token], Sequence[Token], ZTreeVertex]] = deque(
-        [(seed.left.tokens(), right, root)]
-    )
+    left, right = _side(seed.left), _side(seed.right)
+    todo = [(left, 0, len(left[0]), right, 0, len(right[0]), root)] if seed.size > 1 else []
 
-    def attach(vertex: ZTreeVertex, hanging) -> None:
-        for label, dl, dr in hanging:
-            child = ZTreeVertex([label])
-            vertex.children[label] = child
-            queue.append((dl, dr, child))
+    def attach(side, lo: int, hi: int, v: ZTreeVertex) -> tuple[list[int], list[Token]]:
+        """Hang one child per chord of the root component of run lo..hi-1 off
+        v, queue the runs after its two ends, and return the component's
+        partner array and labels."""
+        p, toks, end_of = side
+        openers, core, runs = _split(p, end_of, lo, hi)
+        labels = [toks[a] for a in openers]
+        for label in labels:
+            v.children[label] = ZTreeVertex([label])
+        for label, (a, a_end, b, b_end) in zip(labels, runs):
+            if a < a_end or b < b_end:
+                todo.append((side, a, a_end, side, b, b_end, v.children[label]))
+        return core, labels
 
-    while queue:
-        dl, dr, v = queue.popleft()
-        if not dl and not dr:
-            continue
-        if not dl:
-            core, hanging = _split(dr)
-            v.structure = seed.right if core is right else from_tokens(core)
-            attach(v, hanging)
-        elif dr:
-            core_l, hang_l = _split(dl)
-            core_r, hang_r = _split(dr)
-            v.structure = from_tokens(core_l + core_r)
-            attach(v, hang_l + hang_r)
-        elif dl[0] == dl[-1]:
-            # a chord spanning the list crosses nothing: absorb the whole nest
-            k = 1
-            while 2 * k < len(dl) and dl[k] == dl[-1 - k]:
-                k += 1
-            v.stack += dl[:k]
-            queue.append((dl[k : len(dl) - k], (), v))
-        else:
-            core, hanging = _split(dl)
-            if len(hanging) == 1:
-                label, dl, dr = hanging[0]
-                v.stack.append(label)
-                queue.append((dl, dr, v))
+    while todo:
+        sl, a, b, sr, c, d, v = todo.pop()
+        if a == b:
+            core, labels = attach(sr, c, d, v)
+            if sr is right and len(core) == len(right[0]):
+                v.structure = seed.right
             else:
-                v.structure = from_tokens(_move(core, 0, _root_share(_partners(core))[0]))
-                attach(v, hanging)
+                v.structure = _labeled(_trusted(tuple(core)), tuple(labels))
+        elif c < d:
+            core, labels = attach(sl, a, b, v)
+            core_r, labels_r = attach(sr, c, d, v)
+            m = len(core)
+            v.structure = _labeled(
+                _trusted((*core, *[q + m for q in core_r])), (*labels, *labels_r))
+        else:
+            p, toks, end_of = sl
+            if p[a] == b - 1:
+                # a chord spanning the run crosses nothing: absorb the whole nest
+                k = 1
+                while 2 * k < b - a and p[a + k] == b - 1 - k:
+                    k += 1
+                v.stack += toks[a:a + k]
+                if 2 * k < b - a:
+                    todo.append((sl, a + k, b - k, sl, 0, 0, v))
+            elif end_of[a] == p[a]:  # a root component of one chord
+                v.stack.append(toks[a])
+                todo.append((sl, a + 1, p[a], sl, p[a] + 1, b, v))
+            else:
+                core, labels = attach(sl, a, b, v)
+                v.structure = _phi_image(core, labels)
     return root
+
+
+def _phi_image(core: list[int], labels: list[Token]) -> LabeledDiagram:
+    """phi of a connected labeled diagram on >= 2 chords: the root's opener
+    moves to slot k, after the openers among the endpoints 1..k."""
+    k = _root_share(core)[0]
+    before = 1 + sum(q > i for i, q in enumerate(core[1:k + 1], 1))
+    return _labeled(_moved(_trusted(tuple(core)), 0, k),
+                    (*labels[1:before], labels[0], *labels[before:]))
 
 
 def theta_inv(root: ZTreeVertex) -> TreeSeed:
     """Rebuild the seed by discriminating each vertex's structure shape."""
     label, dl, dr = _unbuild(root.validate())
+    dl, dr = _flatten(dl), _flatten(dr)
     sigma = root.structure
     # a structure with nothing hanging off it is the right side: share it
     right = sigma if sigma is not None and dr == sigma.tokens() else from_tokens(dr)
     return TreeSeed(label, from_tokens(dl), right)
 
 
-def _unbuild(vertices: Sequence[tuple[ZTreeVertex, list]]
-             ) -> tuple[int, list[Token], list[Token]]:
-    """The head label of the root and the token lists of its two dangling
-    sides, from the tree's vertices in preorder with their structures'
-    component ends (`ZTreeVertex.validate`).  In reversed preorder every
-    vertex comes after its subtree, and the sides of its children are the
-    top entries of `done`, the first child's on top.  A structure with one
-    component is connected, one whose first is not nested a concatenation
-    split after it, and else an image of phi, undone as in phi_inv."""
-    done: list[tuple[list[Token], list[Token]]] = []
+def _unbuild(vertices: Sequence[tuple[ZTreeVertex, list]]) -> tuple[int, list, list]:
+    """The head label of the root and its two dangling sides, from the
+    tree's vertices in preorder with their structures' component ends
+    (`ZTreeVertex.validate`).  In reversed preorder every vertex comes
+    after its subtree, and the sides of its children are the top entries of
+    `done`, the first child's on top.  A structure with one component is
+    connected, one whose first is not nested a concatenation split after
+    it, and else an image of phi, undone as in phi_inv.  A side is a list
+    of labels and nonempty sides of children (`_hang`), so no level copies
+    the levels below it; `_flatten` writes each label once."""
+    done: list[tuple] = []
     for v, ends in reversed(vertices):
-        dl = dr = []
+        dl = dr = ()
         sigma = v.structure
         if sigma is not None:
             hanging = {}
@@ -448,15 +519,48 @@ def _unbuild(vertices: Sequence[tuple[ZTreeVertex, list]]
                 raise ValueError(_NOT_TWO_NESTED)
             low, j, nested = ends[0]
             if len(ends) == 1:
-                dr = _join(tokens, hanging)
+                dr = _hang(tokens, hanging)
             elif not nested:  # a concatenation: split after its first block
-                dl, dr = _join(tokens[:j + 1], hanging), _join(tokens[j + 1:], hanging)
+                dl, dr = _hang(tokens[:j + 1], hanging), _hang(tokens[j + 1:], hanging)
             else:
-                dl = _join(_move(tokens, low, 0), hanging)
-        for label in reversed(v.stack[1:]):
-            dl, dr = [label, *dl, label, *dr], []
+                dl = _hang(_move(tokens, low, 0), hanging)
+        stack = v.stack
+        if len(stack) > 1:
+            # the nest of stack[1:] around dl, with dr after its innermost chord
+            dl, dr = [*stack[1:], *(dl and [dl]), stack[-1], *(dr and [dr]),
+                      *stack[-2:0:-1]], ()
         done.append((dl, dr))
     return vertices[0][0].stack[0], *done.pop()
+
+
+def _hang(core: Sequence[Token], hanging: dict) -> list:
+    """Each core label followed by the side hanging after it, hanging[label]
+    holding the sides after the label's two ends; empty sides are left out."""
+    out: list = []
+    seen: set[Token] = set()
+    for lab in core:
+        out.append(lab)
+        side = hanging[lab][lab in seen]
+        if side:
+            out.append(side)
+        seen.add(lab)
+    return out
+
+
+def _flatten(side: list) -> list[Token]:
+    """The labels of a side built by `_unbuild`, in order, the nested sides
+    walked with an explicit stack of iterators."""
+    out: list[Token] = []
+    todo = [iter(side)]
+    while todo:
+        for x in todo[-1]:
+            if x.__class__ is list:
+                todo.append(iter(x))
+                break
+            out.append(x)
+        else:
+            todo.pop()
+    return out
 
 
 # -- serialization ---------------------------------------------------------------
@@ -547,10 +651,14 @@ def parse_ztree(text: str) -> ZTreeVertex:
 
 
 def all_seeds(total_size: int) -> Iterator[TreeSeed]:
-    """Every TreeSeed with 1 + |left| + |right| = total_size, each size of
-    diagram listed once."""
+    """Every TreeSeed with 1 + |left| + |right| = total_size, as
+    `TreeSeed.from_diagrams` builds it; each size of diagram is listed and
+    each side labeled once."""
     listed = [list(enumerate_diagrams(n)) for n in range(total_size)]
     for left_n in range(total_size):
+        rights = [with_fresh_labels(right, start=1 + left_n)
+                  for right in listed[total_size - 1 - left_n]]
         for left in listed[left_n]:
-            for right in listed[total_size - 1 - left_n]:
-                yield TreeSeed.from_diagrams(left, right)
+            left = with_fresh_labels(left, start=1)
+            for right in rights:
+                yield _fresh_seed(left, right)

@@ -202,12 +202,14 @@ def crossing_scan(partners: Sequence[int],
     each component's openers, the tail of pending from low on, reads them
     there (`crossing_blocks`).
 
-    Three callers on the bijection roundtrips keep their own copy of the
+    Four callers on the bijection roundtrips keep their own copy of the
     scan, as starting a generator costs about 0.5 us, as much as scanning
     a diagram on six chords: `ChordDiagram.is_connected`, which stops at
-    the first block to finish, and `bijections._root_share` (skipping the
+    the first block to finish, `bijections._root_share` (skipping the
     root) and `bijections._inner_opener`, which stop at the first block
-    that settles the answer."""
+    that settles the answer, and `bijections._components`, which lists
+    the (low, j, nested) of every block for theta and
+    `ZTreeVertex.validate`."""
     blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
     pending: list[int] = []
     for j, q in enumerate(partners):

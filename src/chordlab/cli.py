@@ -244,7 +244,7 @@ def cmd_asym(args):
 
 
 def cmd_diffeo(args):
-    _check_range("--n", args.n, 1)
+    _check_range("--n", args.n, 1, gfseries.SERIES_CAP)
     coeffs = _parse_rationals(args.a, "--a")
     mapping = diffeo.Diffeomorphism.from_values(coeffs)
     seed = args.seed

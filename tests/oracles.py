@@ -3,10 +3,12 @@
 Nothing in chordlab calls these.  The intersection graph comes from the
 O(n^2) pairwise crossing test and its components from a breadth-first
 search, and the nested Bell expansion has one loop per block boundary.
-The root-component split and join put theta's token-list steps in
-labeled-diagram form, for the tests to compare with their own oracles.
-The root-share and inner-opener finders are the library's as they were
-before their scans were inlined: driven by the `crossing_scan` generator.
+The token-list split and join are theta's steps as they were before theta
+split runs of the seed's partner arrays: they pair labels again and slice
+the list; the root-component split and join put them in labeled-diagram
+form, for the tests to compare with their own oracles.  The root-share,
+inner-opener and component finders are the library's as they were before
+their scans were inlined: driven by the `crossing_scan` generator.
 A tadpole is 1PI when no single edge deletion disconnects it, and psi's
 inverse is the library's as it was before it cut one copy of the maps in
 place: it copies the tadpole and validates both parts it returns."""
@@ -17,8 +19,8 @@ from math import comb, factorial
 from typing import Sequence
 
 from chordlab.bell import _key
-from chordlab.bijections import LabeledDiagram, _join, _split, from_tokens
-from chordlab.chord import ChordDiagram, crossing_scan
+from chordlab.bijections import LabeledDiagram, from_tokens
+from chordlab.chord import ChordDiagram, crossing_blocks, crossing_scan
 from chordlab.yukawa import X_TADPOLE, TadpoleGraph, _block
 
 
@@ -133,17 +135,62 @@ def nested_convolution_literal(n: int, blocks: int, xs) -> Fraction:
     return total / factorial(blocks)
 
 
+def token_partners(tokens: Sequence[int], first_block: bool = False) -> list[int]:
+    """The partner array that pairs the two positions of each label; with
+    first_block, that of the shortest prefix pairing them all, read no further."""
+    first: dict[int, int] = {}
+    p = [0] * len(tokens)
+    for pos, lab in enumerate(tokens):
+        if lab in first:
+            a = first.pop(lab)
+            p[a], p[pos] = pos, a
+            if first_block and not first:
+                return p[:pos + 1]
+        else:
+            first[lab] = pos
+    if first:
+        raise ValueError(f"unpaired labels: {sorted(first)}")
+    return p
+
+
+def token_split(tokens: list[int]) -> tuple[list[int], list[tuple[int, Sequence, Sequence]]]:
+    """The root component of a nonempty token list and, per core chord in
+    first-endpoint order, its label with the runs hanging after its two
+    ends.  A chord in one run crossing into another would cross the core,
+    so each run is a slice.  The core ends with the first block, so only it is
+    scanned and the rest is the last run.  A connected list is its own core."""
+    p = token_partners(tokens, first_block=True)
+    root = next(b for b in crossing_blocks(p) if not b[0])
+    if 2 * len(root) == len(tokens):
+        return tokens, [(tokens[a], (), ()) for a in root]
+    ends = sorted(root + [p[a] for a in root])
+    run = {pos: tokens[pos + 1:end] for pos, end in zip(ends, ends[1:] + [len(tokens)])}
+    return [tokens[pos] for pos in ends], [(tokens[a], run[a], run[p[a]]) for a in root]
+
+
+def token_join(core: Sequence[int], hanging: dict) -> list[int]:
+    """Inverse of token_split: each core token followed by the run hanging
+    after it, hanging[label] holding the runs after the label's two ends."""
+    out: list[int] = []
+    seen: set[int] = set()
+    for lab in core:
+        out.append(lab)
+        out += hanging[lab][lab in seen]
+        seen.add(lab)
+    return out
+
+
 def split_root_component(
     ld: LabeledDiagram,
 ) -> tuple[LabeledDiagram, list[tuple[LabeledDiagram, LabeledDiagram]]]:
     """The root component of a nonempty diagram together with, per core
     chord, the labeled diagrams hanging right of its two ends (after the
-    left end, after the right end), through the token-list split that theta
-    uses.  A plain diagram goes through with_fresh_labels."""
+    left end, after the right end), through the token-list split.  A plain
+    diagram goes through with_fresh_labels."""
     tokens = ld.tokens()
     if not tokens:
         raise ValueError("the empty diagram has no root component")
-    core, hanging = _split(tokens)
+    core, hanging = token_split(tokens)
     return (ld if core is tokens else from_tokens(core)), [
         (from_tokens(left), from_tokens(right)) for _, left, right in hanging
     ]
@@ -155,7 +202,7 @@ def join_root_component(core: LabeledDiagram, danglings) -> LabeledDiagram:
     if not any(dl.labels for pair in danglings for dl in pair):
         return core
     hanging = {lab: (dl.tokens(), dr.tokens()) for lab, (dl, dr) in zip(core.labels, danglings)}
-    return from_tokens(_join(core.tokens(), hanging))
+    return from_tokens(token_join(core.tokens(), hanging))
 
 
 def root_share_by_scan(p: Sequence[int]) -> tuple[int, int]:
@@ -171,6 +218,11 @@ def root_share_by_scan(p: Sequence[int]) -> tuple[int, int]:
         if r:
             return lo - 1, hi
     raise ValueError("root share decomposition needs a connected diagram on >= 2 chords")
+
+
+def components_by_scan(p: Sequence[int]) -> list[tuple[int, int, bool]]:
+    """bijections._components read off `crossing_scan(p)`."""
+    return [(low, j, nested) for low, j, nested, _ in crossing_scan(p)]
 
 
 def inner_opener_by_scan(p: Sequence[int]) -> int:

@@ -8,8 +8,11 @@ import pytest
 
 from chordlab.bijections import (
     EMPTY,
+    _components,
     _inner_opener,
     _root_share,
+    _side,
+    _split,
     LabeledDiagram,
     RootShareTriple,
     TreeSeed,
@@ -34,12 +37,15 @@ from chordlab.chord import (
 from chordlab.cli import main
 from chordlab.gfseries import connected_counts, stack_tree_series
 from oracles import (
+    components_by_scan,
     inner_opener_by_scan,
     intersection_adjacency,
     intersection_components,
     join_root_component,
     root_share_by_scan,
     split_root_component,
+    token_partners,
+    token_split,
 )
 from test_chord import assert_validated
 
@@ -170,6 +176,30 @@ def test_theta_absorbs_a_nest_of_1200_chords_into_one_stack():
     assert tree.stack == list(range(n + 1))
     assert tree.structure is None and not tree.children
     assert theta_inv(tree) == seed
+
+
+def crossing_pairs_nested_in_their_first_gap(n):
+    """n // 2 crossing pairs, each with the ones before it in the gap
+    between its two openers: every split of theta finds a root component
+    of two chords with everything else nested in its first gap."""
+    tokens = []
+    for k in range(n // 2):
+        tokens = [2 * k, *tokens, 2 * k + 1, 2 * k, 2 * k + 1]
+    return from_tokens(tokens).diagram
+
+
+@pytest.mark.parametrize("shape", ["chain", "nest", "gap"])
+def test_theta_roundtrips_4800_chords_on_either_side(shape):
+    n = 4800
+    if shape == "gap":
+        d = crossing_pairs_nested_in_their_first_gap(n)
+    else:
+        d = ChordDiagram([i ^ 1 if shape == "chain" else 2 * n - 1 - i for i in range(2 * n)])
+    for seed in (TreeSeed.from_diagrams(d, ChordDiagram(())),
+                 TreeSeed.from_diagrams(ChordDiagram(()), d)):
+        tree = theta(seed)
+        assert tree.size() == n + 1
+        assert theta_inv(tree) == seed
 
 
 def test_theta_hangs_a_chain_of_1200_disjoint_chords_level_by_level():
@@ -316,12 +346,13 @@ def test_ztree_validate_rejects_malformed(capsys):
 
 
 INLINE_SCANS = {"root": (_root_share, root_share_by_scan),
-                "inner": (_inner_opener, inner_opener_by_scan)}
+                "inner": (_inner_opener, inner_opener_by_scan),
+                "components": (_components, components_by_scan)}
 
 
 def assert_inline_scans_match(p):
-    """_root_share and _inner_opener return, or raise with the message, what
-    their forms driven by `crossing_scan` do."""
+    """_root_share, _inner_opener and _components return, or raise with the
+    message, what their forms driven by `crossing_scan` do."""
     def outcome(find):
         try:
             return find(p)
@@ -354,13 +385,43 @@ def test_inline_scans_match_the_crossing_scan_forms(n):
 )
 def test_inline_scans_raise_where_the_crossing_scan_forms_do(literal, rejecting):
     p = ChordDiagram.from_literal(literal).partners
-    for name in rejecting.split():
-        fast, slow = INLINE_SCANS[name]
+    for name, (fast, slow) in INLINE_SCANS.items():
+        if name not in rejecting.split():
+            assert fast(p) == slow(p)
+            continue
         with pytest.raises(ValueError) as expected:
             slow(p)
         with pytest.raises(ValueError) as raised:
             fast(p)
         assert str(raised.value) == str(expected.value)
+
+
+def closed_runs(p):
+    """Every run lo..hi-1 of endpoints that pairs internally: a union of
+    components, as theta splits them."""
+    for lo in range(len(p)):
+        for hi in range(lo + 2, len(p) + 1, 2):
+            if all(lo <= p[x] < hi for x in range(lo, hi)):
+                yield lo, hi
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_range_split_matches_the_token_split(n):
+    # theta's split of a run of the seed's partner array, held to the
+    # token-list split that re-pairs and slices the run's labels
+    for d in enumerate_diagrams(n):
+        p, toks, end_of = _side(reversed_labels(d))
+        for lo, hi in closed_runs(p):
+            openers, core, runs = _split(p, end_of, lo, hi)
+            core_tokens, hanging = token_split(toks[lo:hi])
+            assert core == token_partners(core_tokens)
+            assert [toks[a] for a in openers] == [label for label, _, _ in hanging]
+            if runs:
+                assert [(toks[a], toks[s:e], toks[t:u]) for a, (s, e, t, u)
+                        in zip(openers, runs)] == hanging
+            else:  # the root component fills the run: nothing hangs off it
+                assert len(core) == hi - lo
+                assert all(not left and not right for _, left, right in hanging)
 
 
 # -- token-list oracles ----------------------------------------------------------

@@ -562,6 +562,7 @@ NOT_AN_INVOLUTION = "partner array is not a fixed-point-free involution"
          "root share decomposition needs a connected diagram on >= 2 chords"),
         (("bijection", "phi", "--inverse", "--input", "3: 2 1 4 3 6 5"),
          "inverse needs an indecomposable diagram with exactly two components"),
+        (("diffeo", "--a", "1,2", "--n", "257"), "--n must be at most 256, got 257"),
     ],
 )
 def test_error_names_the_option(capsys, argv, message):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordlab.bijections import (
+    LabeledDiagram,
     RootShareTriple,
     TreeSeed,
     nabla,
@@ -49,6 +50,8 @@ from test_bijections import (
     oracle_nabla,
     oracle_phi,
     oracle_phi_inv,
+    oracle_theta,
+    oracle_theta_inv,
 )
 from test_chord import deletion_connectivity, scanned_reasons
 from test_diffeo import subset_square
@@ -220,6 +223,22 @@ def test_theta_roundtrip(left, right):
     assert tree.size() == seed.size
     assert theta_inv(tree) == seed
     assert theta_inv(parse_ztree(serialize_ztree(tree))) == seed
+
+
+@PROPERTY
+@given(st.one_of(matchings(st.integers(1, 40)), concatenations()),
+       st.one_of(matchings(st.integers(1, 40)), concatenations()), SEEDS)
+def test_theta_matches_the_token_list_oracles(left, right, shuffle):
+    # sides of 1-40 chords, or concatenations: on a decomposable side the
+    # last run of the first split holds the side's later blocks; the
+    # labels are distinct but in random order
+    total = 1 + left.n + right.n
+    labels = random.Random(shuffle).sample(range(4 * total), total)
+    seed = TreeSeed(labels[0], LabeledDiagram(left, tuple(labels[1:1 + left.n])),
+                    LabeledDiagram(right, tuple(labels[1 + left.n:])))
+    tree = theta(seed)
+    assert serialize_ztree(tree) == serialize_ztree(oracle_theta(seed))
+    assert theta_inv(tree) == oracle_theta_inv(tree) == seed
 
 
 def assert_first_block_end_is_the_first_self_paired_proper_prefix(d):
