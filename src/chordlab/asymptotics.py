@@ -180,6 +180,15 @@ class FitReport:
     tracking_ratio: Decimal  # scaled_remainder / next_coefficient
 
 
+def _model(series: str, n: int):
+    """The (image, exact count) pair of a series, for n with exact counts."""
+    if series not in MODELS:
+        raise KeyError(f"unknown series {series!r}; known: {', '.join(sorted(MODELS))}")
+    if not 1 <= n <= MAX_FIT_N:
+        raise ValueError(f"exact counts supported for n = 1 to {MAX_FIT_N}, got {n}")
+    return MODELS[series]
+
+
 def _to_decimal(q: Fraction) -> Decimal:
     return Decimal(q.numerator) / Decimal(q.denominator)
 
@@ -188,13 +197,9 @@ def asymptotic_fit(series: str, n: int, terms: int) -> FitReport:
     """Compare the exact count at n against the truncated expansion with
     `terms` coefficients; the remainder is rescaled by (2(n-terms)-1)!! so
     that it should approach e^offset * c_terms for large n."""
-    if series not in MODELS:
-        raise KeyError(f"unknown series {series!r}; known: {', '.join(sorted(MODELS))}")
+    build, exact_fn = _model(series, n)
     if terms < 1 or n < terms + 2:
         raise ValueError("need terms >= 1 and n >= terms + 2")
-    if n > MAX_FIT_N:
-        raise ValueError(f"exact counts supported through n = {MAX_FIT_N}")
-    build, exact_fn = MODELS[series]
     expansion = build(terms)
     exact = exact_fn(n)
     d = double_factorial_series(n)
@@ -223,7 +228,7 @@ def asymptotic_fit(series: str, n: int, terms: int) -> FitReport:
 
 def connectivity_probability(series: str, n: int) -> Decimal:
     """Probability that a uniform diagram on n chords lies in the class."""
-    _, exact_fn = MODELS[series]
+    _, exact_fn = _model(series, n)
     with localcontext() as ctx:
         ctx.prec = FIT_PRECISION
         return Decimal(exact_fn(n)) / Decimal(double_factorial_series(n)[n])
@@ -232,7 +237,7 @@ def connectivity_probability(series: str, n: int) -> Decimal:
 def leading_probability_estimate(series: str, n: int) -> Decimal:
     """First-order probability e^q (c_0 + c_1/(2n)) from the first two
     coefficients of the image: e^(-1)(1 - 5/(4n)) or e^(-2)(1 - 3/n)."""
-    image = MODELS[series][0](1)
+    image = _model(series, n)[0](1)
     c0, c1 = image.body.coeffs
     with localcontext() as ctx:
         ctx.prec = FIT_PRECISION

@@ -8,25 +8,23 @@
   diagram) triple into a rooted tree of label stacks whose vertices carry an
   at-most-two-component diagram over their children (and back).
 
-nabla and phi read the root share decomposition off one crossing scan,
-which leaves c1 between the first k and the other endpoints of c2.  So phi
-is one endpoint move, the root's opener to slot k, and phi_inv moves the
-inner component's first opener to the front, found by one more scan; nabla
-and its inverse write their arrays through one table of new positions.
-Their outputs relabel validated diagrams, so like the lists of
-`enumerate_diagrams` they skip the checks `ChordDiagram(...)` runs on
-arrays from outside.  Both scans are inline copies of `crossing_scan` that
-stop once the answer is settled, as a generator costs as much to start as
-the scan of a small diagram.
+nabla and phi read the root share decomposition off the components that
+`crossing_scan` lists without the root, which leave c1 between the first k
+and the other endpoints of c2.  So phi is one endpoint move, the root's
+opener to slot k, and phi_inv moves the inner component's first opener to
+the front, read off one more scan; nabla and its inverse write their
+arrays through one table of new positions.  Their outputs relabel
+validated diagrams, so like the lists of `enumerate_diagrams` they skip
+the checks `ChordDiagram(...)` runs on arrays from outside.
 
 theta works on runs lo..hi-1 of endpoints of the seed's two partner
 arrays; the label at each endpoint (its token) tracks chord identity.  A
 chord in a run crosses no chord outside it, so a run is a union of
 components, and its root component is the one whose lowest opener is the
-run's first endpoint.  `_components`, a third inline copy of the scan,
-lists where each component of a side ends, and `_split` reads a root
-component off from its first endpoint, skipping each component nested in
-one of its gaps; the runs between its ends are the dangling diagrams.
+run's first endpoint.  `crossing_scan` lists where each component of a
+side ends, and `_split` reads a root component off from its first
+endpoint, skipping each component nested in one of its gaps; the runs
+between its ends are the dangling diagrams.
 Only a vertex structure is built as a new array, with its labels, and
 like the seeds of `TreeSeed.from_diagrams` it skips the checks of
 `LabeledDiagram(...)`.  theta_inv reads each structure's shape off the
@@ -56,6 +54,7 @@ from typing import Iterable, Iterator, Sequence
 from .chord import (
     ChordDiagram,
     _trusted,
+    crossing_scan,
     enumerate_diagrams,
 )
 
@@ -160,30 +159,15 @@ def _root_share(p: Sequence[int]) -> tuple[int, int]:
     """(k, h) for a partner array p connected on >= 2 chords: with the root
     removed, the component c2 of the chord at endpoint 1 holds the endpoints
     1..k and h+1..2n-1, and c1 is the root with k+1..h.  p is connected when
-    every such component straddles the root's closer, and straddling ones
-    nest: c2 finishes last, just after the outermost of the others.  The
-    components come from `crossing_scan(p, skip=0)`, inlined."""
+    every such component straddles the root's closer r (the largest low
+    lies before r, the first end after it), and straddling ones nest: c2
+    finishes last, just after the outermost of the others (the span of c1
+    without its root, or r alone if there is none)."""
     r = p[0] if len(p) > 3 else 0  # 0: fewer than two chords
-    lo = hi = r  # the span of c1 without its root: r alone until a block ends
-    blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
-    for j in range(1, len(p)):  # from past the root's opener
-        q = p[j]
-        if q > j:
-            blocks.append((j, 1))
-        elif q:  # not the root's closer
-            low, count = blocks.pop()
-            while low > q:
-                low, below = blocks.pop()
-                count += below
-            if count > 1:
-                blocks.append((low, count - 1))
-            elif not low < r < j:
-                break
-            elif low > 1:
-                lo, hi = low, j
-    else:
-        if r:
-            return lo - 1, hi
+    ends = crossing_scan(p, skip=0)
+    if r and max(ends)[0] < r < ends[0][1]:
+        lo, hi, _ = ends[-2] if len(ends) > 1 else (r, r, False)
+        return lo - 1, hi
     raise ValueError("root share decomposition needs a connected diagram on >= 2 chords")
 
 
@@ -230,27 +214,11 @@ _NOT_TWO_NESTED = "inverse needs an indecomposable diagram with exactly two comp
 def _inner_opener(p: Sequence[int]) -> int:
     """The first opener of the inner component of p, which must be an
     indecomposable partner array with exactly two components: the first of
-    two blocks to finish, nested in the other (which then ends last).  The
-    blocks come from `crossing_scan(p)`, inlined; it stops at the second."""
-    blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
-    inner = -1
-    for j, q in enumerate(p):
-        if q > j:
-            blocks.append((j, 1))
-            continue
-        low, count = blocks.pop()
-        while low > q:
-            low, below = blocks.pop()
-            count += below
-        if count > 1:
-            blocks.append((low, count - 1))
-        elif inner < 0 and blocks:
-            inner = low
-        elif inner >= 0 and j == len(p) - 1:
-            return inner
-        else:  # a first block not nested, or a third block
-            break
-    raise ValueError(_NOT_TWO_NESTED)
+    two components to finish, nested in the other."""
+    ends = crossing_scan(p)
+    if len(ends) != 2 or not ends[0][2]:
+        raise ValueError(_NOT_TWO_NESTED)
+    return ends[0][0]
 
 
 def phi(d: ChordDiagram) -> ChordDiagram:
@@ -340,33 +308,13 @@ class ZTreeVertex:
             else:
                 if v.structure.n != len(v.children):
                     raise ValueError("structure size differs from child count")
-                ends = _components(v.structure.diagram.partners)
+                ends = crossing_scan(v.structure.diagram.partners)
                 if len(ends) > 2:
                     raise ValueError("structure has more than two components")
                 if set(v.structure.labels) != set(v.children):
                     raise ValueError("structure labels do not match children")
             out.append((v, ends))
         return out
-
-
-def _components(p: Sequence[int]) -> list[tuple[int, int, bool]]:
-    """(low, j, nested) for each component of the partner array p, as
-    `crossing_scan(p)` yields them, inlined."""
-    blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
-    out = []
-    for j, q in enumerate(p):
-        if q > j:
-            blocks.append((j, 1))
-            continue
-        low, count = blocks.pop()
-        while low > q:
-            low, below = blocks.pop()
-            count += below
-        if count > 1:
-            blocks.append((low, count - 1))
-        else:
-            out.append((low, j, bool(blocks)))
-    return out
 
 
 def _split(p: Sequence[int], end_of: dict[int, int], lo: int, hi: int
@@ -400,9 +348,7 @@ def _side(ld: LabeledDiagram) -> tuple[Sequence[int], list[Token], dict[int, int
     """A side of a seed as theta reads it: its partner array, the label at
     each endpoint, and the end of each component by its lowest opener."""
     p = ld.diagram.partners
-    if not p:
-        return p, [], {}
-    return p, ld.tokens(), {low: j for low, j, _ in _components(p)}
+    return p, ld.tokens(), {low: j for low, j, _ in crossing_scan(p)}
 
 
 def theta(seed: TreeSeed) -> ZTreeVertex:

@@ -11,6 +11,8 @@ with a stack of blocks, each holding its lowest opener and its number of
 open chords (`crossing_scan`).  An opener pushes a block; a closer crosses
 every chord open in the blocks above its own, so they merge into its block
 before its count drops by one, and a block whose count reaches 0 is done.
+Every reader of the components takes the list `crossing_scan` returns,
+but `ChordDiagram.is_connected`: its copy stops at the first block done.
 
 `census` counts every class in one pruned depth-first search, which also
 lists a class (`connectivity_class`).  It visits exactly the connected
@@ -192,31 +194,24 @@ def _trusted(partners: tuple[int, ...]) -> ChordDiagram:
     return d
 
 
-def crossing_scan(partners: Sequence[int],
-                  skip: int = -1) -> Iterator[tuple[int, int, bool, list[int]]]:
+def crossing_scan(partners: Sequence[int], skip: int = -1) -> list[tuple[int, int, bool]]:
     """The stack scan of the module docstring over every chord but the one
-    opening at `skip`: yields (low, j, nested, pending) when a component
-    finishes at endpoint j.  low is its lowest opener, nested says whether
-    blocks stay open below it, and pending lists, increasing, the openers
-    scanned so far that the caller has not removed: a caller that removes
-    each component's openers, the tail of pending from low on, reads them
-    there (`crossing_blocks`).
+    opening at `skip`: (low, j, nested) for each component, in the order
+    they finish.  low is its lowest opener, j its last endpoint, and nested
+    says whether blocks stay open below it, that is, whether another chord
+    spans it.
 
-    Four callers on the bijection roundtrips keep their own copy of the
-    scan, as starting a generator costs about 0.5 us, as much as scanning
-    a diagram on six chords: `ChordDiagram.is_connected`, which stops at
-    the first block to finish, `bijections._root_share` (skipping the
-    root) and `bijections._inner_opener`, which stop at the first block
-    that settles the answer, and `bijections._components`, which lists
-    the (low, j, nested) of every block for theta and
-    `ZTreeVertex.validate`."""
+    >>> crossing_scan(ChordDiagram.from_literal("3: 6 4 5 2 3 1").partners)
+    [(1, 4, True), (0, 5, False)]
+    >>> crossing_scan(ChordDiagram.from_literal("3: 4 6 5 1 3 2").partners, skip=0)
+    [(2, 4, True), (1, 5, False)]
+    """
     blocks: list[tuple[int, int]] = []  # (lowest opener, open chords)
-    pending: list[int] = []
+    out = []
     for j, q in enumerate(partners):
         if q > j:
             if j != skip:
                 blocks.append((j, 1))
-                pending.append(j)
         elif q != skip:
             low, count = blocks.pop()
             while low > q:
@@ -225,13 +220,19 @@ def crossing_scan(partners: Sequence[int],
             if count > 1:
                 blocks.append((low, count - 1))
             else:
-                yield low, j, bool(blocks), pending
+                out.append((low, j, bool(blocks)))
+    return out
 
 
 def crossing_blocks(partners: Sequence[int], skip: int = -1) -> Iterator[list[int]]:
     """Each component of `crossing_scan`, as the increasing endpoints where
-    its chords open, when it finishes (sorted: chord-index order)."""
-    for low, _, _, pending in crossing_scan(partners, skip):
+    its chords open, when it finishes (sorted: chord-index order): the
+    openers in its span not taken by a component that finished earlier."""
+    pending: list[int] = []  # openers before x not yet in a block
+    x = 0
+    for low, j, _ in crossing_scan(partners, skip):
+        pending += [a for a in range(x, j) if partners[a] > a and a != skip]
+        x = j
         i = bisect_left(pending, low)
         yield pending[i:]
         del pending[i:]

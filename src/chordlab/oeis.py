@@ -60,13 +60,16 @@ def parse_bfile(path: str) -> list[tuple[int, int]]:
     return entries
 
 
-def compare_bfile(series: str, path: str, order: int = MAX_ORDER) -> BfileComparison:
+def _sequence(series: str) -> tuple[str, int]:
+    """The declared (sequence id, shift) of a series."""
     if series not in SEQUENCE_MAP:
-        raise KeyError(
-            f"no catalogued sequence is declared for {series!r}; "
-            f"known: {', '.join(sorted(SEQUENCE_MAP))}"
-        )
-    sequence_id, shift = SEQUENCE_MAP[series]
+        raise KeyError(f"no catalogued sequence is declared for {series!r}; "
+                       f"known: {', '.join(sorted(SEQUENCE_MAP))}")
+    return SEQUENCE_MAP[series]
+
+
+def compare_bfile(series: str, path: str, order: int = MAX_ORDER) -> BfileComparison:
+    sequence_id, shift = _sequence(series)
     values = named_series(series, order)
     checked = matches = skipped = 0
     mismatches = []
@@ -88,7 +91,7 @@ def compare_bfile(series: str, path: str, order: int = MAX_ORDER) -> BfileCompar
 
 def write_bfile(series: str, path: str, order: int) -> None:
     """Emit our coefficients in b-file form under the declared offset."""
-    sequence_id, shift = SEQUENCE_MAP[series]
+    sequence_id, shift = _sequence(series)
     values = named_series(series, order)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"# {sequence_id} prefix generated from the {series} series\n")

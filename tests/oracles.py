@@ -6,21 +6,22 @@ search, and the nested Bell expansion has one loop per block boundary.
 The token-list split and join are theta's steps as they were before theta
 split runs of the seed's partner arrays: they pair labels again and slice
 the list; the root-component split and join put them in labeled-diagram
-form, for the tests to compare with their own oracles.  The root-share,
-inner-opener and component finders are the library's as they were before
-their scans were inlined: driven by the `crossing_scan` generator.
+form, for the tests to compare with their own oracles.  The crossing
+scan's component list is read off the adjacency oracle, and the root-share
+and inner-opener finders read that list.
 A tadpole is 1PI when no single edge deletion disconnects it, and psi's
 inverse is the library's as it was before it cut one copy of the maps in
 place: it copies the tadpole and validates both parts it returns."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
 from chordlab.bell import _key
 from chordlab.bijections import LabeledDiagram, from_tokens
-from chordlab.chord import ChordDiagram, crossing_blocks, crossing_scan
+from chordlab.chord import ChordDiagram, crossing_blocks
 from chordlab.yukawa import X_TADPOLE, TadpoleGraph, _block
 
 
@@ -205,11 +206,30 @@ def join_root_component(core: LabeledDiagram, danglings) -> LabeledDiagram:
     return from_tokens(token_join(core.tokens(), hanging))
 
 
+@lru_cache(maxsize=2)  # the inline-scan checks ask twice for each array's list
+def scan_by_adjacency(p: tuple[int, ...], skip: int = -1) -> list[tuple[int, int, bool]]:
+    """chord.crossing_scan from the adjacency oracle: (low, j, nested) for
+    each component of the chords of p but the one opening at skip, where
+    low is its least opener, j its last endpoint and nested says whether
+    another of these chords spans it, sorted by j."""
+    d = ChordDiagram(p)
+    cs = d.chords()
+    allowed = [i for i, (a, _) in enumerate(cs) if a != skip]
+    out = []
+    for comp in intersection_components(intersection_adjacency(d), allowed):
+        low = cs[min(comp)][0]  # chords are indexed in opener order
+        j = max(cs[i][1] for i in comp)
+        nested = any(cs[i][0] < low and j < cs[i][1] for i in allowed)
+        out.append((low, j, nested))
+    return sorted(out, key=lambda end: end[1])
+
+
 def root_share_by_scan(p: Sequence[int]) -> tuple[int, int]:
-    """bijections._root_share read off `crossing_scan(p, skip=0)`."""
+    """bijections._root_share read off `scan_by_adjacency(p, skip=0)`, one
+    component at a time."""
     r = p[0] if len(p) > 3 else 0
     lo = hi = r
-    for low, j, _, _ in crossing_scan(p, skip=0):
+    for low, j, _ in scan_by_adjacency(p, skip=0):
         if not low < r < j:
             break
         if low > 1:
@@ -220,14 +240,9 @@ def root_share_by_scan(p: Sequence[int]) -> tuple[int, int]:
     raise ValueError("root share decomposition needs a connected diagram on >= 2 chords")
 
 
-def components_by_scan(p: Sequence[int]) -> list[tuple[int, int, bool]]:
-    """bijections._components read off `crossing_scan(p)`."""
-    return [(low, j, nested) for low, j, nested, _ in crossing_scan(p)]
-
-
 def inner_opener_by_scan(p: Sequence[int]) -> int:
-    """bijections._inner_opener read off every block of `crossing_scan(p)`."""
-    ends = list(crossing_scan(p))
+    """bijections._inner_opener read off `scan_by_adjacency(p)`."""
+    ends = scan_by_adjacency(p)
     if len(ends) != 2 or not ends[0][2]:
         raise ValueError("inverse needs an indecomposable diagram with exactly two components")
     return ends[0][0]

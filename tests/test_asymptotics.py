@@ -162,6 +162,29 @@ def test_fit_preconditions():
         asymptotic_fit("D", 20, 1)
 
 
+@pytest.mark.parametrize(
+    "check,series,n,error,message",
+    [
+        (connectivity_probability, "C", -1, ValueError, "n = 1 to 200, got -1"),
+        (connectivity_probability, "C2", 0, ValueError, "n = 1 to 200, got 0"),
+        (connectivity_probability, "C", 201, ValueError, "n = 1 to 200, got 201"),
+        (connectivity_probability, "X", 5, KeyError, "unknown series 'X'; known: C, C2"),
+        (leading_probability_estimate, "C", 0, ValueError, "n = 1 to 200, got 0"),
+        (leading_probability_estimate, "C2", -3, ValueError, "n = 1 to 200, got -3"),
+        (leading_probability_estimate, "X", 5, KeyError, "unknown series 'X'; known: C, C2"),
+        (lambda series, n: asymptotic_fit(series, n, 1), "C", 201, ValueError,
+         "n = 1 to 200, got 201"),
+    ],
+    ids=["probability-negative", "probability-zero", "probability-above", "probability-unknown",
+         "estimate-zero", "estimate-negative", "estimate-unknown", "fit-above"],
+)
+def test_probabilities_check_series_and_n(check, series, n, error, message):
+    # the checks of asymptotic_fit, shared by the probabilities
+    with pytest.raises(error) as raised:
+        check(series, n)
+    assert message in str(raised.value)
+
+
 def test_criterion_4_n20_deviations_exceed_the_first_correction():
     # Executable form of the README's note on criterion 4's red n = 20 bound:
     # which (series, R) exceed it, and that the first correction

@@ -8,7 +8,6 @@ import pytest
 
 from chordlab.bijections import (
     EMPTY,
-    _components,
     _inner_opener,
     _root_share,
     _side,
@@ -31,18 +30,19 @@ from chordlab.bijections import (
 )
 from chordlab.chord import (
     ChordDiagram,
+    crossing_scan,
     enumerate_diagrams,
     first_block_end,
 )
 from chordlab.cli import main
 from chordlab.gfseries import connected_counts, stack_tree_series
 from oracles import (
-    components_by_scan,
     inner_opener_by_scan,
     intersection_adjacency,
     intersection_components,
     join_root_component,
     root_share_by_scan,
+    scan_by_adjacency,
     split_root_component,
     token_partners,
     token_split,
@@ -347,12 +347,12 @@ def test_ztree_validate_rejects_malformed(capsys):
 
 INLINE_SCANS = {"root": (_root_share, root_share_by_scan),
                 "inner": (_inner_opener, inner_opener_by_scan),
-                "components": (_components, components_by_scan)}
+                "components": (crossing_scan, scan_by_adjacency)}
 
 
 def assert_inline_scans_match(p):
-    """_root_share, _inner_opener and _components return, or raise with the
-    message, what their forms driven by `crossing_scan` do."""
+    """_root_share, _inner_opener and crossing_scan return, or raise with
+    the message, what their forms read off the adjacency oracle do."""
     def outcome(find):
         try:
             return find(p)

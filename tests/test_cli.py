@@ -638,6 +638,15 @@ def test_oeis_compare_detects_mismatch(tmp_path, capsys):
     assert "999" in out
 
 
+@pytest.mark.parametrize("use", [lambda path: compare_bfile("X", path),
+                                 lambda path: write_bfile("X", path, order=5)],
+                         ids=["compare", "write"])
+def test_bfile_names_the_known_sequences(tmp_path, use):
+    with pytest.raises(KeyError, match="no catalogued sequence is declared for 'X'; "
+                                       "known: A, C, C2, D, I"):
+        use(str(tmp_path / "b.txt"))
+
+
 def test_oeis_parse_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 3\n")

@@ -33,6 +33,7 @@ from chordlab.diffeo import KinematicSample
 from chordlab.chord import (
     ChordDiagram,
     crossing_blocks,
+    crossing_scan,
     first_block_end,
     reasons_and_cuts,
 )
@@ -42,6 +43,7 @@ from oracles import (
     intersection_adjacency,
     intersection_components,
     join_root_component,
+    scan_by_adjacency,
     split_root_component,
     subdiagram,
 )
@@ -174,12 +176,23 @@ def test_phi_and_nabla_match_the_token_list_oracles(d):
 
 
 @PROPERTY
-@given(st.one_of(matchings(st.integers(1, 40)), matchings(st.integers(2, 40), connected=True)))
-def test_inline_scans_match_the_crossing_scan_forms(d):
+@given(st.one_of(matchings(st.integers(1, 40)), matchings(st.integers(2, 40), connected=True)),
+       st.integers(0, 39))
+def test_inline_scans_match_the_crossing_scan_forms(d, chord):
     assert_inline_scans_match(d.partners)
     if d.is_connected() and d.n > 1:
         # phi's image has the two nested components _inner_opener looks for
         assert_inline_scans_match(phi(d).partners)
+    # with one chord skipped, its blocks listed as the oracle's components
+    p, openers = d.partners, [a for a, _ in d.chords()]
+    skip = openers[chord % d.n]
+    ends = scan_by_adjacency(p, skip)
+    assert crossing_scan(p, skip) == ends
+    blocks = list(crossing_blocks(p, skip))
+    assert [(b[0], max(p[a] for a in b)) for b in blocks] == [end[:2] for end in ends]
+    allowed = [i for i, a in enumerate(openers) if a != skip]
+    assert sorted(blocks) == [[openers[i] for i in sorted(comp)] for comp in
+                              intersection_components(intersection_adjacency(d), allowed)]
 
 
 @PROPERTY
