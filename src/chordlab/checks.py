@@ -60,10 +60,13 @@ def bell_identity(which: str, nmax: int, xs) -> Check:
 
 
 def diffeo_mapping(rng, count: int):
-    """F(t) = t + ..., with `count` random rational coefficients after 1."""
-    return diffeo.Diffeomorphism.from_values(
-        [1] + [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(count)]
-    )
+    """F(t) = t + ..., with `count` random rational coefficients after 1,
+    drawn again while all are 0: F(t) = t is its own inverse, which the
+    negative control cannot tell from a wrong inverse."""
+    while True:
+        coefficients = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(count)]
+        if any(coefficients) or not count:
+            return diffeo.Diffeomorphism.from_values([1] + coefficients)
 
 
 def diffeo_closed_form(mapping, values) -> Check:

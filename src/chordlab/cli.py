@@ -72,8 +72,12 @@ def _fraction_text(value: Fraction) -> str:
 
 
 def _parse_rationals(text: str, option: str) -> list[Fraction]:
+    """The comma list's values; a blank list has none, and an empty entry
+    in any other list is an error."""
+    if not text.strip():
+        return []
     values = []
-    for part in filter(None, map(str.strip, text.split(","))):
+    for part in map(str.strip, text.split(",")):
         try:
             values.append(Fraction(part))
         except (ValueError, ZeroDivisionError):

@@ -14,6 +14,12 @@ kinematics; that cancellation is the point.  For F(t) = t + t^2:
 >>> amplitude_recursion(F, 4, KinematicSample.random_nondegenerate(4, random.Random(0)))
 Fraction(-120, 1)
 
+The closed form and the two recurrences sum over integers: each value
+list (the a's, the b's) is scaled once by its least common denominator, and
+each result is one Fraction.  The inverse and the differential equations
+run through fps, and the momentum recursion in Fractions, as its
+kinematics are rational.
+
 Kinematics are formally independent rationals: only the squared mass and
 the dot products s_ij enter, and no attempt is made to realize them as
 4-vectors (the cancellation is a polynomial identity in these quantities,
@@ -25,11 +31,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
 from . import fps
-from .bell import bell_partial
+from .bell import _bell, _scaled
 from .fps import FormalPowerSeries, Rational
 
 MAX_AMPLITUDE_POINTS = 10  # the recursion costs O(3^n n) exact operations
@@ -98,58 +104,59 @@ def b_closed_form(diffeo: Diffeomorphism, n: int) -> Fraction:
     if n == 1:
         return Fraction(1)
     m = n - 1
-    xs = [-factorial(j) * diffeo.a(j) for j in range(1, m + 1)]
-    return sum(
-        (Fraction(factorial(m + k), factorial(m))) * bell_partial(m, k, xs)
+    ys, scale = _scaled([-factorial(j) * diffeo.a(j) for j in range(1, m + 1)])
+    total = sum(
+        factorial(m + k) // factorial(m) * _bell(m, k, ys) * scale ** (m - k)
         for k in range(1, m + 1)
     )
+    return Fraction(total, scale**m)
 
 
 # -- the two recurrences ---------------------------------------------------------
 
 
+# Both residuals sum over integers: the a's scaled by their least common
+# denominator A and the b's by theirs, L, so a product a_i a_j carries 1/A^2
+# and B(n, k; b) carries 1/L^k.
+
+
 def mass_recurrence_residual(diffeo: Diffeomorphism, b: Sequence[Rational], n: int) -> Fraction:
     """sum_k B(n,k; b) ((k-1)!/2) sum_j a_j a_(k-1-j) [2n(j+1)(k-j) - k(k+1)];
     zero exactly when the mass-term part of the momentum recursion holds."""
-    bs = list(map(fps._exact, b))
-    total = Fraction(0)
+    betas, b_scale = _scaled(b)
+    alphas, a_scale = _scaled(diffeo.coefficients)
+    alphas += (0,) * n  # a_j = 0 past the last coefficient
+    total = 0
     for k in range(1, n + 1):
-        bell = bell_partial(n, k, bs)
+        bell = _bell(n, k, betas)
         if not bell:
             continue
         inner = sum(
-            diffeo.a(j)
-            * diffeo.a(k - 1 - j)
-            * (2 * n * (j + 1) * (k - j) - k * (k + 1))
+            alphas[j] * alphas[k - 1 - j] * (2 * n * (j + 1) * (k - j) - k * (k + 1))
             for j in range(k)
         )
-        total += bell * Fraction(factorial(k - 1), 2) * inner
-    return total
+        total += bell * factorial(k - 1) * inner * b_scale ** (n - k)
+    return Fraction(total, 2 * a_scale**2 * b_scale**n)
 
 
 def dot_recurrence_residual(diffeo: Diffeomorphism, b: Sequence[Rational], n: int) -> Fraction:
-    """The dot-product part: a doubly indexed sum that must also vanish."""
-    bs = list(map(fps._exact, b))
-    total = Fraction(0)
+    """The dot-product part: a doubly indexed sum that must also vanish.
+    It runs over ints through 1/(s! (n-s)!) = C(n,s)/n! and 1/k = (n!/k)/n!."""
+    betas, b_scale = _scaled(b)
+    alphas, a_scale = _scaled(diffeo.coefficients)
+    alphas += (0,) * n
+    total = 0
     for k in range(1, n + 1):
-        weight = sum(
-            diffeo.a(j) * diffeo.a(k - 1 - j) * (j + 1) * (k - j)
-            for j in range(k)
-        )
+        weight = sum(alphas[j] * alphas[k - 1 - j] * (j + 1) * (k - j) for j in range(k))
         if not weight:
             continue
-        inner = Fraction(0)
+        inner = 0
         for s in range(1, n + 1):
-            bell = bell_partial(n - s, k - 1, bs)
+            bell = _bell(n - s, k - 1, betas)
             if bell:
-                inner += (
-                    bs[s - 1]
-                    / (factorial(s) * factorial(n - s))
-                    * bell
-                    * (k * s * (s - 1) + n * (n - 1))
-                )
-        total += weight * Fraction(factorial(k - 1), 2 * k) * inner
-    return total
+                inner += comb(n, s) * betas[s - 1] * bell * (k * s * (s - 1) + n * (n - 1))
+        total += weight * factorial(k - 1) * (factorial(n) // k) * inner * b_scale ** (n - k)
+    return Fraction(total, 2 * factorial(n) ** 2 * a_scale**2 * b_scale**n)
 
 
 def verify_recurrences(diffeo: Diffeomorphism, b: Sequence[Rational]) -> bool:

@@ -3,6 +3,8 @@
 Nothing in chordlab calls these.  The intersection graph comes from the
 O(n^2) pairwise crossing test and its components from a breadth-first
 search, and the nested Bell expansion has one loop per block boundary.
+The partial Bell recurrence runs in Fractions, as the library ran it
+before it scaled each value list to integers.
 The token-list split and join are theta's steps as they were before theta
 split runs of the seed's partner arrays: they pair labels again and slice
 the list; the root-component split and join put them in labeled-diagram
@@ -19,7 +21,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from chordlab.bell import _key
+from chordlab import fps
+from chordlab.bell import _BLOCK_STEP
 from chordlab.bijections import LabeledDiagram, from_tokens
 from chordlab.chord import ChordDiagram, crossing_blocks
 from chordlab.yukawa import X_TADPOLE, TadpoleGraph, _block
@@ -108,11 +111,36 @@ def labelled_intersection_graph(d: ChordDiagram) -> IntersectionGraph:
     return IntersectionGraph(d.n, tuple(labels), edge_set)
 
 
+def bell_partial_fraction(n: int, k: int, xs) -> Fraction:
+    """bell.bell_partial's recurrence over the Fractions x_1..x_(n-k+1),
+    filled every _BLOCK_STEP block counts from below as the library fills
+    its memo, so a large k stays within the recursion limit."""
+    values = tuple(map(fps._exact, xs[: max(n - k + 1, 0)]))
+    for j in range(_BLOCK_STEP, k, _BLOCK_STEP):
+        for m in range(j, j + n - k + 1):
+            _bell_fraction_memo(m, j, values[: m - j + 1])
+    return _bell_fraction_memo(n, k, values)
+
+
+@lru_cache(maxsize=None)
+def _bell_fraction_memo(n: int, k: int, xs: tuple[Fraction, ...]) -> Fraction:
+    if n == 0:
+        return Fraction(1) if k == 0 else Fraction(0)
+    if k == 0 or k > n:
+        return Fraction(0)
+    total = Fraction(0)
+    for s in range(1, n - k + 2):
+        x = xs[s - 1]
+        if x:
+            total += comb(n, s) * x * _bell_fraction_memo(n - s, k - 1, xs[: n - s - k + 2])
+    return total / k
+
+
 def nested_convolution_literal(n: int, blocks: int, xs) -> Fraction:
     """Small-case oracle for bell.nested_convolution: the same sum written
     with one explicit loop per block boundary."""
     k = blocks - 1
-    values = _key(xs)
+    values = tuple(map(fps._exact, xs))
     if k == 0:
         return values[n - 1]
     total = Fraction(0)
@@ -206,17 +234,22 @@ def join_root_component(core: LabeledDiagram, danglings) -> LabeledDiagram:
     return from_tokens(token_join(core.tokens(), hanging))
 
 
+@lru_cache(maxsize=1)  # the inline-scan checks read two skips of each array
+def _chords_and_adjacency(p: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[set[int]]]:
+    d = ChordDiagram(p)
+    return d.chords(), intersection_adjacency(d)
+
+
 @lru_cache(maxsize=2)  # the inline-scan checks ask twice for each array's list
 def scan_by_adjacency(p: tuple[int, ...], skip: int = -1) -> list[tuple[int, int, bool]]:
     """chord.crossing_scan from the adjacency oracle: (low, j, nested) for
     each component of the chords of p but the one opening at skip, where
     low is its least opener, j its last endpoint and nested says whether
     another of these chords spans it, sorted by j."""
-    d = ChordDiagram(p)
-    cs = d.chords()
+    cs, adjacency = _chords_and_adjacency(p)
     allowed = [i for i, (a, _) in enumerate(cs) if a != skip]
     out = []
-    for comp in intersection_components(intersection_adjacency(d), allowed):
+    for comp in intersection_components(adjacency, allowed):
         low = cs[min(comp)][0]  # chords are indexed in opener order
         j = max(cs[i][1] for i in comp)
         nested = any(cs[i][0] < low and j < cs[i][1] for i in allowed)

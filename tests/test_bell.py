@@ -4,11 +4,13 @@ Lagrange fixed point."""
 import random
 import re
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from chordlab import checks, fps
 from chordlab.bell import (
+    _BLOCK_STEP,
     BELL_IDENTITIES,
     bell_partial,
     bell_partial_by_partitions,
@@ -25,7 +27,7 @@ from chordlab.gfseries import (
     nonempty_indecomposable_series,
     stack_tree_series,
 )
-from oracles import nested_convolution_literal
+from oracles import bell_partial_fraction, nested_convolution_literal
 
 
 def random_values(rng, count):
@@ -119,6 +121,14 @@ def test_integer_partition_sum_matches_the_fraction_oracle(seed):
             assert type(got) is Fraction
 
 
+def test_more_blocks_than_the_fill_step_match_the_fraction_recurrence():
+    k = _BLOCK_STEP * 11
+    xs = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 7)]
+    value = bell_partial(k + 2, k, xs)
+    assert value == bell_partial_fraction(k + 2, k, xs)
+    assert type(value) is Fraction
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_recurrence_matches_partition_oracle(seed):
     rng = random.Random(seed)
@@ -155,7 +165,9 @@ def test_faa_di_bruno_against_series_composition(seed):
     )
     composed = ffact.compose(gfact)
     for n in range(order + 1):
-        assert faa_di_bruno(f, g, n) == composed[n] * _factorial(n)
+        value = faa_di_bruno(f, g, n)
+        assert value == composed[n] * _factorial(n)
+        assert type(value) is Fraction
 
 
 def _factorial(n):
@@ -212,9 +224,54 @@ def test_nested_convolution_matches_literal_loops(seed):
     xs = random_values(rng, 8)
     for n in range(1, 8):
         for blocks in range(1, n + 1):
-            assert nested_convolution(n, blocks, xs) == nested_convolution_literal(
-                n, blocks, xs
-            ), (n, blocks)
+            value = nested_convolution(n, blocks, xs)
+            assert value == nested_convolution_literal(n, blocks, xs), (n, blocks)
+            assert type(value) is Fraction
+
+
+def fraction_sides(which, n, k, xs, k2=None):
+    """The identity's two sides summed in Fractions over the oracle
+    recurrence, as BELL_IDENTITIES summed them before it scaled xs to
+    integers."""
+    x = [Fraction(v) for v in xs]
+
+    def b(m, j):
+        return bell_partial_fraction(m, j, xs)
+
+    if which in ("lemma1a", "lemma1b"):
+        rooted = which == "lemma1b"
+        rhs = sum(
+            (comb(n, s) * (s if rooted else 1) * x[s - 1] * b(n - s, k - 1)
+             for s in range(1, min(n, len(x)) + 1)),
+            Fraction(0),
+        )
+        return (n if rooted else k) * b(n, k), rhs
+    if which == "id1":
+        rhs = sum(
+            comb(n, a) * (Fraction(k + 1) - Fraction(n + 1, a + 1)) * x[a] * b(n - a, k)
+            for a in range(1, n - k + 1)
+        )
+        return b(n, k), rhs / (x[0] * (n - k))
+    if which == "id2":
+        k2 = k if k2 is None else k2
+        rhs = sum(comb(n, a) * b(a, k) * b(n - a, k2) for a in range(n + 1))
+        return b(n, k + k2), Fraction(factorial(k) * factorial(k2), factorial(k + k2)) * rhs
+    return b(n, k), nested_convolution_literal(n, k, xs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_identity_sides_equal_their_fraction_forms(seed):
+    rng = random.Random(900 + seed)
+    xs = random_values(rng, 8)
+    xs[0] = xs[0] or Fraction(-5, 3)
+    xs[1], xs[rng.randrange(2, 8)] = rng.randint(-4, 4), 0  # an int and a zero
+    for which, sides in BELL_IDENTITIES.items():
+        for n in range(1, 9):
+            for k in range(1, n + 1 - (which == "id1")):
+                for k2 in [None, *range(1, n - k + 1)] if which == "id2" else [None]:
+                    got = sides(n, k, xs, k2)
+                    assert got == fraction_sides(which, n, k, xs, k2), (which, n, k, k2)
+                    assert [type(v) for v in got] == [Fraction, Fraction]
 
 
 def test_unknown_identity_name():

@@ -187,6 +187,12 @@ def test_bell_command(capsys):
     assert out.strip() == "B(4,2) = 7"
 
 
+def test_a_blank_value_list_has_no_values(capsys):
+    code, out = run_cli(capsys, "bell", "--n", "0", "--k", "0", "--xs", "")
+    assert code == 0
+    assert out.strip() == "B(0,0) = 1"
+
+
 def test_bell_command_with_more_blocks_than_the_recursion_limit(capsys):
     # S(n, n-2): one block of three, or two blocks of two
     code, out = run_cli(capsys, "bell", "--n", "1102", "--k", "1100", "--xs", "1,1,1")
@@ -248,6 +254,15 @@ def test_verify_suite_passes(capsys):
     assert code == 0
     assert "all pass" in out
     assert "seed" in out
+
+
+@pytest.mark.parametrize("seed", [11801])
+def test_verify_diffeo_passes_where_the_first_mapping_drawn_is_the_identity(capsys, seed):
+    # At this seed all four coefficients first drawn are 0, so F(t) = t is
+    # its own inverse; they are drawn again rather than failing the control.
+    code, out = run_cli(capsys, "verify", "diffeo", "--seed", str(seed))
+    assert code == 0
+    assert out.splitlines()[-1] == "all pass"
 
 
 def test_verify_all_is_deterministic(capsys):
@@ -445,11 +460,15 @@ def test_verify_exits_nonzero_on_failure(capsys, monkeypatch):
         ("bijection", "theta", "--inverse", "--input", "(0;-"),
         ("series", "C", "--order", "0", "--format", "bfile"),
         ("series", "C2", "--order", "1", "--format", "bfile"),
+        ("bell", "--n", "3", "--k", "2", "--xs", "1,,2"),
+        ("diffeo", "--a", "1,,1/2", "--n", "3"),
+        ("bell", "--n", "2", "--k", "1", "--xs", "1,2,"),
     ],
     ids=["negative-order", "short-literal", "bad-literal", "not-tangent",
          "too-few-points", "guard", "negative-size", "tadpole-filter",
          "truncated-tree", "unterminated-tree-field", "empty-bfile",
-         "empty-bfile-two-connected"],
+         "empty-bfile-two-connected", "empty-xs-entry", "empty-a-entry",
+         "trailing-comma"],
 )
 def test_bad_input_prints_one_error_line(capsys, argv):
     code = main(list(argv))
@@ -507,6 +526,12 @@ NOT_AN_INVOLUTION = "partner array is not a fixed-point-free involution"
          "--xs entries must be rationals such as 1/2, got '1/0'"),
         (("diffeo", "--a", "1,x", "--n", "2"),
          "--a entries must be rationals such as 1/2, got 'x'"),
+        (("bell", "--n", "3", "--k", "2", "--xs", "1,,2"),
+         "--xs entries must be rationals such as 1/2, got ''"),
+        (("bell", "--n", "2", "--k", "1", "--xs", "1,2,"),
+         "--xs entries must be rationals such as 1/2, got ''"),
+        (("diffeo", "--a", "1,,1/2", "--n", "3"),
+         "--a entries must be rationals such as 1/2, got ''"),
         (("diffeo", "--a", "1,2", "--n", "2", "--kinematics", "seed=x"),
          "the K of --kinematics seed=K must be an integer, got 'x'"),
         (("diffeo", "--a", "1,2", "--n", "2", "--kinematics", "banana"),

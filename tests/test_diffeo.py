@@ -4,10 +4,12 @@ controls must fail."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
 from chordlab import checks
+from oracles import bell_partial_fraction
 from chordlab.diffeo import (
     MAX_AMPLITUDE_POINTS,
     Diffeomorphism,
@@ -15,6 +17,7 @@ from chordlab.diffeo import (
     amplitude_recursion,
     b_closed_form,
     b_inverse_list,
+    dot_recurrence_residual,
     mass_recurrence_residual,
     ode_residuals,
     verify_ode,
@@ -68,6 +71,67 @@ def test_perturbed_b_fails_recurrence():
     b[2] += 1  # perturb b_3
     assert mass_recurrence_residual(diffeo, b, 3) != 0
     assert not verify_recurrences(diffeo, b)
+
+
+# The closed form and the residuals summed in Fractions over the oracle
+# recurrence, as the library summed them before it scaled the a's and b's
+# to integers.
+
+
+def closed_form_in_fractions(diffeo, n):
+    m = n - 1
+    xs = [-factorial(j) * diffeo.a(j) for j in range(1, m + 1)]
+    return sum(
+        (Fraction(factorial(m + k), factorial(m)) * bell_partial_fraction(m, k, xs)
+         for k in range(1, m + 1)),
+        Fraction(1) if n == 1 else Fraction(0),
+    )
+
+
+def mass_residual_in_fractions(diffeo, b, n):
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        inner = sum(
+            diffeo.a(j) * diffeo.a(k - 1 - j) * (2 * n * (j + 1) * (k - j) - k * (k + 1))
+            for j in range(k)
+        )
+        total += bell_partial_fraction(n, k, b) * Fraction(factorial(k - 1), 2) * inner
+    return total
+
+
+def dot_residual_in_fractions(diffeo, b, n):
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        weight = sum(diffeo.a(j) * diffeo.a(k - 1 - j) * (j + 1) * (k - j) for j in range(k))
+        inner = sum(
+            Fraction(b[s - 1]) / (factorial(s) * factorial(n - s))
+            * bell_partial_fraction(n - s, k - 1, b)
+            * (k * s * (s - 1) + n * (n - 1))
+            for s in range(1, n + 1)
+        )
+        total += weight * Fraction(factorial(k - 1), 2 * k) * inner
+    return total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_and_residuals_equal_their_fraction_forms(seed):
+    rng = random.Random(600 + seed)
+    diffeo = checks.diffeo_mapping(rng, rng.randint(1, 6))
+    b = b_inverse_list(diffeo, 9)
+    b[2] += Fraction(rng.randint(1, 5), rng.randint(1, 5))  # perturb b_3
+    b[5] = 0
+    for n in range(1, 10):
+        value = b_closed_form(diffeo, n)
+        assert value == closed_form_in_fractions(diffeo, n)
+        assert type(value) is Fraction
+    for residual, in_fractions in (
+        (mass_recurrence_residual, mass_residual_in_fractions),
+        (dot_recurrence_residual, dot_residual_in_fractions),
+    ):
+        values = [residual(diffeo, b, n) for n in range(1, 10)]
+        assert values == [in_fractions(diffeo, b, n) for n in range(1, 10)]
+        assert {type(v) for v in values} == {Fraction}
+        assert any(values)  # the perturbation shows
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,8 +1,9 @@
 """Property tests on random matchings at n = 9-12, beyond the sizes the
 exhaustive tests reach (n <= 6), a size ladder of seeded uniform matchings
 at n = 30-200, random series with mixed int and Fraction coefficients at
-orders 0-24, the subset-square table of random kinematics, and CLI
-requests read with and without the full parser."""
+orders 0-24, the subset-square table of random kinematics, partial Bell
+polynomials on mixed int and Fraction values, and CLI requests read with
+and without the full parser."""
 
 import contextlib
 import io
@@ -29,6 +30,7 @@ from chordlab.bijections import (
     with_fresh_labels,
 )
 from chordlab import cli, fps
+from chordlab.bell import bell_partial
 from chordlab.diffeo import KinematicSample
 from chordlab.chord import (
     ChordDiagram,
@@ -40,6 +42,7 @@ from chordlab.chord import (
 from chordlab.fps import FormalPowerSeries
 from chordlab.yukawa import TadpoleGraph, diagram_to_tadpole, tadpole_to_diagram
 from oracles import (
+    bell_partial_fraction,
     intersection_adjacency,
     intersection_components,
     join_root_component,
@@ -504,6 +507,31 @@ def test_subset_square_table_expands_on_shell(kin):
     for mask, square in enumerate(kin.squares):
         subset = [i for i in range(1, kin.n + 1) if mask >> (i - 1) & 1]
         assert square == subset_square(kin, subset)
+
+
+@st.composite
+def bell_arguments(draw):
+    """n <= 10, k <= n and the values x_1..x_(n-k+1) that B(n, k) reads,
+    with up to two more that it does not."""
+    n = draw(st.integers(0, 10))
+    k = draw(st.integers(0, n))
+    count = n - k + 1 + draw(st.integers(0, 2))
+    return n, k, draw(st.lists(COEFFS, min_size=count, max_size=count))
+
+
+@PROPERTY
+@given(bell_arguments(), COEFFS.filter(bool))
+def test_bell_partial_is_homogeneous_of_degree_k(arguments, c):
+    n, k, xs = arguments
+    assert bell_partial(n, k, [c * x for x in xs]) == c**k * bell_partial(n, k, xs)
+
+
+@PROPERTY
+@given(bell_arguments())
+def test_bell_partial_matches_the_fraction_recurrence(arguments):
+    value = bell_partial(*arguments)
+    assert value == bell_partial_fraction(*arguments)
+    assert type(value) is Fraction
 
 
 @st.composite
