@@ -526,12 +526,6 @@ NOT_AN_INVOLUTION = "partner array is not a fixed-point-free involution"
          "--xs entries must be rationals such as 1/2, got '1/0'"),
         (("diffeo", "--a", "1,x", "--n", "2"),
          "--a entries must be rationals such as 1/2, got 'x'"),
-        (("bell", "--n", "3", "--k", "2", "--xs", "1,,2"),
-         "--xs entries must be rationals such as 1/2, got ''"),
-        (("bell", "--n", "2", "--k", "1", "--xs", "1,2,"),
-         "--xs entries must be rationals such as 1/2, got ''"),
-        (("diffeo", "--a", "1,,1/2", "--n", "3"),
-         "--a entries must be rationals such as 1/2, got ''"),
         (("diffeo", "--a", "1,2", "--n", "2", "--kinematics", "seed=x"),
          "the K of --kinematics seed=K must be an integer, got 'x'"),
         (("diffeo", "--a", "1,2", "--n", "2", "--kinematics", "banana"),
@@ -588,6 +582,12 @@ NOT_AN_INVOLUTION = "partner array is not a fixed-point-free involution"
         (("bijection", "phi", "--inverse", "--input", "3: 2 1 4 3 6 5"),
          "inverse needs an indecomposable diagram with exactly two components"),
         (("diffeo", "--a", "1,2", "--n", "257"), "--n must be at most 256, got 257"),
+        (("bell", "--n", "3", "--k", "2", "--xs", "1,,2"),
+         "--xs entries must be rationals such as 1/2, got ''"),
+        (("bell", "--n", "2", "--k", "1", "--xs", "1,2,"),
+         "--xs entries must be rationals such as 1/2, got ''"),
+        (("diffeo", "--a", "1,,1/2", "--n", "3"),
+         "--a entries must be rationals such as 1/2, got ''"),
     ],
 )
 def test_error_names_the_option(capsys, argv, message):
