@@ -154,6 +154,7 @@ def _id_shift(n, k, xs, k2):
     C(n,a) (k + 1 - (n+1)/(a+1)) = C(n+1,a+1) ((k+1)(a+1) - n - 1) / (n+1)."""
     if n <= k:
         raise ValueError("this identity needs n > k")
+    _check(n + 1, k + 1, len(xs))  # the sum reads x_(n-k+1), as B(n+1, k+1) does, at k = 0 too
     ys, scale = _scaled(xs)
     if not ys[0]:
         raise ValueError("this identity needs x_1 != 0")

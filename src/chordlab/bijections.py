@@ -600,6 +600,8 @@ def all_seeds(total_size: int) -> Iterator[TreeSeed]:
     """Every TreeSeed with 1 + |left| + |right| = total_size, as
     `TreeSeed.from_diagrams` builds it; each size of diagram is listed and
     each side labeled once."""
+    if total_size < 0:
+        raise ValueError("n must be nonnegative")
     listed = [list(enumerate_diagrams(n)) for n in range(total_size)]
     for left_n in range(total_size):
         rights = [with_fresh_labels(right, start=1 + left_n)

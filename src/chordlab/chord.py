@@ -25,8 +25,11 @@ the search is cut at the nodes that place the third chord, numbered in
 search order; shard w of W takes the nodes numbered w mod W, and shard 0
 alone counts the subtrees settled above them.  The caller runs shard 0 and
 forks one worker per other shard, W being the CPUs this process may use,
-at most 2**(n-6).  At n <= 6 two forks cost more than they save, and with
-one CPU or without `os.fork` the same search runs whole in this process.
+at most 2**(n-6), and each shard is pinned to a CPU of its own: the kernel
+may leave a fresh fork on its parent's CPU, and shards this short end
+before the load balancer moves either.  At n <= 6 two forks cost more than
+they save, and with one CPU or without `os.fork` the same search runs whole
+in this process.
 
 >>> d = ChordDiagram.from_literal("2: 3 4 1 2")   # the crossing pair
 >>> d.is_connected(), d.connectivity(), d.is_indecomposable()
@@ -480,24 +483,32 @@ def census(n: int) -> Census:
     classes it keeps (`connectivity_class`), skipping every subtree below
     the least of them: capped connectivity only falls with depth.
 
-    For n >= 7 the search is split into shards run in parallel, one per
-    CPU this process may use and at most 2**(n-6) (`_census_shards`).  The
-    nodes that place the third chord are numbered in search order, and
-    shard w descends only into those numbered w modulo the shard count;
-    the subtrees counted above them without a visit are counted by shard 0
-    alone.  The caller runs shard 0 and forks a worker for each other
-    shard (`_sum_over_forks`).  At n <= 6 a fork (~1.8 ms on a 2-core Xeon
-    guest) costs more than it saves: census(6) took 6-11 ms whole, and over
-    two shards 1.35 times as long in four runs of 101 alternated pairs
-    (0.81 times in a fifth, when the second core was free).  So there the
-    search runs whole in this process, as it does with one CPU or where
-    `os.fork` or `os.sched_getaffinity` is missing.
+    For n >= 7 the search is split into shards run in parallel, one per CPU
+    this process may use and at most 2**(n-6) (`_census_shards`).  The nodes
+    that place the third chord are numbered in search order, and shard w
+    descends only into those numbered w modulo the shard count; the subtrees
+    counted above them without a visit are counted by shard 0 alone.  The
+    caller runs shard 0 and forks a worker for each other shard
+    (`_sum_over_forks`).  Shard w is pinned to the CPU at index w of the
+    sorted mask, and the caller gets its mask back after.  Unpinned, the
+    kernel may leave a fresh fork on its parent's CPU, and shards of 40-55 ms
+    end before the load balancer moves either: on a 2-core Xeon guest
+    census(7) then took the whole search's CPU time (median 87 ms in 30 runs,
+    against 56 ms pinned).  Both sides need the pin: with the workers alone
+    pinned, the caller often sat on a worker's CPU (median 87 ms in 15 runs).
+    A pin that fails is skipped: the counts never depend on where the shards
+    run.  At n <= 6 a fork (~1.8 ms on a 2-core Xeon guest) costs more than
+    it saves: census(6) took 6-11 ms whole, and over two shards 1.35 times as
+    long in four runs of 101 alternated pairs (0.81 times in a fifth, when
+    the second core was free).  So there the search runs whole in this
+    process, as it does with one CPU or where `os.fork` or
+    `os.sched_getaffinity` is missing.
     """
     check_size(n)
     if n == 0:
         return Census(1, 0, 0, 0, 0)
-    shards = _census_shards(n)
-    return Census(*_sum_over_forks(_census_search(n, shards), shards))
+    cpus, mask = _census_shards(n)
+    return Census(*_sum_over_forks(_census_search(n, len(cpus)), cpus, mask))
 
 
 def connectivity_class(n: int, levels: Collection[int]) -> list[ChordDiagram]:
@@ -513,11 +524,14 @@ def connectivity_class(n: int, levels: Collection[int]) -> list[ChordDiagram]:
     return diagrams
 
 
-def _census_shards(n: int) -> int:
-    """How many processes share census(n); see its docstring."""
+def _census_shards(n: int) -> tuple[list[int], set[int]]:
+    """The CPUs that the shards of census(n) run on, one each, and the
+    affinity mask they come from, read once; see its docstring.  Where the
+    search runs whole, one shard that is never pinned: ([0], set())."""
     if n < 7 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), 1 << n - 6)
+        return [0], set()
+    mask = os.sched_getaffinity(0)
+    return sorted(mask)[:1 << n - 6], mask
 
 
 def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
@@ -682,14 +696,17 @@ def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
     return run
 
 
-def _sum_over_forks(run: Callable[[int], list[int]], shards: int) -> list[int]:
-    """The sum of run(w) over the shards w: shard 0 runs here, every other in
-    a worker forked for it, which sends its counts down a pipe and leaves by
-    os._exit (no stdio flush, no atexit handler).  Every worker is reaped
-    before this returns or raises; a worker that fails raises here."""
+def _sum_over_forks(run: Callable[[int], list[int]], cpus: Sequence[int],
+                    mask: Collection[int]) -> list[int]:
+    """The sum of run(w) over the shards w, one per CPU in cpus: shard 0 runs
+    here, every other in a worker forked for it, which sends its counts down
+    a pipe and leaves by os._exit (no stdio flush, no atexit handler).  With
+    two or more shards, shard w is pinned to cpus[w], and this process gets
+    its affinity mask back before it returns or raises.  Every worker is
+    reaped by then too; a worker that fails raises here."""
     workers: list[tuple[int, int, int]] = []  # (shard, pid, read end of its pipe)
     try:
-        for shard in range(1, shards):
+        for shard in range(1, len(cpus)):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -701,6 +718,7 @@ def _sum_over_forks(run: Callable[[int], list[int]], shards: int) -> list[int]:
                 status = 1
                 try:
                     os.close(read_fd)
+                    _pin({cpus[shard]})
                     try:
                         reply = " ".join(map(str, run(shard)))
                         status = 0
@@ -711,6 +729,8 @@ def _sum_over_forks(run: Callable[[int], list[int]], shards: int) -> list[int]:
                     os._exit(status)
             os.close(write_fd)
             workers.append((shard, pid, read_fd))
+        if len(cpus) > 1:
+            _pin({cpus[0]})
         totals = run(0)
         while workers:
             shard, pid, read_fd = workers[0]
@@ -724,6 +744,8 @@ def _sum_over_forks(run: Callable[[int], list[int]], shards: int) -> list[int]:
             totals = [a + int(b) for a, b in zip(totals, reply.split())]
         return totals
     finally:
+        if len(cpus) > 1:
+            _pin(mask)
         if workers:
             import signal  # ~1 ms to import, needed only on this path
         for shard, pid, read_fd in workers:
@@ -733,3 +755,13 @@ def _sum_over_forks(run: Callable[[int], list[int]], shards: int) -> list[int]:
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
+
+
+def _pin(cpus: Collection[int]) -> None:
+    """Set this process's affinity mask to cpus, or leave it where that
+    fails: placement only speeds the census up, its counts never depend
+    on it, and a CPU may be offline or outside this process's cpuset."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass

@@ -274,6 +274,14 @@ def test_identity_sides_equal_their_fraction_forms(seed):
                     assert [type(v) for v in got] == [Fraction, Fraction]
 
 
+@pytest.mark.parametrize("n, k, count", [(3, 0, 3), (5, 2, 3)])
+def test_shifted_identity_names_the_value_it_lacks(n, k, count):
+    # The shifted sum reads x_(n-k+1), which B(n, 0) itself never reads.
+    need = re.escape(f"need x_1..x_{n - k + 1}, got {count} values")
+    with pytest.raises(ValueError, match=need):
+        verify_bell_identity("id1", n, k, [1] * count)
+
+
 def test_unknown_identity_name():
     with pytest.raises(KeyError):
         verify_bell_identity("id9", 3, 1, [1, 1, 1])

@@ -260,6 +260,12 @@ def test_theta_image_count_matches_series(total):
     assert len(images) == z[total]
 
 
+def test_all_seeds_rejects_a_negative_size_as_enumeration_does():
+    for listing in (all_seeds, enumerate_diagrams):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            next(listing(-1))
+
+
 def test_theta_structures_have_at_most_two_components():
     for seed in all_seeds(5):
         tree = theta(seed)

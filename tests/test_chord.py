@@ -383,8 +383,31 @@ def test_census_shards_add_up_to_the_whole_search(n):
         assert [sum(c) for c in zip(*map(run, range(shards)))] == whole, shards
 
 
+CENSUS_7 = Census(135135, 38232, 10113, 28119, 110410)
+
+
+@pytest.fixture
+def fake_mask(monkeypatch):
+    """fake_mask(size) has census read a mask of size CPUs, this process's
+    own first and then ids past them that the host may lack, narrows this
+    process to that mask (the kernel drops the ids it lacks) and returns
+    the mask the process then has.  The real mask is put back afterwards."""
+    real, put = os.sched_getaffinity(0), os.sched_setaffinity
+
+    def fake(size):
+        ids = sorted(real)
+        mask = set(ids[:size]) | set(range(ids[-1] + 1, ids[-1] + 1 + size - len(ids)))
+        put(0, mask)
+        held = os.sched_getaffinity(0)
+        monkeypatch.setattr(chord.os, "sched_getaffinity", lambda pid: mask)
+        return held
+
+    yield fake
+    put(0, real)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_sharded_census_matches_the_series(monkeypatch, cpus):
+def test_sharded_census_matches_the_series(monkeypatch, fake_mask, cpus):
     real_fork = os.fork
     forks = []
 
@@ -392,12 +415,57 @@ def test_sharded_census_matches_the_series(monkeypatch, cpus):
         forks.append(1)
         return real_fork()
 
-    monkeypatch.setattr(chord.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    held = fake_mask(cpus)
     monkeypatch.setattr(chord.os, "fork", counted_fork)
     name, ok, detail = checks.census_matches_series(7)
     assert ok, detail
-    assert detail == str(Census(135135, 38232, 10113, 28119, 110410))
+    assert detail == str(CENSUS_7)
     assert len(forks) == min(cpus, 2) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.undo()
+    assert os.sched_getaffinity(0) == held
+
+
+def test_each_census_shard_runs_on_a_cpu_of_its_own(monkeypatch):
+    # Shard w runs pinned to the CPU at index w of the sorted mask, the
+    # caller's shard 0 included; a shard elsewhere fails census(7).
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    if len(cpus) < 2:
+        pytest.skip("census(7) runs whole on one CPU")
+    search = chord._census_search
+
+    def placed_search(n, shards):
+        run = search(n, shards)
+
+        def placed_run(shard):
+            assert os.sched_getaffinity(0) == {cpus[shard]}, f"shard {shard} unpinned"
+            return run(shard)
+
+        return placed_run
+
+    held = os.sched_getaffinity(0)
+    monkeypatch.setattr(chord, "_census_search", placed_search)
+    assert census(7) == CENSUS_7
+    assert os.sched_getaffinity(0) == held
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_census_counts_alike_where_no_pin_takes(monkeypatch):
+    # Placement is a hint: a CPU the host lacks, or one outside its cpuset,
+    # makes sched_setaffinity fail, and the shards then run where they are.
+    mask = {0, 1}
+    monkeypatch.setattr(chord.os, "sched_getaffinity", lambda pid: mask)
+    tried = []
+
+    def refused(pid, cpus):
+        tried.append(set(cpus))
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(chord.os, "sched_setaffinity", refused)
+    assert census(7) == CENSUS_7
+    assert tried == [{0}, mask]  # the caller's pin and the return of its mask
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -406,8 +474,12 @@ def test_census_below_seven_chords_never_forks(monkeypatch):
     def no_fork():
         raise AssertionError("census forked")
 
+    def no_pin(pid, cpus):
+        raise AssertionError("census pinned")
+
     monkeypatch.setattr(chord.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(chord.os, "fork", no_fork)
+    monkeypatch.setattr(chord.os, "sched_setaffinity", no_pin)
     assert census(0) == Census(1, 0, 0, 0, 0)
     for n in range(1, 7):
         assert census(n) == Census(DOUBLE_FACTORIALS[n], CONNECTED[n], TWO_CONNECTED[n],
@@ -415,19 +487,20 @@ def test_census_below_seven_chords_never_forks(monkeypatch):
 
 
 def test_census_runs_whole_without_fork_or_affinity(monkeypatch):
-    monkeypatch.setattr(chord.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert chord._census_shards(8) == 3
-    assert chord._census_shards(7) == 2
+    mask = {2, 0, 1}
+    monkeypatch.setattr(chord.os, "sched_getaffinity", lambda pid: mask)
+    assert chord._census_shards(8) == ([0, 1, 2], mask)
+    assert chord._census_shards(7) == ([0, 1], mask)
     monkeypatch.delattr(chord.os, "fork")
-    assert chord._census_shards(8) == 1
+    assert chord._census_shards(8) == ([0], set())
     monkeypatch.undo()
     monkeypatch.delattr(chord.os, "sched_getaffinity")
-    assert chord._census_shards(8) == 1
+    assert chord._census_shards(8) == ([0], set())
 
 
 @pytest.mark.parametrize("failure", [ArithmeticError("shard lost"), KeyboardInterrupt()],
                          ids=["worker", "interrupt"])
-def test_census_reaps_its_workers_when_a_shard_fails(monkeypatch, failure):
+def test_census_reaps_its_workers_when_a_shard_fails(monkeypatch, fake_mask, failure):
     # An ArithmeticError fails the worker's shard; a KeyboardInterrupt stops
     # the caller's own shard while the worker is still searching.
     search = chord._census_search
@@ -442,7 +515,7 @@ def test_census_reaps_its_workers_when_a_shard_fails(monkeypatch, failure):
 
         return failing_run
 
-    monkeypatch.setattr(chord.os, "sched_getaffinity", lambda pid: {0, 1})
+    held = fake_mask(2)
     monkeypatch.setattr(chord, "_census_search", failing_search)
     if isinstance(failure, KeyboardInterrupt):
         with pytest.raises(KeyboardInterrupt):
@@ -453,6 +526,8 @@ def test_census_reaps_its_workers_when_a_shard_fails(monkeypatch, failure):
             census(7)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    monkeypatch.undo()
+    assert os.sched_getaffinity(0) == held
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
