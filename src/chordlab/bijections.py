@@ -190,18 +190,15 @@ def nabla_inv(t: RootShareTriple) -> ChordDiagram:
     return _root_share_join(t.c1, t.c2, t.k)
 
 
-def _root_share_places(m1: int, m2: int, k: int) -> list[int]:
-    """The new place of endpoint i of c1, then of c2 (at m1 + i), joined on
-    m1 + m2 endpoints: c1's 0, c2's first k, c1's rest, c2's rest."""
-    return [0, *range(k + 1, k + m1), *range(1, k + 1), *range(k + m1, m1 + m2)]
-
-
 def _root_share_join(c1: ChordDiagram, c2: ChordDiagram, k: int) -> ChordDiagram:
     """nabla_inv of (c1, c2, k) without its checks, for parts the caller
-    built itself: each endpoint moves to its place in the table."""
+    built itself.  Each endpoint moves to its place in the root share
+    table, rank[i] for endpoint i of c1 and rank[m1 + i] for c2's, which
+    lays out c1's 0, c2's first k, c1's rest, then c2's rest."""
     p1, p2 = c1.partners, c2.partners
-    rank = _root_share_places(len(p1), len(p2), k)
-    at1, at2 = rank.__getitem__, rank[len(p1):].__getitem__
+    m1, m = len(p1), len(p1) + len(p2)
+    rank = [0, *range(k + 1, k + m1), *range(1, k + 1), *range(k + m1, m)]
+    at1, at2 = rank.__getitem__, rank[m1:].__getitem__
     return _trusted((at1(p1[0]), *map(at2, p2[:k]), *map(at1, p1[1:]), *map(at2, p2[k:])))
 
 

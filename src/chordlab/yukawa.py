@@ -7,13 +7,12 @@ identities for the associated generating functions.
 The pairing is called as psi(t1, (t2, d)).  Its image is the 1PI tadpoles
 with more than one vertex, and psi_inv rejects any other tadpole.  Both
 the 1PI test and psi_inv read one block search (`_block`): the vertices a
-root reaches without crossing a bridge.  The bijection is one recursion
-per direction over the pairing decomposition, run on a work stack, so an
-n-loop tadpole is split n - 1 times, each split searches its whole part,
-and a map takes O(n^2) steps at any depth.  lambda cuts one copy of the
-tadpole's maps in place, so a part is its leg vertex, not a tadpole.  The
-recursion splits and joins the parts it built itself, so it checks only
-its input.
+root reaches without crossing a bridge.  lambda recurses over the pairing
+decomposition on a work stack, cutting one copy of the tadpole's maps in
+place, so an n-loop tadpole is split n - 1 times, each split searches its
+whole part, and lambda takes O(n^2) steps at any depth.  lambda^-1 is one
+sweep over the chords, with no recursion and no renaming.  Both check
+only their input.
 
 A tadpole is stored as
   succ   -- successor along the (counter-clockwise) fermion loops; a
@@ -22,9 +21,10 @@ A tadpole is stored as
   boson  -- the internal boson matching, an involution on all vertices
             except the leg vertex;
   leg    -- the vertex carrying the single external boson leg.
-Vertex names are arbitrary integers; equality of tadpoles means graph
-isomorphism respecting the leg and the loop orientation, decided through a
-canonical traversal signature (the free end of the leg is never a vertex
+Vertex names are arbitrary integers; equality of connected tadpoles means
+graph isomorphism respecting the leg and the loop orientation, decided
+through a canonical traversal signature, and a disconnected one equals only
+a tadpole with the same maps (the free end of the leg is never a vertex
 here; algorithms that treat it as one use the LEG_END marker instead).
 
 The bijection lambda (tadpole_to_diagram, inverse diagram_to_tadpole)
@@ -43,16 +43,18 @@ the psi order, as `vertex_graph_to_diagram` straightens a fermion path:
 ChordDiagram('2: 3 4 1 2')
 >>> diagram_to_tadpole(ChordDiagram.from_literal("2: 3 4 1 2")) == t
 True
+>>> diagram_to_tadpole(ChordDiagram.from_literal("3: 4 6 5 1 3 2"))  # psi's names
+TadpoleGraph('loops: (0 3)(1 2 4) ; bosons: 0-4, 1-3 ; leg: 2')
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from . import fps
-from .bijections import _root_share_places, nabla
 from .chord import ChordDiagram, _trusted, enumerate_diagrams, size_guard
 from .fps import FormalPowerSeries
 from .gfseries import (
@@ -178,14 +180,17 @@ class TadpoleGraph:
             0,
         )
 
+    def _key(self) -> tuple:
+        try:
+            return self.canonical_signature()
+        except ValueError:  # disconnected: no signature, so keyed by its maps
+            return None, frozenset(self.succ.items()), frozenset(self.boson.items()), self.leg
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TadpoleGraph)
-            and self.canonical_signature() == other.canonical_signature()
-        )
+        return isinstance(other, TadpoleGraph) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self.canonical_signature())
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"TadpoleGraph({self.to_literal()!r})"
@@ -360,14 +365,16 @@ def psi(t1: TadpoleGraph, marked: tuple[TadpoleGraph, int | str]):
     return TadpoleGraph(succ, boson, v1)
 
 
-def _psi_move(succ, v1: int, u2: int, d: int) -> None:
+def _psi_move(succ, v1: int, u2: int, d: int) -> tuple[int, ...]:
     """psi's move on the successors of both parts: u2 replaces v1's successor
-    w, which moves after d, or v1 then u2 go after d if v1 is alone."""
+    w, which moves after d, or v1 then u2 go after d if v1 is alone.
+    Returns the vertices whose successors it sets."""
     e, w = succ[d], succ[v1]
     if w == v1:
         succ[d], succ[v1], succ[u2] = v1, u2, e
     else:
         succ[v1], succ[u2], succ[d], succ[w] = u2, succ[w], w, e
+    return v1, u2, d, w
 
 
 def psi_inv(obj):
@@ -423,32 +430,28 @@ def _split(succ, pred, boson, leg):
 
 
 def _places(t: TadpoleGraph) -> dict[int, int]:
-    """The place of every vertex of t in lambda(t).  t = psi(t1, (t2, d))
-    places its parts by the root share table at k, the place of d's
-    successor in t2, t2's leg end becoming the vertex a after t's leg.  One
-    copy of t's maps is split in place, so a part is its leg, and a leaf
-    is a one-vertex loop.  A part is split when popped; the join entry
-    below its parts pops them."""
+    """The place of every vertex of t in lambda(t).  A part lists its
+    vertices in place order after its leg end, and t = psi(t1, (t2, d))
+    lists t2's leg end, the vertex a after t's leg, then t2's list with
+    t1's spliced in before d's successor e.  One copy of t's maps is split
+    in place, so a part is its leg, and a leaf is a one-vertex loop.  A
+    part is split when popped; the join entry below its parts pops them."""
     succ, boson = dict(t.succ), dict(t.boson)
     pred = {w: v for v, w in succ.items()}
     todo, done = [t.leg], []
     while todo:
         leg = todo.pop()
         if type(leg) is tuple:  # (a, d's successor) of a split, below its parts
-            (a, e), place2, place1 = leg, done.pop(), done.pop()
-            m1 = len(place1) + 1
-            at = _root_share_places(m1, len(place2) + 1, place2[e])
-            place = dict(zip(place1, map(at.__getitem__, place1.values())))
-            place.update(zip(place2, map(at[m1:].__getitem__, place2.values())))
-            place[a] = 1
-            done.append(place)
+            (a, e), listed2, listed1 = leg, done.pop(), done.pop()
+            i = listed2.index(e)
+            done.append([a, *listed2[:i], *listed1, *listed2[i:]])
         elif succ[leg] == leg:
-            done.append({leg: 1})
+            done.append([leg])
         else:
             a = succ[leg]
             d, v2, _ = _split(succ, pred, boson, leg)
             todo += [(a, succ[d]), v2, leg]
-    return done[0]
+    return {v: place for place, v in enumerate(done[0], 1)}
 
 
 def psi_order(t: TadpoleGraph) -> dict[int, int]:
@@ -470,31 +473,30 @@ def _chord_form(m: int, leg: int, pairs) -> ChordDiagram:
 
 
 def _to_tadpole(c: ChordDiagram) -> TadpoleGraph:
-    """lambda^-1 of a connected diagram, unchecked.  A part is its leg and
-    its successor and place arrays over psi's names: t2's, t1's, then a.
-    A join places them as `_places` does and makes psi's move; the bosons
-    are c's chords, so one tadpole is built, at the end."""
-    partners, todo, done = c.partners, [c], []
-    while todo:
-        c = todo.pop()
-        if type(c) is int:  # the k of a root share, below its two parts
-            (succ2, place2, _), (succ1, place1, leg1) = done.pop(), done.pop()
-            shift, m1 = len(place2), len(place1) + 1
-            at = _root_share_places(m1, shift + 1, c)
-            a = shift + m1 - 1
-            succ = [*succ2, *map(shift.__add__, succ1), a]
-            place = [*map(at[m1:].__getitem__, place2), *map(at.__getitem__, place1), 1]
-            _psi_move(succ, leg1 + shift, a, succ2.index(place2.index(c)))
-            done.append((succ, place, leg1 + shift))
-        elif c.n == 1:
-            done.append(([0], [1], 0))
-        else:
-            triple = nabla(c)
-            todo += [triple.k, triple.c2, triple.c1]
-    succ, place, leg = done[0]
-    name = [LEG_END, *sorted(range(len(place)), key=place.__getitem__)]  # at each place
-    boson = {v: name[partners[p]] for v, p in enumerate(place) if v != leg}
-    return TadpoleGraph(dict(enumerate(succ)), boson, leg)
+    """lambda^-1 of a connected diagram, unchecked: one sweep over the chords
+    by decreasing opener, a vertex named by its endpoint, its place.  The
+    stack holds the components present, least opener on top, as their
+    endpoints in order and their vertices in psi's naming order.  A chord
+    (a, b) joins those it crosses, innermost first, each as t2 in psi(t1,
+    (t2, d)), u2 its least opener: b's part t1 lies in one gap of t2, and d
+    precedes t2's first endpoint after it.  The bosons are c's chords."""
+    succ, pred, stack = [*range(2 * c.n)], [*range(2 * c.n)], []
+    for a, b in reversed(c.chords()):
+        ends, order, popped = [b], [b], []
+        while stack and stack[-1][0][0] < b:
+            popped.append(stack.pop())
+        for ends2, order2 in reversed(popped):
+            if ends2[-1] < b:  # inside (a, b): back on the stack
+                stack.append((ends2, order2))
+                continue
+            i = bisect(ends2, b)
+            for v in _psi_move(succ, b, ends2[0], pred[ends2[i]]):
+                pred[succ[v]] = v
+            ends, order = [*ends2[:i], *ends, *ends2[i:]], [*order2, *order, ends2[0]]
+        stack.append(([a, *ends], order))
+    name, leg = {v: i for i, v in enumerate(order)}, c.partners[0]  # order is the root's
+    boson = {name[v]: name[c.partners[v]] for v in order if v != leg}
+    return TadpoleGraph({i: name[succ[v]] for i, v in enumerate(order)}, boson, name[leg])
 
 
 def tadpole_to_diagram(t: TadpoleGraph) -> ChordDiagram:

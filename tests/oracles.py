@@ -13,7 +13,11 @@ scan's component list is read off the adjacency oracle, and the root-share
 and inner-opener finders read that list.
 A tadpole is 1PI when no single edge deletion disconnects it, and psi's
 inverse is the library's as it was before it cut one copy of the maps in
-place: it copies the tadpole and validates both parts it returns."""
+place: it copies the tadpole and validates both parts it returns.  lambda
+and its inverse are the library's as they were before lambda^-1 became one
+sweep and lambda's joins list splices: lambda^-1 applies nabla level by
+level and renames both parts at each join, and both directions place the
+parts through the root share table."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +27,9 @@ from typing import Sequence
 
 from chordlab import fps
 from chordlab.bell import _BLOCK_STEP
-from chordlab.bijections import LabeledDiagram, from_tokens
+from chordlab.bijections import LabeledDiagram, from_tokens, nabla
 from chordlab.chord import ChordDiagram, crossing_blocks
-from chordlab.yukawa import X_TADPOLE, TadpoleGraph, _block
+from chordlab.yukawa import LEG_END, X_TADPOLE, TadpoleGraph, _block, _psi_move, _split
 
 
 def intersection_adjacency(d: ChordDiagram) -> list[set[int]]:
@@ -333,3 +337,61 @@ def split_tadpole(t: TadpoleGraph):
         t2_succ, {v: u for v, u in boson.items() if v in t2_succ}, v2
     )
     return (t1, (t2, d))
+
+
+def root_share_places(m1: int, m2: int, k: int) -> list[int]:
+    """The new place of endpoint i of c1, then of c2 (at m1 + i), joined on
+    m1 + m2 endpoints: c1's 0, c2's first k, c1's rest, c2's rest."""
+    return [0, *range(k + 1, k + m1), *range(1, k + 1), *range(k + m1, m1 + m2)]
+
+
+def places_by_root_share(t: TadpoleGraph) -> dict[int, int]:
+    """yukawa._places with each join placing both parts' place dicts by
+    the root share table at k, the place of d's successor in t2."""
+    succ, boson = dict(t.succ), dict(t.boson)
+    pred = {w: v for v, w in succ.items()}
+    todo, done = [t.leg], []
+    while todo:
+        leg = todo.pop()
+        if type(leg) is tuple:  # (a, d's successor) of a split, below its parts
+            (a, e), place2, place1 = leg, done.pop(), done.pop()
+            m1 = len(place1) + 1
+            at = root_share_places(m1, len(place2) + 1, place2[e])
+            place = dict(zip(place1, map(at.__getitem__, place1.values())))
+            place.update(zip(place2, map(at[m1:].__getitem__, place2.values())))
+            place[a] = 1
+            done.append(place)
+        elif succ[leg] == leg:
+            done.append({leg: 1})
+        else:
+            a = succ[leg]
+            d, v2, _ = _split(succ, pred, boson, leg)
+            todo += [(a, succ[d]), v2, leg]
+    return done[0]
+
+
+def tadpole_by_nabla(c: ChordDiagram) -> TadpoleGraph:
+    """yukawa._to_tadpole by nabla at every level: a part is its leg and
+    its successor and place arrays over psi's names: t2's, t1's, then a.
+    A join places them by the root share table and makes psi's move."""
+    partners, todo, done = c.partners, [c], []
+    while todo:
+        c = todo.pop()
+        if type(c) is int:  # the k of a root share, below its two parts
+            (succ2, place2, _), (succ1, place1, leg1) = done.pop(), done.pop()
+            shift, m1 = len(place2), len(place1) + 1
+            at = root_share_places(m1, shift + 1, c)
+            a = shift + m1 - 1
+            succ = [*succ2, *map(shift.__add__, succ1), a]
+            place = [*map(at[m1:].__getitem__, place2), *map(at.__getitem__, place1), 1]
+            _psi_move(succ, leg1 + shift, a, succ2.index(place2.index(c)))
+            done.append((succ, place, leg1 + shift))
+        elif c.n == 1:
+            done.append(([0], [1], 0))
+        else:
+            triple = nabla(c)
+            todo += [triple.k, triple.c2, triple.c1]
+    succ, place, leg = done[0]
+    name = [LEG_END, *sorted(range(len(place)), key=place.__getitem__)]  # at each place
+    boson = {v: name[partners[p]] for v, p in enumerate(place) if v != leg}
+    return TadpoleGraph(dict(enumerate(succ)), boson, leg)

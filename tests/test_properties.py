@@ -29,7 +29,7 @@ from chordlab.bijections import (
     theta_inv,
     with_fresh_labels,
 )
-from chordlab import cli, fps
+from chordlab import cli, fps, yukawa
 from chordlab.bell import bell_partial
 from chordlab.diffeo import KinematicSample
 from chordlab.chord import (
@@ -46,9 +46,11 @@ from oracles import (
     intersection_adjacency,
     intersection_components,
     join_root_component,
+    places_by_root_share,
     scan_by_adjacency,
     split_root_component,
     subdiagram,
+    tadpole_by_nabla,
 )
 from test_bijections import (
     assert_inline_scans_match,
@@ -214,6 +216,14 @@ def test_psi_inv_matches_the_copying_split_at_every_split(d):
         t = todo.pop()
         if not t.is_single_vertex():
             todo += assert_split_matches_the_oracle(t)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(matchings(st.integers(2, 200), connected=True))
+def test_lambda_matches_the_oracles(d):
+    t, expected = diagram_to_tadpole(d), tadpole_by_nabla(d)
+    assert (t.succ, t.boson, t.leg) == (expected.succ, expected.boson, expected.leg)
+    assert yukawa._places(t) == places_by_root_share(t)
 
 
 @PROPERTY

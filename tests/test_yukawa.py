@@ -30,7 +30,7 @@ from chordlab.yukawa import (
     vacuum_series,
     vertex_graph_to_diagram,
 )
-from oracles import split_tadpole, tadpole_is_1pi
+from oracles import places_by_root_share, split_tadpole, tadpole_by_nabla, tadpole_is_1pi
 
 TADPOLE_COUNTS = {1: 1, 2: 1, 3: 4, 4: 27}
 
@@ -99,6 +99,43 @@ def test_tadpole_validation():
         disconnected.canonical_signature()
     with pytest.raises(ValueError):
         disconnected.canonical()
+
+
+DISCONNECTED = "loops: (0)(1 2) ; bosons: 1-2 ; leg: 0"
+
+
+def test_disconnected_tadpole_equality_never_raises():
+    t = TadpoleGraph.from_literal(DISCONNECTED)
+    assert t == t and t != X_TADPOLE and X_TADPOLE != t
+    assert t not in [X_TADPOLE] and t in [X_TADPOLE, t]
+    assert isinstance(hash(t), int) and len({t, X_TADPOLE}) == 2
+
+
+def test_tadpole_equality_is_reflexive():
+    literals = [DISCONNECTED, "loops: (0 1 2)(3 4) ; bosons: 1-2, 3-4 ; leg: 0"]
+    for t in [*map(TadpoleGraph.from_literal, literals), *enumerate_tadpoles(3)]:
+        assert t == t and not t != t
+
+
+def test_a_disconnected_tadpole_equals_no_connected_one():
+    # the leg's component of the second is the connected 2-loop tadpole
+    connected = TadpoleGraph.from_literal("loops: (0 1 2) ; bosons: 1-2 ; leg: 0")
+    for literal in (DISCONNECTED, "loops: (0 1 2)(3 4) ; bosons: 1-2, 3-4 ; leg: 0"):
+        t = TadpoleGraph.from_literal(literal)
+        assert not t.is_connected()
+        assert all(t != s and s != t for loops in (1, 2, 3) for s in enumerate_tadpoles(loops))
+        assert t != connected and t not in {connected}
+
+
+def test_tadpole_hash_agrees_with_equality():
+    # the same maps built in another order, and a connected tadpole renamed
+    t = TadpoleGraph.from_literal(DISCONNECTED)
+    same = TadpoleGraph({2: 1, 1: 2, 0: 0}, {2: 1, 1: 2}, 0)
+    assert t == same and hash(t) == hash(same) and len({t, same}) == 1
+    for s in enumerate_tadpoles(3):
+        renamed = TadpoleGraph({v + 5: w + 5 for v, w in s.succ.items()},
+                               {v + 5: w + 5 for v, w in s.boson.items()}, s.leg + 5)
+        assert s == renamed and hash(s) == hash(renamed)
 
 
 def test_canonical_signature_identifies_relabelings():
@@ -329,6 +366,21 @@ def test_bijection_roundtrip_at_forty_chords():
     assert tadpole_to_diagram(t) == d
 
 
+def test_lambda_inverse_matches_the_nabla_oracle():
+    # succ, boson and leg: the vertex names are psi's, and the CLI prints them
+    for n in range(1, 8):
+        for d in connected_diagrams(n):
+            t, expected = diagram_to_tadpole(d), tadpole_by_nabla(d)
+            assert (t.succ, t.boson, t.leg) == (expected.succ, expected.boson, expected.leg)
+
+
+def test_places_match_the_root_share_oracle(monkeypatch):
+    monkeypatch.setenv("CHORDLAB_MAX_N", "5")
+    for loops in (1, 2, 3, 4, 5):
+        for t in enumerate_tadpoles(loops):
+            assert yukawa._places(t) == places_by_root_share(t)
+
+
 def full_crossing(n):
     return ChordDiagram([(i + n) % (2 * n) for i in range(2 * n)])
 
@@ -342,10 +394,31 @@ def crossing_chain(n):
     return ChordDiagram(partners)
 
 
-# Both shapes decompose 1199 levels deep, past the default recursion limit.
-# lambda takes 1.1-1.8 s CPU on either shape at this size on a 2-core Xeon
+def uniform_connected(n):
+    return random_connected_diagram(n, seed=n)
+
+
+def needles_under_a_run(n):
+    """k = (n - 1) // 3 single chords, each crossed by its own needle, inside
+    a run of the other n - 1 - 2k chords, which cross each other and the
+    root: lambda^-1's sweep pops each single chord at every chord of the run
+    and pushes it back."""
+    k = (n - 1) // 3
+    run = [("run", j) for j in range(n - 1 - 2 * k)]
+    labels = ["root", *(("needle", i) for i in range(k)), *run,
+              *(end for i in range(k) for end in (("small", i), ("needle", i), ("small", i))),
+              "root", *run]
+    first, partners = {}, [0] * (2 * n)
+    for place, label in enumerate(labels):
+        other = first.setdefault(label, place)
+        partners[place], partners[other] = other, place
+    return ChordDiagram(partners)
+
+
+# The first two decompose 1199 levels deep, past the default recursion limit.
+# lambda takes 0.5-1.4 s CPU on each shape at this size on a 2-core Xeon
 # guest: each split searches its whole part.
-@pytest.mark.parametrize("shape", [full_crossing, crossing_chain])
+@pytest.mark.parametrize("shape", [full_crossing, crossing_chain, needles_under_a_run])
 def test_bijection_at_1200_chords_under_the_default_recursion_limit(shape):
     assert sys.getrecursionlimit() < 1200
     d = shape(1200)
@@ -353,6 +426,15 @@ def test_bijection_at_1200_chords_under_the_default_recursion_limit(shape):
     t = diagram_to_tadpole(d)
     assert t.boson_count == 1200 and t.is_one_particle_irreducible()
     assert tadpole_to_diagram(t) == d
+
+
+@pytest.mark.parametrize("shape", [full_crossing, crossing_chain, uniform_connected,
+                                   needles_under_a_run])
+def test_lambda_matches_the_oracles_at_1200_chords(shape):
+    d = shape(1200)
+    t, expected = diagram_to_tadpole(d), tadpole_by_nabla(d)
+    assert (t.succ, t.boson, t.leg) == (expected.succ, expected.boson, expected.leg)
+    assert yukawa._places(t) == places_by_root_share(t)
 
 
 def test_bijection_at_five_loops_behind_flag(monkeypatch):
@@ -526,8 +608,8 @@ def test_lambda_builds_no_tadpole(monkeypatch):
 
 
 def test_lambda_inverse_builds_one_tadpole_per_level(monkeypatch):
-    # the 3 joins behind a 4-chord diagram carry only successors and places,
-    # so each inverse validates one tadpole, the one it returns
+    # the sweep over a 4-chord diagram carries only successor arrays and
+    # endpoint lists, so each inverse validates one tadpole, the one it returns
     diagrams = connected_diagrams(4)
     calls = []
     init = TadpoleGraph.__init__
