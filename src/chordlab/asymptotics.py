@@ -26,8 +26,9 @@ probabilities e^(-1)(1 - 5/(4n)) and e^(-2)(1 - 3/n):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from typing import ClassVar
 
 from . import fps, gfseries
 from .fps import FormalPowerSeries
@@ -40,6 +41,9 @@ from .gfseries import (
 )
 
 FIT_PRECISION = 60  # decimal digits used for every numeric fit
+# The one context every fit computes in, so the caller's rounding, traps and
+# precision never reach the digits a fit returns.
+_FIT = Context(prec=FIT_PRECISION)
 MAX_FIT_N = 200  # the largest n with exact counts for a fit
 
 # Empirical tolerances for the fit checks, kept in one place.  The expansion
@@ -54,22 +58,23 @@ TOLERANCES = {
 
 @dataclass(frozen=True)
 class ScaledSeries:
-    """body * e^(exp_offset), optionally times 1/sqrt(2*pi)."""
+    """body * e^(exp_offset) * 1/sqrt(2*pi)."""
 
     body: FormalPowerSeries
     exp_offset: Fraction
-    inv_sqrt_2pi: bool = False
+    # every image here has alpha = 2 and beta = 1/2, so each carries the flag
+    inv_sqrt_2pi: ClassVar[bool] = True
 
 
 def _split_prefactor(front, exponent, offset=Fraction(0)) -> ScaledSeries:
     """front e^(offset - exponent) as the body front e^(E_0 - exponent) and
     the prefactor e^(offset - E_0), E_0 the constant of the exponent."""
-    return ScaledSeries(front * (exponent[0] - exponent).exp(), offset - exponent[0], True)
+    return ScaledSeries(front * (exponent[0] - exponent).exp(), offset - exponent[0])
 
 
 def _connected_form(front: FormalPowerSeries, c: FormalPowerSeries) -> ScaledSeries:
     """front exp(-(2C + C^2)/(2x)), the exponent's constant 1 split off as the
-    prefactor e^(-1); the 1/sqrt(2*pi) flag is set."""
+    prefactor e^(-1)."""
     return _split_prefactor(front, fps.divide_by_power(2 * c + c * c, 1) / 2)
 
 
@@ -107,7 +112,7 @@ def _solve_chain_rule(front: FormalPowerSeries, g: FormalPowerSeries, offset) ->
     with prefactor e^offset; the constant of (1/x - 1/g)/2 joins the offset."""
     q = fps.divide_by_power(g, 1)  # g/x, constant term 1
     at_g = _split_prefactor(front, fps.divide_by_power(q - 1, 1) / (2 * q), offset)
-    return ScaledSeries(at_g.body.compose(g.reversion()), at_g.exp_offset, True)
+    return ScaledSeries(at_g.body.compose(g.reversion()), at_g.exp_offset)
 
 
 def _connected_image(order: int, drop_composition_term: bool) -> ScaledSeries:
@@ -203,8 +208,7 @@ def asymptotic_fit(series: str, n: int, terms: int) -> FitReport:
     expansion = build(terms)
     exact = exact_fn(n)
     d = double_factorial_series(n)
-    with localcontext() as ctx:
-        ctx.prec = FIT_PRECISION
+    with localcontext(_FIT):
         scale = _to_decimal(expansion.exp_offset).exp()
         partial_exact = sum(
             (expansion.body[k] * d[n - k] for k in range(terms)),
@@ -229,8 +233,7 @@ def asymptotic_fit(series: str, n: int, terms: int) -> FitReport:
 def connectivity_probability(series: str, n: int) -> Decimal:
     """Probability that a uniform diagram on n chords lies in the class."""
     _, exact_fn = _model(series, n)
-    with localcontext() as ctx:
-        ctx.prec = FIT_PRECISION
+    with localcontext(_FIT):
         return Decimal(exact_fn(n)) / Decimal(double_factorial_series(n)[n])
 
 
@@ -239,8 +242,7 @@ def leading_probability_estimate(series: str, n: int) -> Decimal:
     coefficients of the image: e^(-1)(1 - 5/(4n)) or e^(-2)(1 - 3/n)."""
     image = _model(series, n)[0](1)
     c0, c1 = image.body.coeffs
-    with localcontext() as ctx:
-        ctx.prec = FIT_PRECISION
+    with localcontext(_FIT):
         # c_1/(2n) is rounded before c_0 is added, as 5/(4n) is in 1 - 5/(4n)
         first_order = _to_decimal(c0) + _to_decimal(Fraction(c1, 2 * n))
         return _to_decimal(image.exp_offset).exp() * first_order

@@ -258,6 +258,8 @@ def lift_coefficient(
     """[x^n] f(R) = (1/n) [t^(n-1)] f'(t) g(t)^n for the fixed point above."""
     if n < 1:
         raise ValueError("defined for n >= 1")
+    if f.order < n or g.order < n - 1:
+        raise ValueError(f"f is needed through order {n} and g through order {n - 1}")
     prod = f.derivative() * g**n
     return Fraction(prod[n - 1]) / n
 

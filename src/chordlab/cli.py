@@ -22,7 +22,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotics, bell, bijections, checks, chord, diffeo, gfseries, oeis, yukawa
@@ -30,45 +29,25 @@ from . import asymptotics, bell, bijections, checks, chord, diffeo, gfseries, oe
 DEFAULT_SEED = 20201103
 
 
-@dataclass
-class OutputRecord:
-    command: str
-    parameters: dict
-    payload: object
-    fmt: str
-    lines: list[str]  # table rendering, and a series' b-file
-
-    def to_json(self) -> str:
+def _render(command: str, parameters: dict, payload, fmt: str, lines: list[str]) -> str:
+    """The request's text: the table lines (a series' b-file too), one JSON
+    object, or csv, one row for a dict or a scalar and one per list item."""
+    if fmt == "json":
         return json.dumps(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "payload": self.payload,
-                "format": self.fmt,
-            },
+            {"command": command, "parameters": parameters, "payload": payload, "format": fmt},
             indent=2,
             sort_keys=True,
         )
-
-    def render(self) -> str:
-        if self.fmt == "json":
-            return self.to_json()
-        if self.fmt == "csv":
-            rows = self.payload if isinstance(self.payload, list) else [self.payload]
-            out = []
-            for row in rows:
-                if isinstance(row, dict):
-                    out.append(",".join(str(v) for v in row.values()))
-                elif isinstance(row, (list, tuple)):
-                    out.append(",".join(str(v) for v in row))
-                else:
-                    out.append(str(row))
-            return "\n".join(out)
-        return "\n".join(self.lines)
-
-
-def _fraction_text(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else str(value)
+    if fmt == "csv":
+        rows = payload if isinstance(payload, list) else [payload]
+        out = []
+        for row in rows:
+            if isinstance(row, dict):
+                out.append(",".join(str(v) for v in row.values()))
+            else:
+                out.append(str(row))
+        return "\n".join(out)
+    return "\n".join(lines)
 
 
 def _parse_rationals(text: str, option: str) -> list[Fraction]:
@@ -110,7 +89,7 @@ def _check_range(option: str, value: int, lo: int, hi: int | None = None) -> Non
 def cmd_series(args):
     _check_range("--order", args.order, 0, gfseries.MAX_ORDER)
     series = gfseries.named_series(args.name, args.order)
-    coeffs = [_fraction_text(series[i]) for i in range(args.order + 1)]
+    coeffs = [str(series[i]) for i in range(args.order + 1)]
     lines = [",".join(coeffs)]
     if args.format == "bfile":
         val = series.valuation()
@@ -224,7 +203,7 @@ def cmd_bell(args):
     _check_range("--n", args.n, 0)
     _check_range("--k", args.k, 0)
     xs = _parse_rationals(args.xs, "--xs")
-    value = _fraction_text(bell.bell_partial(args.n, args.k, xs))
+    value = str(bell.bell_partial(args.n, args.k, xs))
     parameters = {"n": args.n, "k": args.k, "xs": [str(x) for x in xs]}
     return parameters, value, [f"B({args.n},{args.k}) = {value}"]
 
@@ -262,14 +241,12 @@ def cmd_diffeo(args):
     b_series = diffeo.b_inverse_list(mapping, args.n)
     payload = {
         "seed": seed,
-        "b": [_fraction_text(v) for v in b_series],
+        "b": [str(v) for v in b_series],
         "closed_form_agrees": checks.diffeo_closed_form(mapping, b_series)[1],
     }
     if args.n <= diffeo.MAX_AMPLITUDE_POINTS:
         kin = diffeo.KinematicSample.random_nondegenerate(args.n, rng)
-        payload["amplitude"] = _fraction_text(
-            diffeo.amplitude_recursion(mapping, args.n, kin)
-        )
+        payload["amplitude"] = str(diffeo.amplitude_recursion(mapping, args.n, kin))
         payload["amplitude_matches"] = payload["amplitude"] == payload["b"][-1]
     parameters = {"a": [str(c) for c in coeffs], "n": args.n, "kinematics": args.kinematics}
     return parameters, payload, [f"{key} {value}" for key, value in payload.items()]
@@ -451,7 +428,7 @@ def main(argv=None) -> int:
         print(f"chordlab: error: {exc}", file=sys.stderr)
         return 2
     try:
-        print(OutputRecord(args.command, parameters, payload, args.format, lines).render())
+        print(_render(args.command, parameters, payload, args.format, lines))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone: stdout points at /dev/null from here on, so

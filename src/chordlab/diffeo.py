@@ -93,6 +93,8 @@ class Diffeomorphism:
 
 def b_inverse_list(diffeo: Diffeomorphism, nmax: int) -> list[Fraction]:
     """(b_1, ..., b_nmax), b_n = n! [t^n] reversion(F), in one reversion."""
+    if nmax < 1:
+        raise ValueError(f"defined for nmax >= 1, got {nmax}")
     g = diffeo.series(nmax).reversion()
     return [factorial(n) * g[n] for n in range(1, nmax + 1)]
 

@@ -2,7 +2,7 @@
 against the images the chain rule derives from the series relations, and
 numeric fit behaviour."""
 
-from decimal import Decimal, localcontext
+from decimal import ROUND_FLOOR, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import lgamma, log, pi
 
@@ -130,8 +130,7 @@ def test_fit_two_connected_tracks_first_coefficient():
 @pytest.mark.parametrize("n", [1, 3, 20, 30, 40, 200])
 def test_leading_estimate_is_the_closed_form(n):
     # read from the images' first two coefficients, rounded as the closed forms
-    with localcontext() as ctx:
-        ctx.prec = FIT_PRECISION
+    with localcontext(Context(prec=FIT_PRECISION)):
         connected = (-Decimal(1)).exp() * (1 - Decimal(5) / (4 * n))
         two_connected = (-Decimal(2)).exp() * (1 - Decimal(3) / n)
     assert leading_probability_estimate("C", n) == connected
@@ -183,6 +182,36 @@ def test_probabilities_check_series_and_n(check, series, n, error, message):
     with pytest.raises(error) as raised:
         check(series, n)
     assert message in str(raised.value)
+
+
+def _floor_at_five_digits(ctx):
+    ctx.rounding, ctx.prec = ROUND_FLOOR, 5
+
+
+def _inexact_trapped(ctx):
+    ctx.traps[Inexact] = True
+
+
+@pytest.mark.parametrize("caller", [_floor_at_five_digits, _inexact_trapped],
+                         ids=["floor-prec5", "inexact-trapped"])
+@pytest.mark.parametrize(
+    "fit,args",
+    [
+        (asymptotic_fit, ("C", 100, 5)),
+        (asymptotic_fit, ("C2", 96, 5)),
+        (connectivity_probability, ("C", 3)),
+        (connectivity_probability, ("C2", 4)),
+        (leading_probability_estimate, ("C", 4)),
+        (leading_probability_estimate, ("C2", 7)),
+    ],
+    ids=["fit-C", "fit-C2", "probability-C", "probability-C2", "estimate-C", "estimate-C2"],
+)
+def test_fits_ignore_the_callers_decimal_context(fit, args, caller):
+    # each input's 60-digit result depends on the rounding mode
+    expected = repr(fit(*args))
+    with localcontext() as ctx:
+        caller(ctx)
+        assert repr(fit(*args)) == expected
 
 
 def test_criterion_4_n20_deviations_exceed_the_first_correction():

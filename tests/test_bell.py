@@ -364,3 +364,34 @@ def test_indecomposable_pipeline_through_lift():
     denom = fps.one(order) - fps.multiply_by_power(aprime, 1)
     i0 = fps.multiply_by_power(fps.reciprocal(denom), 1).truncate(order)
     assert i0 == nonempty_indecomposable_series(order)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: verify_bell_identity("id1", 3, 3, [1, 1, 1]), "this identity needs n > k"),
+        (lambda: verify_bell_identity("id1", 4, 1, [0, 1, 1, 1]),
+         "this identity needs x_1 != 0"),
+        (lambda: nested_convolution(3, 0, [1, 1, 1]), "needs at least one block"),
+        (lambda: nested_convolution(5, 2, [1, 1]), "need x_1..x_4"),
+        (lambda: lift_solve(fps.one(2), 4), "g is needed through order 3"),
+        (lambda: lift_coefficient(fps.x(3), fps.one(3), 0), "defined for n >= 1"),
+        (lambda: lift_coefficient(fps.x(3), fps.one(3), 4),
+         "f is needed through order 4 and g through order 3"),
+        (lambda: lift_coefficient(fps.x(9), fps.one(3), 9),
+         "f is needed through order 9 and g through order 8"),
+        (lambda: lift_resummation(fps.one(3), fps.one(5), 4), "h and g are needed through order 4"),
+        (lambda: lift_resummation(fps.one(5), fps.one(3), 4), "h and g are needed through order 4"),
+    ],
+    ids=["id1-n-not-above-k", "id1-zero-x1", "nested-no-blocks", "nested-few-values",
+         "lift-solve-short-g", "lift-coefficient-n-0", "lift-coefficient-short-f",
+         "lift-coefficient-short-g", "resummation-short-h", "resummation-short-g"],
+)
+def test_input_checks_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_lift_coefficient_reads_f_through_n_and_g_through_n_minus_1():
+    # f = x has f' = 1, so [x^9] f(R) = [t^8] g^9 / 9 = 0 for g = 1
+    assert lift_coefficient(fps.x(9), fps.one(8), 9) == 0

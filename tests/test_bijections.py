@@ -609,3 +609,24 @@ def test_theta_matches_the_oracle(total):
         tree = theta(seed)
         assert serialize_ztree(tree) == serialize_ztree(oracle_theta(seed))
         assert theta_inv(tree) == oracle_theta_inv(tree)
+
+
+def _tree_with_a_relabeled_child():
+    tree = parse_ztree("(0;1: 2 1;(1;-;))")
+    tree.children[1].stack[0] = 2  # the structure still labels the child 1
+    return tree
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: parse_ztree("x(0;-;)"), "tree literal 'x(0;-;)': expected '(' at 0"),
+        (lambda: theta_inv(_tree_with_a_relabeled_child()),
+         "child stack head differs from its structure label"),
+    ],
+    ids=["text-before-root", "child-stack-head"],
+)
+def test_input_checks_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

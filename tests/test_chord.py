@@ -670,3 +670,10 @@ def test_crossing_scan_matches_adjacency_oracle(n):
         assert d.is_connected() == (len(everything) == 1)
         for i, a in enumerate(openers):  # each chord left out, the root (i = 0) first
             assert sorted(chord.crossing_blocks(d.partners, skip=a)) == oracle(i)
+
+
+def test_diagrams_are_immutable():
+    d = ChordDiagram.from_literal("2: 3 4 1 2")
+    with pytest.raises(AttributeError, match="^ChordDiagram is immutable$"):
+        d.partners = (1, 0, 3, 2)
+    assert d.to_literal() == "2: 3 4 1 2"

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import chordlab
-from chordlab import checks, cli, fps, yukawa
+from chordlab import checks, cli, fps, oeis, yukawa
 from chordlab.cli import COMMANDS, FILTERS, build_parser, main
 from chordlab.oeis import SEQUENCE_MAP, compare_bfile, parse_bfile, write_bfile
 
@@ -431,7 +431,7 @@ def test_a_closed_pipe_ends_the_output_quietly():
         proc.stdout.close()
         errors = proc.stderr.read().decode()
         code = proc.wait()
-    assert code != 0
+    assert code == 1
     assert errors == ""  # no traceback, nor one from the flush at exit
 
 
@@ -688,3 +688,29 @@ def test_paper_prefixes_in_bfile_convention(tmp_path):
     write_bfile("C2", str(path), order=8)
     entries = dict(parse_bfile(str(path)))
     assert [entries[i] for i in range(5)] == [1, 1, 7, 63, 729]
+
+
+def _write_rational_bfile(path, monkeypatch):
+    # log(1/(1-x)) = x + x^2/2 + ...: its x^2 coefficient is not an integer
+    monkeypatch.setattr(oeis, "named_series", lambda name, order: fps.geometric(order).log())
+    write_bfile("C", path, order=3)
+
+
+def _parse_non_integer_entry(path, monkeypatch):
+    Path(path).write_text("0 1\n1 x\n")
+    parse_bfile(path)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (_parse_non_integer_entry, "{path}:2: non-integer entry"),
+        (_write_rational_bfile, "b-files hold integers only"),
+    ],
+    ids=["non-integer-entry", "rational-coefficient"],
+)
+def test_bfile_input_checks_name_what_is_wrong(tmp_path, monkeypatch, call, message):
+    path = str(tmp_path / "b.txt")
+    with pytest.raises(ValueError) as raised:
+        call(path, monkeypatch)
+    assert str(raised.value) == message.format(path=path)

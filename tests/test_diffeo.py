@@ -2,6 +2,7 @@
 controls must fail."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -332,3 +333,24 @@ def test_nondegenerate_draws_are_pinned(seed):
         kin = KinematicSample.random_nondegenerate(n, new_rng)
         assert (kin.mass_squared, kin.dots) == resample_subset_by_subset(n, old_rng)
     assert new_rng.getstate() == old_rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: b_closed_form(Diffeomorphism.from_values([1, 1]), 0), "defined for n >= 1"),
+        (lambda: b_inverse_list(Diffeomorphism.from_values([1, 1]), 0),
+         "defined for nmax >= 1, got 0"),
+        (lambda: b_inverse_list(Diffeomorphism.from_values([1, 1]), -1),
+         "defined for nmax >= 1, got -1"),
+        (lambda: checks.diffeo_suite(0, random.Random(1)), "defined for nmax >= 1, got 0"),
+        (lambda: amplitude_recursion(Diffeomorphism.from_values([1, 1]), 4,
+                                     KinematicSample.random_nondegenerate(3, random.Random(2))),
+         "the kinematic sample has too few momenta"),
+    ],
+    ids=["closed-form-n-0", "inverse-list-nmax-0", "inverse-list-nmax-negative",
+         "suite-order-0", "amplitude-few-momenta"],
+)
+def test_input_checks_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Kernel arithmetic tests: exactness, ring axioms, calculus, reversion."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -315,3 +316,36 @@ def test_reversion_matches_column_oracle(order, kind):
     assert_exact(got)
     if kind == "unit-int":
         assert all(type(c) is int for c in got.coeffs)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: FormalPowerSeries([]), ValueError,
+         "a series needs at least the constant coefficient"),
+        (lambda: fps.one(2)[3], IndexError, "coefficient x^3 beyond truncation order 2"),
+        (lambda: fps.one(2).truncate(3), ValueError, "cannot extend order 2 to 3"),
+        (lambda: fps.x(2) ** -1, ValueError, "only nonnegative integer powers are supported"),
+        (lambda: fps.x(2) ** Fraction(1, 2), ValueError,
+         "only nonnegative integer powers are supported"),
+        (lambda: fps.one(2).exp(), ValueError, "exp needs a zero constant term"),
+        (lambda: from_coeffs([2, 1], order=2).log(), ValueError, "log needs constant term 1"),
+        (lambda: fps.geometric(2).reversion(), ValueError, "reversion needs a zero constant term"),
+        (lambda: from_coeffs([0, 0, 1]).reversion(), ValueError,
+         "reversion needs a nonzero linear coefficient"),
+        (lambda: fps.x(0), ValueError, "x needs order >= 1"),
+        (lambda: fps.reciprocal(fps.x(2)), ZeroDivisionError,
+         "reciprocal needs a nonzero constant term"),
+        (lambda: fps.divide(fps.one(2), fps.zero(2)), ZeroDivisionError,
+         "division by the zero series"),
+        (lambda: fps.divide_by_power(fps.geometric(3), 2), ZeroDivisionError,
+         "series is not divisible by x^2"),
+    ],
+    ids=["empty", "getitem-past-order", "truncate-above-order", "negative-power",
+         "non-int-power", "exp-constant", "log-constant", "reversion-constant",
+         "reversion-linear", "x-order-0", "reciprocal-zero-constant", "divide-by-zero",
+         "not-divisible"],
+)
+def test_input_checks_name_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -315,3 +315,20 @@ def test_two_connected_solves_its_differential_equation():
     lhs = 2 * fps.multiply_by_power(s.truncate(order - 1) * s.derivative(), 1)
     rhs = s * s + x * s - x * s * s + 2 * (x * x * s) - x * x * x
     assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: verify_identity("nope", 4), KeyError,
+         f"unknown identity 'nope'; known: {', '.join(sorted(IDENTITIES))}"),
+        (lambda: named_series("nope", 4), KeyError,
+         f"unknown series 'nope'; known: {', '.join(sorted(gfseries.SERIES))}"),
+        (lambda: verify_identity("pair_power", -1), ValueError, "order must be nonnegative"),
+    ],
+    ids=["unknown-identity", "unknown-series", "negative-order"],
+)
+def test_input_checks_name_what_is_wrong(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.value.args == (message,)

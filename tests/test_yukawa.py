@@ -3,6 +3,7 @@ bijection onto connected diagrams, vertex graphs, and the series identities."""
 
 from fractions import Fraction
 import random
+import re
 import sys
 
 import pytest
@@ -716,3 +717,34 @@ def test_proper_green_function_table():
 def test_composed_kernel_values():
     kernel = composed_two_connected_kernel(6)
     assert kernel.coeffs == (1, 1, 9, 100, 1323, 20088, 342430)
+
+
+def _tadpole_literal_error(text):
+    return ("tadpole literal must have the form "
+            f"'loops: (v ...)... ; bosons: v-w, ... ; leg: v', got {text!r}")
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: enumerate_tadpoles(0), ValueError, "a tadpole has at least one loop"),
+        (lambda: QQEDVertexGraph(3, ((1, 3),), 4), ValueError, "leg position out of range"),
+        (lambda: QQEDVertexGraph(3, ((3, 1),), 2), ValueError, "bad photon pair"),
+        (lambda: QQEDVertexGraph(3, ((1, 2),), 2), ValueError,
+         "photon ends must be distinct vertices"),
+        (lambda: QQEDVertexGraph(5, ((1, 3),), 2), ValueError,
+         "every vertex carries exactly one photon end or the leg"),
+        (lambda: TadpoleGraph.from_literal("loops: (0) ; photons: ; leg: 0"), ValueError,
+         _tadpole_literal_error("loops: (0) ; photons: ; leg: 0")),
+        (lambda: TadpoleGraph.from_literal("loops: x(0) ; bosons: ; leg: 0"), ValueError,
+         _tadpole_literal_error("loops: x(0) ; bosons: ; leg: 0")),
+        (lambda: setattr(TadpoleGraph({0: 0}, {}, 0), "leg", 1), AttributeError,
+         "TadpoleGraph is immutable"),
+    ],
+    ids=["no-loops", "leg-out-of-range", "photon-pair-order", "photon-on-leg",
+         "vertex-without-photon", "literal-field-names", "literal-text-before-loop",
+         "immutable"],
+)
+def test_input_checks_name_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
