@@ -245,6 +245,8 @@ def lift_solve(g: FormalPowerSeries, order: int) -> FormalPowerSeries:
     """
     if not g.coeffs[0]:
         raise ValueError("the fixed point needs a nonzero constant term in g")
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     if order == 0:
         return fps.zero(0)
     if g.order < order - 1:

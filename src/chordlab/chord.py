@@ -20,7 +20,10 @@ diagrams: a subtree whose free endpoints are consecutive, with every
 pending closer after them, is disconnected in every leaf (they pair among
 themselves, the root outside them), and each disconnected diagram has such
 a subtree or a cut-0 window ending before its last opener, where the scan
-sees it.  So no window of cut 0 ends after the last opener.  For n >= 7
+sees it.  So no window of cut 0 ends after the last opener.  A node with
+two chords left writes its three leaves in place, as `enumerate_diagrams`
+writes its last two chords, so the search calls itself only at the nodes
+with three or more (6,201 calls at n = 7).  For n >= 7
 the search is cut at the nodes that place the third chord, numbered in
 search order; shard w of W takes the nodes numbered w mod W, and shard 0
 alone counts the subtrees settled above them.  The caller runs shard 0 and
@@ -477,11 +480,17 @@ def census(n: int) -> Census:
        a window of cut 1 (3 or more endpoints outside) and stops at the
        first.
 
-    A node with two chords left settles the last chord in its own loop and
-    books the leaf without a call (at n = 7 the search makes 27,543 calls
-    and visits 38,232 leaves).  Given a leaf sink, the same search lists the
-    classes it keeps (`connectivity_class`), skipping every subtree below
-    the least of them: capped connectivity only falls with depth.
+    A node with two chords left, at the least free endpoint k with b < c < d
+    the other three, writes its three leaves in place: k-b|c-d, k-c|b-d and
+    k-d|b-c, the order of `enumerate_diagrams`.  It scans the closers
+    between k and b once for all three, and Fact 1 there reads d = c + 1 or
+    c = b + 1.  So the search calls itself only at the nodes with three or
+    more chords left: 495 times at n = 6, 6,201 at n = 7 and 90,823 at
+    n = 8, plus 1,650, 21,342 and 320,184 calls at the nodes with two.  At
+    n = 7 it visits 38,232 leaves.  Given a leaf sink, the same search
+    lists the classes it keeps (`connectivity_class`), skipping every
+    subtree below the least of them: capped connectivity only falls with
+    depth.
 
     For n >= 7 the search is split into shards run in parallel, one per CPU
     this process may use and at most 2**(n-6) (`_census_shards`).  The nodes
@@ -536,10 +545,12 @@ def _census_shards(n: int) -> tuple[list[int], set[int]]:
 
 def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
                    sink: Callable[[list[int]], None] | None = None) -> Callable[[int], list[int]]:
-    """The search of `census` for n >= 1 cut into `shards` shards (n >= 4
-    when shards > 1, so that every leaf lies below the split): the returned
-    function runs one shard and returns its counts (total, connected,
-    2-connected, connectivity 1, indecomposable).
+    """The search of `census` for n >= 1 cut into `shards` shards: the
+    returned function runs one shard and returns its counts (total,
+    connected, 2-connected, connectivity 1, indecomposable).  The cut sits
+    at the nodes with max(n - 2, 3) chords left, the third chord's or, for
+    n < 5, the one above the last two, as a node with two chords left has no
+    partner loop to cut; for n <= 2 shard 0 runs the whole search.
 
     keep[c] says whether a leaf of capped connectivity c goes to sink, as
     its full partner array; a subtree below the least such c (1 if none) is
@@ -580,11 +591,14 @@ def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
     # stays -1 to end every scan.
     p = [-1] * (m + 1)
     # A node placing a chord with r chords left, itself included, lies
-    # above the split when r > split: the first three chords.
-    split = n - 3 if shards > 1 else n
+    # above the split when r > split: the first three chords, and never
+    # the last two.
+    split = max(n - 3, 2) if shards > 1 else n
 
     def run(shard: int) -> list[int]:
-        counts = [0, 0, 0, 0, 0]  # total, conn, 2conn, conn1, indec
+        # Leaves visited at capped connectivity 0, 1 and 2; all leaves; the
+        # indecomposable ones.
+        counts = [0, 0, 0, 0, 0]
         turn = -1  # number of the last node reached at the split
 
         def mine(conn: int, r: int) -> bool:
@@ -599,19 +613,81 @@ def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
             return turn % shards == shard
 
         # The tables are bound as defaults: a local reads faster than a cell.
+        def two(k: int, x: int, run_max: int, block: bool, conn: int, p=p,
+                closers=closers, ones=ones, above0=above0, above1=above1,
+                counts=counts, keep=keep, m=m, floor=floor) -> None:
+            # Two chords left, with the state of `rec` at k and b < c < d the
+            # other free endpoints.  The leaves k-b|c-d, k-c|b-d and k-d|b-c
+            # are booked in turn, the order of `enumerate_diagrams`, and the
+            # closers between k and b are scanned once for all three.
+            if conn:
+                x += ones[k + 1]
+            y, now, i = x, conn, k + 1
+            b = 0
+            while True:  # up to b, then on with b closing k up to c (k-b|c-d)
+                while (q := p[i]) >= 0:
+                    if now:
+                        step, mask0, mask1 = closers[i][q]
+                        y += step
+                        z = y + above1
+                        if z & mask0 != mask0:  # a window in mask0 has cut <= 1
+                            if (y + above0) & mask0 != mask0:
+                                now = 0
+                            elif now == 2 and z & mask1 != mask1:
+                                now = 1
+                    i += 1
+                if b:
+                    break
+                b, x, conn = i, y, now
+                p[b] = k
+            p[b] = -1
+            c = i
+            d = c + 1
+            while p[d] >= 0:
+                d += 1
+            counts[3] += 3
+            if not block:  # k-b|c-d has a block end at run_max if that precedes c
+                counts[4] += 3 if run_max > c else 2
+            # Each leaf as k's partner, the last chord's opener o and closer e,
+            # and the counts and connectivity where the scan stopped, at o.
+            # Fact 1 of `census`: a last chord c-d with d = c + 1, or b-c with
+            # c = b + 1, closes a window.
+            for j, o, e, y, now in ((b, c, d, y, 0 if d == c + 1 else now),
+                                    (c, b, d, x, conn),
+                                    (d, b, c, x, 0 if c == b + 1 else conn)):
+                if now < floor:
+                    continue
+                p[j], p[e] = k, o
+                if now == 2:
+                    # Fact 2: the closers after o can end only a cut-1 window.
+                    y += ones[o + 1]
+                    for t in range(o + 1, m):
+                        step, _, mask1 = closers[t][p[t]]
+                        y += step
+                        if (y + above1) & mask1 != mask1:
+                            now = 1
+                            break
+                counts[now] += 1
+                if keep[now]:
+                    full = p[:m]
+                    for a, q in enumerate(p):
+                        if q >= 0:
+                            full[q] = a
+                    sink(full)
+                p[j] = p[e] = -1
+
         def rec(k: int, cuts: int, run_max: int, block: bool, best: int, r: int,
                 placed: int, p=p, closers=closers, ones=ones, above0=above0,
-                above1=above1, spans=spans, counts=counts, keep=keep, m=m,
-                split=split, floor=floor) -> None:
-            # Endpoints before k are scanned; k is the smallest free endpoint,
-            # and placed has a bit at each closer placed so far.  The closers
-            # between k and the next free endpoint f are the same for every
-            # partner j >= f, so they are scanned once per node: the first
-            # partner, j = f, stops at f to keep the counts there (c0, conn0)
-            # and then scans on past f, now k's closer; every later partner
-            # starts at f, where its scan ends.  With two chords left the
-            # last one is settled here: it opens at the next free endpoint
-            # and closes at the only other one.
+                above1=above1, spans=spans, counts=counts, m=m, split=split,
+                floor=floor) -> None:
+            # Three or more chords left.  Endpoints before k are scanned; k
+            # is the smallest free endpoint, and placed has a bit at each
+            # closer placed so far.  The closers between k and the next free
+            # endpoint f are the same for every partner j >= f, so they are
+            # scanned once per node: the first partner, j = f, stops at f to
+            # keep the counts there (c0, conn0) and then scans on past f,
+            # now k's closer; every later partner starts at f, where its
+            # scan ends.
             f = 0  # until the first partner has scanned up to f
             for j in range(k + 1, m):
                 if p[j] >= 0:
@@ -644,54 +720,34 @@ def _census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
                     # A block ends at top if the scan passed it (top > k);
                     # a later partner's scan stops at f <= j <= top.
                     has_block = block or top < i and top < m - 1
-                last = j  # the closer of the last chord, once settled here
-                if i < m:
-                    # Fact 1 of `census`: no placed closer among the 2r - 2
-                    # endpoints from i, so these free ones close a window.
-                    now_placed = placed | 1 << j
-                    if not now_placed >> i & spans[r - 1]:
-                        conn = 0
-                    if r > split and not mine(conn, r):
-                        pass
-                    elif conn < floor:
-                        counts[0] += chains[r - 1]
-                        if not has_block:
-                            b = m - 1 - top
-                            counts[4] += completions[2 * r - 2 - b][b]
-                    elif r > 2:
-                        rec(i, c, top, has_block, conn, r - 1, now_placed)
-                    else:
-                        last = i + 1
-                        while p[last] >= 0:
-                            last += 1
-                        p[last] = i
-                        if conn == 2:
-                            # Fact 2: the closers after i can end only a cut-1 window.
-                            c += ones[i + 1]
-                            for t in range(i + 1, m):
-                                step, _, mask1 = closers[t][p[t]]
-                                c += step
-                                if (c + above1) & mask1 != mask1:
-                                    conn = 1
-                                    break
-                        i = m
-                if i == m:
-                    counts[0] += 1
+                # Fact 1 of `census`: no placed closer among the 2r - 2
+                # endpoints from i, so these free ones close a window.
+                now_placed = placed | 1 << j
+                if not now_placed >> i & spans[r - 1]:
+                    conn = 0
+                if r > split and not mine(conn, r):
+                    pass
+                elif conn < floor:
+                    counts[3] += chains[r - 1]
                     if not has_block:
-                        counts[4] += 1
-                    if conn:
-                        counts[1] += 1
-                        counts[2 if conn == 2 else 3] += 1
-                    if keep[conn]:
-                        full = p[:m]
-                        for a, q in enumerate(p):
-                            if q >= 0:
-                                full[q] = a
-                        sink(full)
-                p[last] = p[j] = -1
+                        b = m - 1 - top
+                        counts[4] += completions[2 * r - 2 - b][b]
+                elif r > 3:
+                    rec(i, c, top, has_block, conn, r - 1, now_placed)
+                else:
+                    two(i, c, top, has_block, conn)
+                p[j] = -1
 
-        rec(0, 0, -1, False, min(n, 2), n, 0)
-        return counts
+        if n > 2:
+            rec(0, 0, -1, False, 2, n, 0)
+        elif n == 2 and not shard:
+            two(0, 0, -1, False, 2)
+        elif not shard:  # the single chord: connectivity 1, indecomposable
+            counts[1:] = [1, 0, 1, 1]
+            if keep[1]:
+                sink([1, 0])
+        _, c1, c2, total, indec = counts
+        return [total, c1 + c2, c2, c1, indec]
 
     return run
 

@@ -50,6 +50,11 @@ def _div(a: Rational, b: Rational) -> Rational:
     return _frac(Fraction(a) / b)
 
 
+def _nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def _valuation(a: Sequence[Rational]) -> int:
     return next((i for i, c in enumerate(a) if c), len(a))
 
@@ -96,6 +101,7 @@ class FormalPowerSeries:
         return _valuation(self.coeffs)
 
     def truncate(self, order: int) -> "FormalPowerSeries":
+        _nonnegative("order", order)
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return FormalPowerSeries(self.coeffs[: order + 1])
@@ -293,6 +299,7 @@ def from_coeffs(coeffs: Sequence[Rational], order: int | None = None) -> FormalP
     """Series from a coefficient list, zero-padded / truncated to `order`."""
     cs = list(coeffs)
     if order is not None:
+        _nonnegative("order", order)
         if len(cs) > order + 1:
             cs = cs[: order + 1]
         cs.extend([0] * (order + 1 - len(cs)))
@@ -300,7 +307,7 @@ def from_coeffs(coeffs: Sequence[Rational], order: int | None = None) -> FormalP
 
 
 def zero(order: int) -> FormalPowerSeries:
-    return FormalPowerSeries([0] * (order + 1))
+    return constant(0, order)
 
 
 def one(order: int) -> FormalPowerSeries:
@@ -308,6 +315,7 @@ def one(order: int) -> FormalPowerSeries:
 
 
 def constant(c: Rational, order: int) -> FormalPowerSeries:
+    _nonnegative("order", order)
     return FormalPowerSeries([c] + [0] * order)
 
 
@@ -319,6 +327,7 @@ def x(order: int) -> FormalPowerSeries:
 
 def geometric(order: int) -> FormalPowerSeries:
     """1/(1-x)."""
+    _nonnegative("order", order)
     return FormalPowerSeries([1] * (order + 1))
 
 
@@ -363,6 +372,7 @@ def divide(a: FormalPowerSeries, b: FormalPowerSeries) -> FormalPowerSeries:
 
 def divide_by_power(a: FormalPowerSeries, k: int) -> FormalPowerSeries:
     """a / x^k; the dropped coefficients must be zero."""
+    _nonnegative("k", k)
     if any(a.coeffs[:k]):
         raise ZeroDivisionError(f"series is not divisible by x^{k}")
     if k > a.order:
@@ -372,4 +382,5 @@ def divide_by_power(a: FormalPowerSeries, k: int) -> FormalPowerSeries:
 
 def multiply_by_power(a: FormalPowerSeries, k: int) -> FormalPowerSeries:
     """a * x^k, extending the order by k (the new coefficients are exact)."""
+    _nonnegative("k", k)
     return FormalPowerSeries((0,) * k + a.coeffs)

@@ -17,18 +17,22 @@ place: it copies the tadpole and validates both parts it returns.  lambda
 and its inverse are the library's as they were before lambda^-1 became one
 sweep and lambda's joins list splices: lambda^-1 applies nabla level by
 level and renames both parts at each join, and both directions place the
-parts through the root share table."""
+parts through the root share table.
+The census search is the library's as it was before its nodes with two
+chords left wrote their three leaves in place: every node loops over the
+partners of its opener, and the last chord is settled in its parent's
+loop."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from chordlab import fps
 from chordlab.bell import _BLOCK_STEP
 from chordlab.bijections import LabeledDiagram, from_tokens, nabla
-from chordlab.chord import ChordDiagram, crossing_blocks
+from chordlab.chord import ChordDiagram, crossing_blocks, indecomposable_completions
 from chordlab.yukawa import LEG_END, X_TADPOLE, TadpoleGraph, _block, _psi_move, _split
 
 
@@ -395,3 +399,165 @@ def tadpole_by_nabla(c: ChordDiagram) -> TadpoleGraph:
     name = [LEG_END, *sorted(range(len(place)), key=place.__getitem__)]  # at each place
     boson = {v: name[partners[p]] for v, p in enumerate(place) if v != leg}
     return TadpoleGraph(dict(enumerate(succ)), boson, leg)
+
+
+def census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
+                  sink: Callable[[list[int]], None] | None = None) -> Callable[[int], list[int]]:
+    """The search of `census` for n >= 1 cut into `shards` shards (n >= 4
+    when shards > 1, so that every leaf lies below the split): the returned
+    function runs one shard and returns its counts (total, connected,
+    2-connected, connectivity 1, indecomposable).
+
+    keep[c] says whether a leaf of capped connectivity c goes to sink, as
+    its full partner array; a subtree below the least such c (1 if none) is
+    booked without a visit, its connected leaves uncounted."""
+    m = 2 * n
+    # A count is at most n, so a field's top bit stays free: adding
+    # high - 1 - t to a field sets that bit exactly when the field exceeds t.
+    width = n.bit_length() + 1
+    high = 1 << width - 1
+    ones = [0] * (m + 1)  # ones[t]: 1 in each of the fields 0..t-1
+    for t in range(m):
+        ones[t + 1] = ones[t] | 1 << width * t
+    above0 = (high - 1) * ones[m]
+    above1 = (high - 2) * ones[m]
+    highs = [high * one for one in ones]
+    # closers[k][q], for a closer at k paired with q < k: the update of the
+    # counts (-1 for a <= q, +1 for q < a < k, field k starts at 1), and the
+    # top bits of the starts a <= q whose window [a, k] separates at cut 0
+    # (its complement is nonempty) and at cut 1 (3 or more endpoints outside).
+    closers = [
+        [
+            (
+                ones[k + 1] - 2 * ones[q + 1],
+                highs[q + 1] - highs[k == m - 1],
+                highs[q + 1] - highs[min(max(k + 4 - m, 0), q + 1)],
+            )
+            for q in range(k)
+        ]
+        for k in range(m)
+    ]
+    spans = [(1 << 2 * r) - 1 for r in range(n)]  # spans[r]: bits 0..2r-1
+    chains = [1] * n  # chains[r] = (2r-1)!!
+    for r in range(1, n):
+        chains[r] = chains[r - 1] * (2 * r - 1)
+    completions = indecomposable_completions(m - 2)
+    floor = keep.index(True) if True in keep else 1
+    # p[j] = partner of a fixed closer j; openers are not stored, and p[m]
+    # stays -1 to end every scan.
+    p = [-1] * (m + 1)
+    # A node placing a chord with r chords left, itself included, lies
+    # above the split when r > split: the first three chords.
+    split = n - 3 if shards > 1 else n
+
+    def run(shard: int) -> list[int]:
+        counts = [0, 0, 0, 0, 0]  # total, conn, 2conn, conn1, indec
+        turn = -1  # number of the last node reached at the split
+
+        def mine(conn: int, r: int) -> bool:
+            # Above the split: a pruned subtree is shard 0's, and the nodes
+            # at the split go round the shards.
+            nonlocal turn
+            if not conn:
+                return not shard
+            if r - 1 > split:
+                return True
+            turn += 1
+            return turn % shards == shard
+
+        # The tables are bound as defaults: a local reads faster than a cell.
+        def rec(k: int, cuts: int, run_max: int, block: bool, best: int, r: int,
+                placed: int, p=p, closers=closers, ones=ones, above0=above0,
+                above1=above1, spans=spans, counts=counts, keep=keep, m=m,
+                split=split, floor=floor) -> None:
+            # Endpoints before k are scanned; k is the smallest free endpoint,
+            # and placed has a bit at each closer placed so far.  The closers
+            # between k and the next free endpoint f are the same for every
+            # partner j >= f, so they are scanned once per node: the first
+            # partner, j = f, stops at f to keep the counts there (c0, conn0)
+            # and then scans on past f, now k's closer; every later partner
+            # starts at f, where its scan ends.  With two chords left the
+            # last one is settled here: it opens at the next free endpoint
+            # and closes at the only other one.
+            f = 0  # until the first partner has scanned up to f
+            for j in range(k + 1, m):
+                if p[j] >= 0:
+                    continue
+                top = j if j > run_max else run_max
+                if f:
+                    p[j] = k
+                    c, conn, i, has_block = c0, conn0, f, block
+                else:
+                    # The opener at k adds 1 to every window and starts field k at 1.
+                    c = cuts + ones[k + 1] if best else cuts
+                    conn = best
+                    i = k + 1
+                    while True:  # up to f with f free, then on with f closing k
+                        while (q := p[i]) >= 0:
+                            if conn:
+                                step, mask0, mask1 = closers[i][q]
+                                c += step
+                                x = c + above1
+                                if x & mask0 != mask0:  # a window in mask0 has cut <= 1
+                                    if (c + above0) & mask0 != mask0:
+                                        conn = 0
+                                    elif conn == 2 and x & mask1 != mask1:
+                                        conn = 1
+                            i += 1
+                        if f:
+                            break
+                        f, c0, conn0 = i, c, conn
+                        p[j] = k
+                    # A block ends at top if the scan passed it (top > k);
+                    # a later partner's scan stops at f <= j <= top.
+                    has_block = block or top < i and top < m - 1
+                last = j  # the closer of the last chord, once settled here
+                if i < m:
+                    # Fact 1 of `census`: no placed closer among the 2r - 2
+                    # endpoints from i, so these free ones close a window.
+                    now_placed = placed | 1 << j
+                    if not now_placed >> i & spans[r - 1]:
+                        conn = 0
+                    if r > split and not mine(conn, r):
+                        pass
+                    elif conn < floor:
+                        counts[0] += chains[r - 1]
+                        if not has_block:
+                            b = m - 1 - top
+                            counts[4] += completions[2 * r - 2 - b][b]
+                    elif r > 2:
+                        rec(i, c, top, has_block, conn, r - 1, now_placed)
+                    else:
+                        last = i + 1
+                        while p[last] >= 0:
+                            last += 1
+                        p[last] = i
+                        if conn == 2:
+                            # Fact 2: the closers after i can end only a cut-1 window.
+                            c += ones[i + 1]
+                            for t in range(i + 1, m):
+                                step, _, mask1 = closers[t][p[t]]
+                                c += step
+                                if (c + above1) & mask1 != mask1:
+                                    conn = 1
+                                    break
+                        i = m
+                if i == m:
+                    counts[0] += 1
+                    if not has_block:
+                        counts[4] += 1
+                    if conn:
+                        counts[1] += 1
+                        counts[2 if conn == 2 else 3] += 1
+                    if keep[conn]:
+                        full = p[:m]
+                        for a, q in enumerate(p):
+                            if q >= 0:
+                                full[q] = a
+                        sink(full)
+                p[last] = p[j] = -1
+
+        rec(0, 0, -1, False, min(n, 2), n, 0)
+        return counts
+
+    return run

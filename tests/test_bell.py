@@ -382,10 +382,12 @@ def test_indecomposable_pipeline_through_lift():
          "f is needed through order 9 and g through order 8"),
         (lambda: lift_resummation(fps.one(3), fps.one(5), 4), "h and g are needed through order 4"),
         (lambda: lift_resummation(fps.one(5), fps.one(3), 4), "h and g are needed through order 4"),
+        (lambda: lift_solve(fps.one(3), -1), "order must be nonnegative, got -1"),
     ],
     ids=["id1-n-not-above-k", "id1-zero-x1", "nested-no-blocks", "nested-few-values",
          "lift-solve-short-g", "lift-coefficient-n-0", "lift-coefficient-short-f",
-         "lift-coefficient-short-g", "resummation-short-h", "resummation-short-g"],
+         "lift-coefficient-short-g", "resummation-short-h", "resummation-short-g",
+         "lift-solve-negative-order"],
 )
 def test_input_checks_name_what_is_wrong(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

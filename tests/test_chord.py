@@ -20,6 +20,7 @@ from chordlab.chord import (
 )
 from chordlab.cli import FILTERS
 from oracles import (
+    census_search,
     intersection_adjacency,
     intersection_components,
     join_root_component,
@@ -375,12 +376,28 @@ def test_listing_search_counts_the_leaves_it_visits():
         assert len(leaves) == counts[1] == CONNECTED[n]
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 1, 2, 3])
 def test_census_shards_add_up_to_the_whole_search(n):
     whole = chord._census_search(n, 1)(0)
     for shards in (2, 3, 4):
         run = chord._census_search(n, shards)
         assert [sum(c) for c in zip(*map(run, range(shards)))] == whole, shards
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_search_matches_its_partner_loop_oracle(n):
+    # The oracle settles the last chord in its parent's partner loop; the
+    # library writes the three leaves of a node with two chords left in place.
+    whole = census_search(n, 1)(0)
+    for shards in (1, 2, 3, 4):
+        run = chord._census_search(n, shards)
+        assert [sum(c) for c in zip(*map(run, range(shards)))] == whole, shards
+    for levels in [(1, 2)] if n == 7 else [(0,), (1,), (2,), (1, 2), (0, 1, 2)]:
+        keep = tuple(c in levels for c in range(3))
+        listed, expected = [], []
+        counts = chord._census_search(n, 1, keep, listed.append)(0)
+        assert counts == census_search(n, 1, keep, expected.append)(0), levels
+        assert listed == expected, levels
 
 
 CENSUS_7 = Census(135135, 38232, 10113, 28119, 110410)

@@ -340,11 +340,24 @@ def test_reversion_matches_column_oracle(order, kind):
          "division by the zero series"),
         (lambda: fps.divide_by_power(fps.geometric(3), 2), ZeroDivisionError,
          "series is not divisible by x^2"),
+        (lambda: fps.one(3).truncate(-2), ValueError, "order must be nonnegative, got -2"),
+        (lambda: fps.one(-1), ValueError, "order must be nonnegative, got -1"),
+        (lambda: fps.constant(5, -3), ValueError, "order must be nonnegative, got -3"),
+        (lambda: fps.zero(-1), ValueError, "order must be nonnegative, got -1"),
+        (lambda: fps.geometric(-1), ValueError, "order must be nonnegative, got -1"),
+        (lambda: from_coeffs([1, 2, 3], order=-2), ValueError,
+         "order must be nonnegative, got -2"),
+        (lambda: fps.multiply_by_power(fps.one(2), -1), ValueError,
+         "k must be nonnegative, got -1"),
+        (lambda: fps.divide_by_power(fps.one(2), -1), ValueError,
+         "k must be nonnegative, got -1"),
     ],
     ids=["empty", "getitem-past-order", "truncate-above-order", "negative-power",
          "non-int-power", "exp-constant", "log-constant", "reversion-constant",
          "reversion-linear", "x-order-0", "reciprocal-zero-constant", "divide-by-zero",
-         "not-divisible"],
+         "not-divisible", "truncate-negative", "one-negative", "constant-negative",
+         "zero-negative", "geometric-negative", "from-coeffs-negative",
+         "multiply-by-negative-power", "divide-by-negative-power"],
 )
 def test_input_checks_name_what_is_wrong(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
