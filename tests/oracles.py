@@ -21,7 +21,10 @@ parts through the root share table.
 The census search is the library's as it was before its nodes with two
 chords left wrote their three leaves in place: every node loops over the
 partners of its opener, and the last chord is settled in its parent's
-loop."""
+loop.
+The image of C has a second closed form, by the root-removal relation
+2xCC' = C(1+C) - x, and the chain rule solved on D = 1 + C(xD^2) without
+its C'(g) A g term gives the negative control of the derived image."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +33,11 @@ from math import comb, factorial
 from typing import Callable, Sequence
 
 from chordlab import fps
+from chordlab.asymptotics import ScaledSeries, _solve_chain_rule
 from chordlab.bell import _BLOCK_STEP
 from chordlab.bijections import LabeledDiagram, from_tokens, nabla
 from chordlab.chord import ChordDiagram, crossing_blocks, indecomposable_completions
+from chordlab.gfseries import connected_series, double_factorial_series
 from chordlab.yukawa import LEG_END, X_TADPOLE, TadpoleGraph, _block, _psi_move, _split
 
 
@@ -561,3 +566,18 @@ def census_search(n: int, shards: int, keep: Sequence[bool] = (False,) * 3,
         return counts
 
     return run
+
+
+def alien_connected_by_root_removal(order: int) -> ScaledSeries:
+    """(1 + C - 2xC') exp(-(2C + C^2)/(2x)), the image of C by the
+    root-removal relation; the exponent's constant is 1, as C = x + O(x^2)."""
+    c = connected_series(order + 1)
+    exponent = fps.divide_by_power(2 * c + c * c, 1) / 2
+    return ScaledSeries((1 + c - 2 * c.x_derivative()) * (1 - exponent).exp(), Fraction(-1))
+
+
+def connected_image_without_composition_term(order: int) -> ScaledSeries:
+    """The image of C solved from D = 1 + C(xD^2) as the library solves it,
+    but with C'(g) A g = 2xD C'(g) dropped: (A C)(g) = D e^(-(D^2-1)/(2xD^2))."""
+    d = double_factorial_series(order + 1)
+    return _solve_chain_rule(d, fps.multiply_by_power(d * d, 1), Fraction(0))

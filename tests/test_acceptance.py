@@ -13,7 +13,6 @@ from chordlab import checks, fps
 from chordlab.asymptotics import (
     TOLERANCES,
     alien_connected,
-    alien_connected_alternative,
     alien_two_connected,
     asymptotic_fit,
     chain_rule_check,
@@ -48,6 +47,7 @@ from chordlab.yukawa import (
     psi,
     psi_inv,
 )
+from oracles import alien_connected_by_root_removal
 
 
 def fracs(values):
@@ -167,7 +167,7 @@ def test_criterion_3_alien_derivatives():
     )
     # order-10 self-consistency: the two closed forms for the connected
     # image agree, and both images satisfy the chain/product relations
-    assert image_c.body == alien_connected_alternative(10).body
+    assert image_c.body == alien_connected_by_root_removal(10).body
     assert chain_rule_check(10)
     assert square_image_consistency(10)
     print("\nPASS criterion 3: expansion images exact and self-consistent to order 10")

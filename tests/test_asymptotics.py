@@ -7,15 +7,12 @@ from fractions import Fraction
 from math import lgamma, log, pi
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from chordlab import fps
+from chordlab import fps, gfseries
 from chordlab.asymptotics import (
     FIT_PRECISION,
     TOLERANCES,
     alien_connected,
-    alien_connected_alternative,
     alien_two_connected,
     asymptotic_fit,
     chain_rule_check,
@@ -30,10 +27,19 @@ from chordlab.gfseries import (
     two_connected_sequence_series,
     two_connected_series,
 )
+from oracles import alien_connected_by_root_removal, connected_image_without_composition_term
 
 
 def fracs(values):
     return tuple(Fraction(v) for v in values)
+
+
+def dropped_term_control(order):
+    """The image of C derived without the C'(g) A g term, compared with the
+    closed form as `chain_rule_check` compares the derived image."""
+    control, closed = connected_image_without_composition_term(order), alien_connected(order)
+    assert control.exp_offset == closed.exp_offset
+    return gfseries._compare("connected_image", order, control.body, closed.body)
 
 
 def test_connected_image_known_fractions():
@@ -51,7 +57,17 @@ def test_connected_image_leading_term():
 
 
 def test_connected_image_two_closed_forms_agree():
-    assert alien_connected(12).body == alien_connected_alternative(12).body
+    for order in range(33):
+        image, reference = alien_connected(order), alien_connected_by_root_removal(order)
+        assert image.body == reference.body and image.exp_offset == reference.exp_offset, order
+
+
+@pytest.mark.parametrize("build", [alien_connected, alien_two_connected,
+                                   two_connected_exponent_argument])
+@pytest.mark.parametrize("order", [-1, -2])
+def test_image_builders_reject_a_negative_order(build, order):
+    with pytest.raises(ValueError, match=f"^order must be nonnegative, got {order}$"):
+        build(order)
 
 
 def test_two_connected_image_known_fractions():
@@ -89,19 +105,18 @@ def test_model_scale_matches_double_factorial():
 
 def test_chain_rule_exact():
     assert chain_rule_check(10)
-    assert not chain_rule_check(10, drop_composition_term=True)
+    assert not dropped_term_control(10)
 
 
 def test_square_image_consistency():
     assert square_image_consistency(10)
 
 
-@settings(max_examples=32, deadline=None, database=None)
-@given(st.integers(1, 32))
-def test_derived_images_equal_the_closed_forms(order):
-    assert chain_rule_check(order) and square_image_consistency(order)
-    control = chain_rule_check(order, drop_composition_term=True)
-    assert not control and control.first_failure == 1
+def test_derived_images_equal_the_closed_forms():
+    for order in range(1, 33):
+        assert chain_rule_check(order) and square_image_consistency(order), order
+        control = dropped_term_control(order)
+        assert not control and control.first_failure == 1, order
 
 
 def test_relation_checks_accept_orders_0_to_32_only():
